@@ -20,12 +20,11 @@ import numpy as np
 from . import data as D
 from . import metrics as M
 from . import runstore as R
-from .augment import AugmentStrategy
+from .augment import STRATEGY_KINDS, AugmentStrategy
 from .distill import TrainConfig, TrainedModel, evaluate_model, train_student, train_teacher
 from .errors import FormatError, IntegrityError
 from .gradcheck import run_all
 
-STRATEGIES = ("none", "standard", "cutout", "mixup", "cutmix")
 ARMS = ("teacher-aug", "student-aug", "both")
 
 
@@ -49,7 +48,7 @@ def _strategy_from_args(args) -> AugmentStrategy:
 
 
 def _add_strategy_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--strategy", choices=STRATEGIES, default="none")
+    p.add_argument("--strategy", choices=STRATEGY_KINDS, default="none")
     p.add_argument("--pad", type=int, default=None)
     p.add_argument("--n-holes", dest="n_holes", type=int, default=None)
     p.add_argument("--hole-size", dest="hole_size", type=int, default=None)
@@ -202,7 +201,7 @@ def _rerun_from_manifest(manifest_path: Path, out: Path, n_bins_override=None) -
         model = train_student(cfg, teacher, train_ds, arch=m.config["arch"])
     else:
         raise FormatError(f"{manifest_path}: unknown role {m.role!r}")
-    n_bins = n_bins_override or m.config.get("n_bins", 15)
+    n_bins = n_bins_override if n_bins_override is not None else m.config.get("n_bins", 15)
     dump = evaluate_model(model, eval_ds, t_eval=m.config.get("t_eval", 1.0))
     out.mkdir(parents=True, exist_ok=True)
     R.emit_report(dump, out, reports="all", n_bins=n_bins)
@@ -287,7 +286,7 @@ def _cmd_matrix(args) -> int:
     teacher_cfg_base = dict(epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
                             momentum=args.momentum, weight_decay=args.weight_decay)
     teachers: dict[str, tuple[TrainedModel, Path, float]] = {}
-    for i, strat in enumerate(STRATEGIES):
+    for i, strat in enumerate(STRATEGY_KINDS):
         cfg = TrainConfig(seed=int(seeds[2 + i]), strategy=AugmentStrategy(strat),
                           **teacher_cfg_base)
         model = train_teacher(cfg, train_ds, arch=args.teacher_arch)
@@ -300,7 +299,7 @@ def _cmd_matrix(args) -> int:
 
     rows = []
     cell_index = 0
-    for strat in STRATEGIES:
+    for strat in STRATEGY_KINDS:
         for arm in ARMS:
             t_strat = strat if arm in ("teacher-aug", "both") else "none"
             s_strat = strat if arm in ("student-aug", "both") else "none"

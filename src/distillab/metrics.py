@@ -246,6 +246,13 @@ def class_discrimination(dump: EvalDump, standardize: bool = True,
 
     A sample whose embedding has zero norm gets cosine similarity 0 against
     everything; such samples are tallied in zero_norm_count.
+
+    No NxN cosine matrix is formed.  With U_i the unit rows of class i and
+    s_i their sum, every entry of U_i U_j^T sums to s_i . s_j, and
+    trace(U_i U_i^T) is the sum of the squared row norms of U_i.  So the
+    upper-triangle sum of class i is (s_i . s_i - sum ||u||^2) / 2 and the
+    cross sum of classes i, j is s_i . s_j: one CxC product of the class
+    sums, O(N*d) time and O(C*d) extra memory.
     """
     groups = dump.class_indices()
     for c, idx in enumerate(groups):
@@ -258,21 +265,16 @@ def class_discrimination(dump: EvalDump, standardize: bool = True,
     zero = norms == 0.0
     unit = np.zeros_like(emb)
     unit[~zero] = emb[~zero] / norms[~zero, None]
-    gram = unit @ unit.T
+    sums = np.stack([unit[idx].sum(axis=0) for idx in groups])
+    sq_norms = np.array([np.einsum("ij,ij->", unit[idx], unit[idx]) for idx in groups])
+    dots = sums @ sums.T
+    n = np.array([idx.size for idx in groups], dtype=np.float64)
+    cohesion = (np.diag(dots) - sq_norms) / 2.0 / (n * (n - 1))
+    if pair_mean:
+        cohesion *= 2.0
     c = dump.n_classes
-    cohesion = np.empty(c, dtype=np.float64)
-    for i, idx in enumerate(groups):
-        sub = gram[np.ix_(idx, idx)]
-        upper = (sub.sum() - np.trace(sub)) / 2.0
-        n_c = idx.size
-        cohesion[i] = upper / (n_c * (n_c - 1))
-        if pair_mean:
-            cohesion[i] *= 2.0
-    adhesion: dict[tuple[int, int], float] = {}
-    for i in range(c):
-        for j in range(i + 1, c):
-            block = gram[np.ix_(groups[i], groups[j])]
-            adhesion[(i, j)] = float(block.sum() / block.size)
+    adhesion = {(i, j): float(dots[i, j] / (n[i] * n[j]))
+                for i in range(c) for j in range(i + 1, c)}
     return DiscriminationReport(
         cohesion=cohesion,
         adhesion=adhesion,

@@ -331,10 +331,6 @@ class Network:
             h.update(np.ascontiguousarray(arr).tobytes())
         return h.hexdigest()
 
-    def copy(self) -> "Network":
-        import copy as _copy
-        return _copy.deepcopy(self)
-
     def spec_dict(self) -> dict:
         return {
             "input_shape": list(self.input_shape),

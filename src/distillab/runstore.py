@@ -77,10 +77,6 @@ def sha256_file(path: str | Path) -> str:
     return h.hexdigest()
 
 
-def sha256_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 @dataclass
 class RunManifest:
     """Auditable record of one training/evaluation run."""

@@ -97,6 +97,16 @@ def test_evaluate_from_manifest_reproduces_bitwise(work, tmp_path, capsys):
     assert rerun == original
 
 
+def test_evaluate_from_manifest_rejects_zero_bins(work, tmp_path, capsys):
+    assert main(["evaluate", "--checkpoint", str(work["teacher"]), "--dataset", str(work["data"]),
+                 "--out", str(tmp_path / "direct"), "--bins", "0"]) == 1
+    direct = capsys.readouterr().err
+    assert "n_bins must be >= 1, got 0" in direct
+    assert main(["evaluate", "--from-manifest", str(work["teacher"] / "manifest.json"),
+                 "--out", str(tmp_path / "rerun"), "--bins", "0"]) == 1
+    assert capsys.readouterr().err == direct
+
+
 def test_evaluate_argument_combinations(work, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["evaluate", "--dataset", str(work["data"]), "--out", str(tmp_path / "x")])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -257,10 +258,32 @@ def test_discrimination_zero_norm_rows_counted_and_neutral():
     assert rep.cohesion[0] == pytest.approx(1.0 / 6.0)
 
 
+def _extreme_geometry_dumps(rng):
+    """Inputs at the edges of the class-sum identities, labelled in blocks."""
+    dim = 6
+    near = rng.normal(size=(1, dim)) + 1e-9 * rng.normal(size=(40, dim))
+    with_zeros = rng.normal(size=(30, dim))
+    with_zeros[[0, 7, 29]] = 0.0
+    blocks = [
+        # near-identical class: s.s reaches n_c^2, where its rounding error is largest
+        [near, rng.normal(size=(25, dim))],
+        # zero-norm rows inside a class
+        [rng.normal(size=(20, dim)), with_zeros],
+        # classes of exactly 2 samples
+        [rng.normal(size=(2, dim)) for _ in range(3)],
+    ]
+    dumps = []
+    for parts in blocks:
+        labels = np.concatenate([np.full(len(p), c) for c, p in enumerate(parts)])
+        probs = np.full((labels.size, len(parts)), 1.0 / len(parts))
+        dumps.append(_dump(probs, labels, emb=np.vstack(parts)))
+    return dumps
+
+
 def test_discrimination_matches_pair_oracle():
     rng = np.random.default_rng(8)
-    for _ in range(8):
-        d = _random_dump(rng, n_max=80, d_max=12, with_human=False)
+    dumps = [_random_dump(rng, n_max=80, d_max=12, with_human=False) for _ in range(8)]
+    for d in dumps + _extreme_geometry_dumps(rng):
         for standardize in (False, True):
             for pair_mean in (False, True):
                 rep = class_discrimination(d, standardize=standardize, pair_mean=pair_mean)
@@ -271,6 +294,20 @@ def test_discrimination_matches_pair_oracle():
                 for key, val in adh.items():
                     assert rep.adhesion[key] == pytest.approx(val, abs=1e-9)
                 assert rep.discrimination == pytest.approx(disc, rel=1e-8, abs=1e-10)
+
+
+def test_discrimination_allocates_no_n_by_n_array():
+    n = 6000
+    rng = np.random.default_rng(12)
+    d = _dump(np.full((n, 4), 0.25), np.arange(n) % 4, emb=rng.normal(size=(n, 16)))
+    tracemalloc.start()
+    try:
+        class_discrimination(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # an N x N float64 cosine matrix alone would be 288 MB
+    assert peak < 8 * d.embeddings.nbytes
 
 
 def test_discrimination_recompute_is_identical():
