@@ -7,7 +7,7 @@ and a battery of calibration and embedding-geometry metrics — all seeded,
 all reproducible bitwise, all checked against brute-force oracles.
 """
 
-from .augment import AugmentStrategy, LabeledImage, MixSpec, apply_strategy, cutmix, cutout, mixup, standard_transform
+from .augment import AugmentStrategy, apply_strategy
 from .data import Dataset, attach_human_labels, load_cifar10_bin, load_dataset, load_mnist_idx, make_synthetic, save_dataset, split
 from .distill import TrainConfig, TrainedModel, evaluate_model, kd_loss, train_student, train_teacher
 from .errors import FormatError, IntegrityError

@@ -2,8 +2,11 @@
 
 Four strategies: standard crop/flip, cutout (regional fill), mixup (convex
 blend of two images and their labels), and cutmix (rectangular paste with
-labels mixed by the exact retained-pixel fraction).  Every operation takes an
-explicit numpy Generator, so a fixed seed gives a bitwise-fixed output.
+labels mixed by the exact retained-pixel fraction).  Each works on a whole
+batch: images [B, channels, H, W] in [0, 1] plus labels [B, classes].  Every
+operation takes an explicit numpy Generator and draws from it in a fixed
+order (per image, in batch order), so a fixed seed gives a bitwise-fixed
+output.
 """
 
 from __future__ import annotations
@@ -12,33 +15,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-
-
-@dataclass
-class LabeledImage:
-    """Pixels [channels, H, W] in [0,1] plus a label distribution over classes."""
-
-    pixels: np.ndarray
-    label: np.ndarray
-
-    def __post_init__(self):
-        self.pixels = np.asarray(self.pixels)
-        self.label = np.asarray(self.label)
-        if self.pixels.ndim != 3:
-            raise ValueError(f"pixels must be [channels, H, W], got shape {self.pixels.shape}")
-        if self.label.ndim != 1:
-            raise ValueError(f"label must be a flat distribution, got shape {self.label.shape}")
-
-
-@dataclass
-class MixSpec:
-    """Record of one mixing event: the mixing weight toward the first image,
-    the partner drawn from the batch, and (for cutmix) the binary [H, W] mask
-    of pixels taken from the partner."""
-
-    lam: float
-    partner_index: int = -1
-    mask: np.ndarray | None = None
 
 
 STRATEGY_KINDS = ("none", "standard", "cutout", "mixup", "cutmix")
@@ -80,149 +56,149 @@ class AugmentStrategy:
         return cls(kind=d["kind"], params=dict(d.get("params", {})))
 
 
-def standard_transform(img: LabeledImage, pad: int, rng: np.random.Generator) -> LabeledImage:
+def _standard(x, y, rng, pad):
     """Reflect-pad, random crop back to the original size, random horizontal flip.
 
-    The label passes through untouched.  The generator is always consulted in
-    the same order (row offset, column offset, flip coin), so pad=0 still
-    consumes the same number of draws.
+    Each image draws (row offset, column offset, flip coin) in that order, so
+    pad=0 still consumes the same draws.  Labels pass through.
     """
     if pad < 0:
         raise ValueError(f"pad must be >= 0, got {pad}")
-    _, h, w = img.pixels.shape
-    top = int(rng.integers(0, 2 * pad + 1))
-    left = int(rng.integers(0, 2 * pad + 1))
-    flip = rng.random() < 0.5
-    out = img.pixels
-    if pad:
-        padded = np.pad(out, ((0, 0), (pad, pad), (pad, pad)), mode="reflect")
-        out = padded[:, top:top + h, left:left + w]
-    if flip:
-        out = out[:, :, ::-1]
-    return LabeledImage(np.ascontiguousarray(out), img.label.copy())
+    b, _, h, w = x.shape
+    offsets = np.empty((b, 2), dtype=np.int64)
+    flip = np.empty(b, dtype=bool)
+    for i in range(b):
+        offsets[i, 0] = rng.integers(0, 2 * pad + 1)
+        offsets[i, 1] = rng.integers(0, 2 * pad + 1)
+        flip[i] = rng.random() < 0.5
+    padded = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="reflect") if pad else x
+    rows = offsets[:, :1] + np.arange(h)
+    cols = offsets[:, 1:] + np.arange(w)
+    cols[flip] = cols[flip, ::-1]
+    out = padded[np.arange(b)[:, None, None, None], np.arange(x.shape[1])[:, None, None],
+                 rows[:, None, :, None], cols[:, None, None, :]]
+    return out, y
 
 
-def cutout(img: LabeledImage, n_holes: int, hole_size: int, rng: np.random.Generator,
-           fill=None, size_jitter: bool = True) -> LabeledImage:
-    """Fill `n_holes` square regions with a constant; the label is untouched.
+def _cutout(x, y, rng, n_holes, hole_size, fill, size_jitter):
+    """Fill `n_holes` square regions per image with a constant; labels pass through.
 
     Hole centers are uniform over the image and boxes are clipped at the
-    borders.  With size_jitter (default) each hole side is drawn uniformly
-    from [hole_size/2, hole_size]; without it every hole has side hole_size
-    exactly.  `fill` is a scalar or per-channel value; None means 0.5.
+    borders.  With size_jitter each hole side is drawn uniformly from
+    [hole_size/2, hole_size] before its center; without it every side is
+    hole_size.  All draws come from one `integers` call whose per-element
+    bounds interleave (side, row, column), the same stream as drawing them
+    one scalar at a time.  `fill` is a scalar or per-channel value; None
+    means 0.5.
     """
     if n_holes < 1:
         raise ValueError(f"n_holes must be >= 1, got {n_holes}")
     if hole_size < 1:
         raise ValueError(f"hole_size must be >= 1, got {hole_size}")
-    ch, h, w = img.pixels.shape
+    b, ch, h, w = x.shape
     if hole_size > min(h, w):
         warnings.warn(f"hole_size {hole_size} exceeds image side {min(h, w)}; "
-                      "holes can blanket the whole image", stacklevel=2)
-    if fill is None:
-        fill_arr = np.full(ch, 0.5, dtype=img.pixels.dtype)
+                      "holes can blanket the whole image", stacklevel=3)
+    fill_arr = np.broadcast_to(np.asarray(0.5 if fill is None else fill, dtype=x.dtype), (ch,))
+    if size_jitter:
+        draws = rng.integers([max(1, (hole_size + 1) // 2), 0, 0], [hole_size + 1, h, w],
+                             size=(b, n_holes, 3))
+        side, cy, cx = draws[..., 0], draws[..., 1], draws[..., 2]
     else:
-        fill_arr = np.broadcast_to(np.asarray(fill, dtype=img.pixels.dtype), (ch,))
-    out = img.pixels.copy()
-    lo_side = max(1, (hole_size + 1) // 2)
-    for _ in range(n_holes):
-        side = int(rng.integers(lo_side, hole_size + 1)) if size_jitter else hole_size
-        cy = int(rng.integers(0, h))
-        cx = int(rng.integers(0, w))
-        y0 = max(0, cy - side // 2)
-        x0 = max(0, cx - side // 2)
-        y1 = min(h, y0 + side)
-        x1 = min(w, x0 + side)
-        out[:, y0:y1, x0:x1] = fill_arr[:, None, None]
-    return LabeledImage(out, img.label.copy())
+        draws = rng.integers([0, 0], [h, w], size=(b, n_holes, 2))
+        side, cy, cx = hole_size, draws[..., 0], draws[..., 1]
+    y0 = np.maximum(cy - side // 2, 0)
+    x0 = np.maximum(cx - side // 2, 0)
+    in_rows = _span_mask(y0, y0 + side, h)  # [B, holes, H]
+    in_cols = _span_mask(x0, x0 + side, w)  # [B, holes, W]
+    hole = (in_rows[..., :, None] & in_cols[..., None, :]).any(axis=1)
+    return np.where(hole[:, None], fill_arr[:, None, None], x), y
 
 
-def _check_pair(a: LabeledImage, b: LabeledImage) -> None:
-    if a.pixels.shape != b.pixels.shape:
-        raise ValueError(f"image shapes differ: {a.pixels.shape} vs {b.pixels.shape}")
-    if a.label.shape != b.label.shape:
-        raise ValueError(f"label lengths differ: {a.label.shape} vs {b.label.shape}")
+def _span_mask(lo, hi, n):
+    """[..., n] boolean mask of the index ranges [lo, hi) (hi may exceed n)."""
+    idx = np.arange(n)
+    return (idx >= lo[..., None]) & (idx < hi[..., None])
 
 
-def mixup(a: LabeledImage, b: LabeledImage, alpha: float,
-          rng: np.random.Generator) -> tuple[LabeledImage, MixSpec]:
-    """Convex blend of two images and their labels with lam ~ Beta(alpha, alpha)."""
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    _check_pair(a, b)
-    lam = float(rng.beta(alpha, alpha))
-    pixels = lam * a.pixels + (1.0 - lam) * b.pixels
-    label = lam * a.label + (1.0 - lam) * b.label
-    return LabeledImage(pixels, label), MixSpec(lam=lam)
+def _blend(lam, a, b):
+    """lam * a + (1 - lam) * b per row, with each lam applied the way a Python
+    float scales an array (cast to the array's result dtype first)."""
+    dt = np.result_type(a.dtype, 1.0)
+    shape = (-1,) + (1,) * (a.ndim - 1)
+    return lam.astype(dt).reshape(shape) * a + (1.0 - lam).astype(dt).reshape(shape) * b
 
 
-def cutmix(a: LabeledImage, b: LabeledImage, rng: np.random.Generator,
-           beta_a: float = 1.0, beta_b: float = 1.0) -> tuple[LabeledImage, MixSpec]:
-    """Paste a rectangle of b into a; labels mix by the exact retained fraction.
+def _mixup(x, y, rng, beta_alpha):
+    """Convex blend of each image and label with its partner, lam ~ Beta(alpha, alpha)."""
+    if beta_alpha <= 0:
+        raise ValueError(f"alpha must be positive, got {beta_alpha}")
+    partners = rng.permutation(x.shape[0])
+    lam = rng.beta(beta_alpha, beta_alpha, size=x.shape[0])
+    return _blend(lam, x, x[partners]), _blend(lam, y, y[partners])
 
-    A target area ratio (1 - lam) with lam ~ Beta(beta_a, beta_b) fixes the
+
+def _cutmix(x, y, rng, beta_a, beta_b):
+    """Paste a rectangle of each partner image; labels mix by the exact retained fraction.
+
+    A target area ratio (1 - lam0) with lam0 ~ Beta(beta_a, beta_b) fixes the
     rectangle's aspect-preserving size; its center is uniform and the box is
-    clipped at the borders.  lam is then recomputed as the exact fraction of
-    a's pixels that survived, and that value mixes the labels, so the label
-    algebra matches the pixel content no matter how much clipping happened.
-    The returned mask marks the pixels taken from b.
+    clipped at the borders.  The label weight is then the exact fraction of
+    the image's own pixels that survived, so the label algebra matches the
+    pixel content no matter how much clipping happened.  Each image draws
+    (lam0, row, column) in turn; `beta` consumes a varying number of words,
+    so the draws stay a scalar loop.
     """
     if beta_a <= 0 or beta_b <= 0:
         raise ValueError(f"Beta parameters must be positive, got ({beta_a}, {beta_b})")
-    _check_pair(a, b)
-    _, h, w = a.pixels.shape
-    lam0 = float(rng.beta(beta_a, beta_b))
+    b, _, h, w = x.shape
+    partners = rng.permutation(b)
+    lam0 = np.empty(b)
+    cy = np.empty(b, dtype=np.int64)
+    cx = np.empty(b, dtype=np.int64)
+    for i in range(b):
+        lam0[i] = rng.beta(beta_a, beta_b)
+        cy[i] = rng.integers(0, h)
+        cx[i] = rng.integers(0, w)
     ratio = np.sqrt(1.0 - lam0)
-    cut_h = int(h * ratio)
-    cut_w = int(w * ratio)
-    cy = int(rng.integers(0, h))
-    cx = int(rng.integers(0, w))
-    y0 = max(0, cy - cut_h // 2)
-    x0 = max(0, cx - cut_w // 2)
-    y1 = min(h, y0 + cut_h)
-    x1 = min(w, x0 + cut_w)
-    mask = np.zeros((h, w), dtype=np.uint8)
-    mask[y0:y1, x0:x1] = 1
-    pixels = a.pixels.copy()
-    pixels[:, y0:y1, x0:x1] = b.pixels[:, y0:y1, x0:x1]
-    lam = 1.0 - float(mask.sum()) / (h * w)
-    label = lam * a.label + (1.0 - lam) * b.label
-    return LabeledImage(pixels, label), MixSpec(lam=lam, mask=mask)
+    cut_h = (h * ratio).astype(np.int64)
+    cut_w = (w * ratio).astype(np.int64)
+    y0 = np.maximum(cy - cut_h // 2, 0)
+    x0 = np.maximum(cx - cut_w // 2, 0)
+    y1 = np.minimum(y0 + cut_h, h)
+    x1 = np.minimum(x0 + cut_w, w)
+    box = _span_mask(y0, y1, h)[:, :, None] & _span_mask(x0, x1, w)[:, None, :]
+    lam = 1.0 - ((y1 - y0) * (x1 - x0)).astype(np.float64) / (h * w)
+    return np.where(box[:, None], x[partners], x), _blend(lam, y, y[partners])
 
 
-def apply_strategy(batch: list[LabeledImage], strategy: AugmentStrategy,
-                   rng: np.random.Generator, fill=None) -> list[LabeledImage]:
-    """Apply one strategy across a batch.
+_APPLY = {"standard": _standard, "cutout": _cutout, "mixup": _mixup, "cutmix": _cutmix}
 
+
+def apply_strategy(batch: tuple[np.ndarray, np.ndarray], strategy: AugmentStrategy,
+                   rng: np.random.Generator, fill=None) -> tuple[np.ndarray, np.ndarray]:
+    """Apply one strategy to a batch (images [B, C, H, W], labels [B, K]).
+
+    Returns (images, labels).  A strategy that leaves labels alone returns
+    the input label array itself, and "none" returns both inputs.
     Mixing strategies pair each element with a partner from one uniform
     in-batch permutation (fixed points allowed).  `fill` supplies the
     dataset's per-channel mean for cutout when the strategy itself does not
     pin a fill value.
     """
-    if not batch:
+    x, y = (np.asarray(a) for a in batch)
+    if x.ndim != 4:
+        raise ValueError(f"images must be [B, channels, H, W], got shape {x.shape}")
+    if y.ndim != 2 or y.shape[0] != x.shape[0]:
+        raise ValueError(f"labels must be [{x.shape[0]}, classes], got shape {y.shape}")
+    if x.shape[0] == 0:
         raise ValueError("batch is empty")
-    p = strategy.params
     if strategy.kind == "none":
-        return batch
-    if strategy.kind == "standard":
-        return [standard_transform(img, p["pad"], rng) for img in batch]
-    if strategy.kind == "cutout":
-        hole_fill = p["fill"] if p["fill"] is not None else fill
-        return [cutout(img, p["n_holes"], p["hole_size"], rng,
-                       fill=hole_fill, size_jitter=p["size_jitter"]) for img in batch]
-    if strategy.kind in ("mixup", "cutmix"):
-        partners = rng.permutation(len(batch))
-        out = []
-        for i, img in enumerate(batch):
-            j = int(partners[i])
-            if strategy.kind == "mixup":
-                mixed, spec = mixup(img, batch[j], p["beta_alpha"], rng)
-            else:
-                mixed, spec = cutmix(img, batch[j], rng, p["beta_a"], p["beta_b"])
-            spec.partner_index = j
-            out.append(mixed)
-        return out
-    raise ValueError(f"unknown strategy kind {strategy.kind!r}")
+        return x, y
+    params = dict(strategy.params)
+    if strategy.kind == "cutout" and params["fill"] is None:
+        params["fill"] = fill
+    return _APPLY[strategy.kind](x, y, rng, **params)
 
 
 def dataset_fill_value(images: np.ndarray) -> np.ndarray:

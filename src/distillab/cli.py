@@ -24,6 +24,7 @@ from .augment import STRATEGY_KINDS, AugmentStrategy
 from .distill import TrainConfig, TrainedModel, evaluate_model, train_student, train_teacher
 from .errors import FormatError, IntegrityError
 from .gradcheck import run_all
+from .nn import ARCHITECTURES
 
 ARMS = ("teacher-aug", "student-aug", "both")
 
@@ -220,6 +221,9 @@ def _cmd_evaluate(args, parser: argparse.ArgumentParser) -> int:
     if args.from_manifest:
         if not args.out:
             parser.error("--out is required")
+        if args.t_eval is not None:
+            parser.error("--t-eval cannot be combined with --from-manifest; "
+                         "the replay uses the manifest's t_eval")
         return _rerun_from_manifest(Path(args.from_manifest), Path(args.out), args.bins)
     if not args.checkpoint:
         parser.error("--checkpoint is required (or use --from-manifest)")
@@ -230,7 +234,7 @@ def _cmd_evaluate(args, parser: argparse.ArgumentParser) -> int:
     n_bins = args.bins if args.bins is not None else 15
     net = R.load_checkpoint(_resolve_teacher(Path(args.checkpoint)))
     ds = D.resolve_dataset(args.dataset)
-    dump = evaluate_model(net, ds, t_eval=args.t_eval)
+    dump = evaluate_model(net, ds, t_eval=args.t_eval if args.t_eval is not None else 1.0)
     out = Path(args.out)
     R.save_eval_dump(dump, out / "dump")
     R.emit_report(dump, out / "reports", reports="all", n_bins=n_bins)
@@ -376,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--eval-dataset", dest="eval_dataset", default=None)
-    p.add_argument("--arch", default="teacher-cnn")
+    p.add_argument("--arch", choices=ARCHITECTURES, default="teacher-cnn")
     p.add_argument("--t-eval", dest="t_eval", type=float, default=1.0)
     p.add_argument("--bins", type=int, default=15)
     _add_train_flags(p)
@@ -388,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--teacher", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--eval-dataset", dest="eval_dataset", default=None)
-    p.add_argument("--arch", default="student-mlp")
+    p.add_argument("--arch", choices=ARCHITECTURES, default="student-mlp")
     p.add_argument("--t-eval", dest="t_eval", type=float, default=1.0)
     p.add_argument("--bins", type=int, default=15)
     p.add_argument("--temperature", type=float, default=20.0)
@@ -403,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--from-manifest", dest="from_manifest", default=None)
-    p.add_argument("--t-eval", dest="t_eval", type=float, default=1.0)
+    p.add_argument("--t-eval", dest="t_eval", type=float, default=None)
     p.add_argument("--bins", type=int, default=None)
 
     p = sub.add_parser("report", help="emit CSV reports from a stored evaluation dump")
@@ -421,8 +425,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--dataset", default="synth")
     p.add_argument("--out", required=True)
-    p.add_argument("--teacher-arch", dest="teacher_arch", default="teacher-cnn")
-    p.add_argument("--student-arch", dest="student_arch", default="student-mlp")
+    p.add_argument("--teacher-arch", dest="teacher_arch", choices=ARCHITECTURES,
+                   default="teacher-cnn")
+    p.add_argument("--student-arch", dest="student_arch", choices=ARCHITECTURES,
+                   default="student-mlp")
     p.add_argument("--difficulty", type=float, default=1.0)
     p.add_argument("--temperature", type=float, default=20.0)
     p.add_argument("--distill-weight", dest="distill_weight", type=float, default=0.5)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .augment import AugmentStrategy, LabeledImage, apply_strategy, dataset_fill_value
+from .augment import AugmentStrategy, apply_strategy, dataset_fill_value
 from .data import Dataset
 from .metrics import EvalDump
 from .nn import Network, build_network, sgd_step
@@ -109,19 +109,6 @@ def _spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
 
 
-def _augmented_batch(data: Dataset, idx: np.ndarray, one_hot: np.ndarray,
-                     strategy: AugmentStrategy, rng: np.random.Generator,
-                     fill) -> tuple[np.ndarray, np.ndarray]:
-    """Slice a batch, run the augmentation strategy, restack to arrays."""
-    if strategy.kind == "none":
-        return data.images[idx], one_hot[idx]
-    imgs = [LabeledImage(data.images[i], one_hot[i]) for i in idx]
-    out = apply_strategy(imgs, strategy, rng, fill=fill)
-    x = np.stack([im.pixels for im in out])
-    y = np.stack([im.label for im in out])
-    return x, y
-
-
 def _epoch_indices(n: int, batch_size: int, rng: np.random.Generator):
     perm = rng.permutation(n)
     for start in range(0, n, batch_size):
@@ -172,7 +159,9 @@ def _fit(net: Network, cfg: TrainConfig, data: Dataset, strategy: AugmentStrateg
         losses = []
         hits = 0
         for batch_i, idx in enumerate(_epoch_indices(data.n_samples, cfg.batch_size, shuffle_rng)):
-            x, y = _augmented_batch(data, idx, one_hot, strategy, aug_rng, fill)
+            x, y = data.images[idx], one_hot[idx]
+            if strategy.kind != "none":
+                x, y = apply_strategy((x, y), strategy, aug_rng, fill=fill)
             try:
                 logits, _ = net.forward(x, record=True)
             except FloatingPointError:

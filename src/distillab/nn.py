@@ -181,36 +181,54 @@ class Conv2d(Layer):
 
 
 class MaxPool2d(Layer):
-    """Non-overlapping max pooling; spatial dims must divide by the window size."""
+    """Non-overlapping max pooling; spatial dims must divide by the window size.
+
+    The window maximum is the elementwise maximum of the s*s phase slices
+    x[:, :, i::s, j::s].  A recorded forward also keeps one mask per phase
+    marking the windows whose maximum it routes the gradient to: the first
+    phase in row-major window order that holds the maximum, so ties (common
+    after ReLU, where whole windows are zero) go to the first occurrence.
+    Backward writes grad_out * mask into each phase slice, so a position that
+    takes no gradient holds a zero signed like the gradient, as in ReLU.
+    """
 
     kind = "maxpool2d"
 
     def __init__(self, size: int = 2):
         self.size = size
-        self._argmax = None
+        self._masks = None
         self._in_shape = None
+
+    def _phases(self, x):
+        s = self.size
+        return [x[:, :, i::s, j::s] for i in range(s) for j in range(s)]
 
     def forward(self, x, record=True):
         s = self.size
         if x.ndim != 4 or x.shape[2] % s or x.shape[3] % s:
             raise ShapeError(f"layer {self.name}: spatial dims of {x.shape} not divisible by {s}")
-        b, c, h, w = x.shape
-        oh, ow = h // s, w // s
-        windows = x.reshape(b, c, oh, s, ow, s).transpose(0, 1, 2, 4, 3, 5).reshape(b, c, oh, ow, s * s)
-        amax = windows.argmax(axis=-1)  # first occurrence on ties
-        out = np.take_along_axis(windows, amax[..., None], axis=-1)[..., 0]
+        phases = self._phases(x)
+        # folded from the last phase back: where np.maximum returns its second
+        # operand on equal inputs (+0 vs -0), the earlier phase's value is kept
+        out = phases[-1].copy()
+        for p in reversed(phases[:-1]):
+            np.maximum(out, p, out=out)
         if record:
-            self._argmax = amax
+            free = np.ones(out.shape, dtype=bool)
+            self._masks = []
+            for p in phases:
+                m = (p == out) & free
+                free ^= m
+                self._masks.append(m)
             self._in_shape = x.shape
         return out
 
     def backward(self, grad_out):
-        s = self.size
-        b, c, h, w = self._in_shape
-        oh, ow = h // s, w // s
-        gw = np.zeros((b, c, oh, ow, s * s), dtype=grad_out.dtype)
-        np.put_along_axis(gw, self._argmax[..., None], grad_out[..., None], axis=-1)
-        return gw.reshape(b, c, oh, ow, s, s).transpose(0, 1, 2, 4, 3, 5).reshape(b, c, h, w)
+        # the phases tile the input, so every element of gx is written once
+        gx = np.empty(self._in_shape, dtype=grad_out.dtype)
+        for view, m in zip(self._phases(gx), self._masks):
+            np.multiply(grad_out, m, out=view)
+        return gx
 
     def out_shape(self, in_shape):
         if len(in_shape) != 3 or in_shape[1] % self.size or in_shape[2] % self.size:
@@ -258,6 +276,7 @@ class Flatten(Layer):
 
 
 LAYER_KINDS = {cls.kind: cls for cls in (Dense, Conv2d, MaxPool2d, ReLU, Flatten)}
+_TYPED_KINDS = {"dense", "conv2d"}  # layers holding parameters of the network's dtype
 
 
 class Network:
@@ -345,19 +364,12 @@ class Network:
         layers = []
         for ls in spec["layers"]:
             kind = ls.get("kind")
-            if kind == "dense":
-                layers.append(Dense(ls["in_features"], ls["out_features"], dtype=dtype))
-            elif kind == "conv2d":
-                layers.append(Conv2d(ls["in_channels"], ls["out_channels"], ls["kernel_size"],
-                                     padding=ls["padding"], dtype=dtype))
-            elif kind == "maxpool2d":
-                layers.append(MaxPool2d(ls["size"]))
-            elif kind == "relu":
-                layers.append(ReLU())
-            elif kind == "flatten":
-                layers.append(Flatten())
-            else:
+            if kind not in LAYER_KINDS:
                 raise ValueError(f"unknown layer kind {kind!r}")
+            kwargs = {k: v for k, v in ls.items() if k != "kind"}
+            if kind in _TYPED_KINDS:
+                kwargs["dtype"] = dtype
+            layers.append(LAYER_KINDS[kind](**kwargs))
         return cls(layers, spec["embedding_tap"], tuple(spec["input_shape"]), dtype=dtype)
 
 

@@ -204,16 +204,13 @@ def load_eval_dump(dir_path: str | Path) -> M.EvalDump:
 # string that parses back to the identical IEEE double.
 
 
-def _fmt(v) -> str:
+def format_float(v) -> str:
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     f = float(v)
     if np.isnan(f):
         return "nan"
     return repr(f)
-
-
-format_float = _fmt
 
 
 METRIC_COLUMNS = ("accuracy", "human_kld", "ece", "precision", "recall", "f1",
@@ -234,7 +231,7 @@ def write_matrix_csv(path: str | Path, mat: np.ndarray, mask_diagonal: bool = Fa
                 if mask_diagonal and i == j:
                     out.append("")
                 else:
-                    out.append(_fmt(v))
+                    out.append(format_float(v))
             w.writerow(out)
 
 
@@ -295,7 +292,7 @@ def emit_report(dump: M.EvalDump, out_dir: str | Path, reports="all",
             with open(p, "w", newline="", encoding="utf-8") as fh:
                 w = csv.writer(fh)
                 w.writerow(METRIC_COLUMNS)
-                w.writerow([_fmt(vals[c]) for c in METRIC_COLUMNS])
+                w.writerow([format_float(vals[c]) for c in METRIC_COLUMNS])
         elif name == "reliability":
             p = d / "reliability.csv"
             rel = M.ece(dump, n_bins)
@@ -303,7 +300,8 @@ def emit_report(dump: M.EvalDump, out_dir: str | Path, reports="all",
                 w = csv.writer(fh)
                 w.writerow(["bin_lo", "bin_hi", "count", "conf", "acc"])
                 for b in rel.bins:
-                    w.writerow([_fmt(b.lo), _fmt(b.hi), str(b.count), _fmt(b.conf), _fmt(b.acc)])
+                    w.writerow([format_float(b.lo), format_float(b.hi), str(b.count),
+                                format_float(b.conf), format_float(b.acc)])
         elif name == "confusion":
             p = d / "confusion_matrix.csv"
             write_matrix_csv(p, M.confusion_metrics(dump)["confusion_matrix"])
@@ -322,7 +320,7 @@ def emit_report(dump: M.EvalDump, out_dir: str | Path, reports="all",
             with open(scale, "w", newline="", encoding="utf-8") as fh:
                 w = csv.writer(fh)
                 w.writerow(["vmin", "vmax"])
-                w.writerow([_fmt(mat.min()), _fmt(mat.max())])
+                w.writerow([format_float(mat.min()), format_float(mat.max())])
             written["kld_matrix_scale"] = scale
         elif name == "human_confidence":
             p = d / "human_confidence_matrix.csv"

@@ -155,6 +155,129 @@ def conv2d_valid_loops(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarra
     return out
 
 
+def maxpool_loops(x: np.ndarray, s: int):
+    """Per-window max pooling; returns (out, argmax) with argmax the row-major
+    index of the first maximal element of each s*s window."""
+    bs, ch, h, w = x.shape
+    out = np.zeros((bs, ch, h // s, w // s), dtype=x.dtype)
+    arg = np.zeros(out.shape, dtype=np.int64)
+    for n in range(bs):
+        for c in range(ch):
+            for i in range(h // s):
+                for j in range(w // s):
+                    best = 0
+                    for k in range(1, s * s):
+                        if x[n, c, i * s + k // s, j * s + k % s] > x[n, c, i * s + best // s, j * s + best % s]:
+                            best = k
+                    arg[n, c, i, j] = best
+                    out[n, c, i, j] = x[n, c, i * s + best // s, j * s + best % s]
+    return out, arg
+
+
+def maxpool_backward_loops(grad_out: np.ndarray, arg: np.ndarray, s: int) -> np.ndarray:
+    """Route each window's gradient to its recorded first-maximum position."""
+    bs, ch, oh, ow = grad_out.shape
+    gx = np.zeros((bs, ch, oh * s, ow * s), dtype=grad_out.dtype)
+    for n in range(bs):
+        for c in range(ch):
+            for i in range(oh):
+                for j in range(ow):
+                    k = arg[n, c, i, j]
+                    gx[n, c, i * s + k // s, j * s + k % s] = grad_out[n, c, i, j]
+    return gx
+
+
+# --- per-image augmentation --------------------------------------------------
+# One image [channels, H, W] and its label at a time, drawing from the
+# generator in the documented order; the batch strategies must match these
+# byte for byte and leave the generator in the same state.
+
+def standard_one(pixels: np.ndarray, pad: int, rng) -> np.ndarray:
+    _, h, w = pixels.shape
+    top = int(rng.integers(0, 2 * pad + 1))
+    left = int(rng.integers(0, 2 * pad + 1))
+    flip = rng.random() < 0.5
+    out = pixels
+    if pad:
+        padded = np.pad(out, ((0, 0), (pad, pad), (pad, pad)), mode="reflect")
+        out = padded[:, top:top + h, left:left + w]
+    if flip:
+        out = out[:, :, ::-1]
+    return np.ascontiguousarray(out)
+
+
+def cutout_one(pixels: np.ndarray, n_holes: int, hole_size: int, rng, fill=None,
+               size_jitter: bool = True) -> np.ndarray:
+    ch, h, w = pixels.shape
+    if fill is None:
+        fill_arr = np.full(ch, 0.5, dtype=pixels.dtype)
+    else:
+        fill_arr = np.broadcast_to(np.asarray(fill, dtype=pixels.dtype), (ch,))
+    out = pixels.copy()
+    lo_side = max(1, (hole_size + 1) // 2)
+    for _ in range(n_holes):
+        side = int(rng.integers(lo_side, hole_size + 1)) if size_jitter else hole_size
+        cy = int(rng.integers(0, h))
+        cx = int(rng.integers(0, w))
+        y0 = max(0, cy - side // 2)
+        x0 = max(0, cx - side // 2)
+        y1 = min(h, y0 + side)
+        x1 = min(w, x0 + side)
+        out[:, y0:y1, x0:x1] = fill_arr[:, None, None]
+    return out
+
+
+def mixup_one(a, b, label_a, label_b, alpha: float, rng):
+    """Returns (pixels, label, lam)."""
+    lam = float(rng.beta(alpha, alpha))
+    return lam * a + (1.0 - lam) * b, lam * label_a + (1.0 - lam) * label_b, lam
+
+
+def cutmix_one(a, b, label_a, label_b, rng, beta_a: float = 1.0, beta_b: float = 1.0):
+    """Returns (pixels, label, lam, mask) with mask [H, W] marking pixels taken from b."""
+    _, h, w = a.shape
+    lam0 = float(rng.beta(beta_a, beta_b))
+    ratio = np.sqrt(1.0 - lam0)
+    cut_h = int(h * ratio)
+    cut_w = int(w * ratio)
+    cy = int(rng.integers(0, h))
+    cx = int(rng.integers(0, w))
+    y0 = max(0, cy - cut_h // 2)
+    x0 = max(0, cx - cut_w // 2)
+    y1 = min(h, y0 + cut_h)
+    x1 = min(w, x0 + cut_w)
+    mask = np.zeros((h, w), dtype=np.uint8)
+    mask[y0:y1, x0:x1] = 1
+    pixels = a.copy()
+    pixels[:, y0:y1, x0:x1] = b[:, y0:y1, x0:x1]
+    lam = 1.0 - float(mask.sum()) / (h * w)
+    return pixels, lam * label_a + (1.0 - lam) * label_b, lam, mask
+
+
+def augment_loop(images: np.ndarray, labels: np.ndarray, kind: str, params: dict, rng,
+                 fill=None):
+    """A batch strategy as one per-image call after another, restacked."""
+    if kind == "none":
+        return images, labels
+    if kind == "standard":
+        return np.stack([standard_one(im, params["pad"], rng) for im in images]), labels.copy()
+    if kind == "cutout":
+        hole_fill = params["fill"] if params["fill"] is not None else fill
+        pixels = [cutout_one(im, params["n_holes"], params["hole_size"], rng,
+                             fill=hole_fill, size_jitter=params["size_jitter"]) for im in images]
+        return np.stack(pixels), labels.copy()
+    partners = rng.permutation(len(images))
+    out = []
+    for i, j in enumerate(partners):
+        if kind == "mixup":
+            out.append(mixup_one(images[i], images[j], labels[i], labels[j],
+                                 params["beta_alpha"], rng))
+        else:
+            out.append(cutmix_one(images[i], images[j], labels[i], labels[j], rng,
+                                  params["beta_a"], params["beta_b"]))
+    return np.stack([o[0] for o in out]), np.stack([o[1] for o in out])
+
+
 def random_dump_arrays(rng: np.random.Generator, n_max=500, c_max=10, d_max=64,
                        with_human=True, min_per_class=2):
     """Random EvalDump ingredients guaranteeing every class has samples."""

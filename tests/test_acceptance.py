@@ -5,6 +5,7 @@ summarizing the check it performed, then asserts.  The desk-scale grid run in
 criterion 5 is session-scoped and shared by criteria 6 and 7.
 """
 
+import copy
 import csv
 import math
 import struct
@@ -13,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from distillab.augment import LabeledImage, cutmix, cutout, mixup, standard_transform
+from distillab.augment import AugmentStrategy, apply_strategy
 from distillab.cli import dataset_from_desc, main as cli_main
 from distillab.data import load_cifar10_bin, load_mnist_idx
 from distillab.distill import kd_loss
@@ -25,8 +26,9 @@ from distillab.metrics import (EvalDump, class_discrimination, class_separabilit
 from distillab.runstore import (load_array, load_eval_dump, read_manifest, read_matrix_csv,
                                 read_metrics_csv, read_reliability_csv, save_array)
 
-from oracles import (discrimination_pairs, ece_rebin, kd_loss_scalar, kld_matrix_loops,
-                     random_dump_arrays, separability_pairs, softmax_scalar)
+from oracles import (cutmix_one, discrimination_pairs, ece_rebin, kd_loss_scalar,
+                     kld_matrix_loops, mixup_one, random_dump_arrays, separability_pairs,
+                     softmax_scalar)
 
 
 @pytest.fixture
@@ -112,37 +114,43 @@ def test_3_augmentation_algebra(announce):
         ch = int(rng.integers(1, 3))
         side = int(rng.integers(5, 10))
         n_classes = int(rng.integers(2, 6))
-        def img(cls):
-            lab = np.zeros(n_classes)
-            lab[cls] = 1.0
-            return LabeledImage(rng.random((ch, side, side)), lab)
-        a, b = img(int(rng.integers(n_classes))), img(int(rng.integers(n_classes)))
+        x = rng.random((2, ch, side, side))
+        y = np.eye(n_classes)[rng.integers(n_classes, size=2)]
 
-        out, spec = mixup(a, b, 1.0, rng)
-        lam = spec.lam
-        if not np.array_equal(out.label, lam * a.label + (1.0 - lam) * b.label):
-            failures.append((trial, "mixup label not exact"))
-        if out.pixels.min() < 0 or out.pixels.max() > 1:
+        # replay each batch draw through the per-image oracle to learn lam and the mask
+        replay = copy.deepcopy(rng)
+        partners = replay.permutation(2)
+        out, lab = apply_strategy((x, y), AugmentStrategy("mixup"), rng)
+        for i, j in enumerate(partners):
+            _, _, lam = mixup_one(x[i], x[j], y[i], y[j], 1.0, replay)
+            if not np.array_equal(lab[i], lam * y[i] + (1.0 - lam) * y[j]):
+                failures.append((trial, "mixup label not exact"))
+        if out.min() < 0 or out.max() > 1:
             failures.append((trial, "mixup pixels out of range"))
 
-        out, spec = cutmix(a, b, rng)
-        measured = 1.0 - float(spec.mask.sum()) / (side * side)
-        if spec.lam != measured:
-            failures.append((trial, "cutmix lambda != retained fraction"))
-        if not np.array_equal(out.label, spec.lam * a.label + (1.0 - spec.lam) * b.label):
-            failures.append((trial, "cutmix label not exact"))
-        if out.pixels.min() < 0 or out.pixels.max() > 1:
+        replay = copy.deepcopy(rng)
+        partners = replay.permutation(2)
+        out, lab = apply_strategy((x, y), AugmentStrategy("cutmix"), rng)
+        for i, j in enumerate(partners):
+            pixels, _, lam, mask = cutmix_one(x[i], x[j], y[i], y[j], replay)
+            measured = 1.0 - float(mask.sum()) / (side * side)
+            if not np.array_equal(out[i], pixels):
+                failures.append((trial, "cutmix pixels differ from the per-image paste"))
+            if lam != measured:
+                failures.append((trial, "cutmix lambda != retained fraction"))
+            if not np.array_equal(lab[i], measured * y[i] + (1.0 - measured) * y[j]):
+                failures.append((trial, "cutmix label not exact"))
+        if out.min() < 0 or out.max() > 1:
             failures.append((trial, "cutmix pixels out of range"))
 
-        for other in (standard_transform(a, 2, rng),
-                      cutout(a, 3, 3, rng, fill=None, size_jitter=True)):
-            if other.pixels.min() < 0 or other.pixels.max() > 1:
+        for kind in ("standard", "cutout"):
+            other, other_lab = apply_strategy((x, y), AugmentStrategy(kind), rng)
+            if other.min() < 0 or other.max() > 1:
                 failures.append((trial, "augmented pixels out of range"))
-            if abs(other.label.sum() - 1.0) > 1e-6:
+            if np.any(np.abs(other_lab.sum(axis=1) - 1.0) > 1e-6):
                 failures.append((trial, "label mass drifted"))
-        for mixed_label in (out.label,):
-            if abs(mixed_label.sum() - 1.0) > 1e-6:
-                failures.append((trial, "mixed label mass drifted"))
+        if np.any(np.abs(lab.sum(axis=1) - 1.0) > 1e-6):
+            failures.append((trial, "mixed label mass drifted"))
     ok = not failures
     announce("3 augmentation-algebra",
              f"1000 randomized trials: exact mixed labels, exact cutmix fraction, "

@@ -107,6 +107,29 @@ def test_evaluate_from_manifest_rejects_zero_bins(work, tmp_path, capsys):
     assert capsys.readouterr().err == direct
 
 
+def test_evaluate_from_manifest_rejects_t_eval(work, tmp_path, capsys):
+    # the replay takes t_eval from the manifest; a flag it would ignore is refused
+    with pytest.raises(SystemExit) as exc:
+        main(["evaluate", "--from-manifest", str(work["teacher"] / "manifest.json"),
+              "--out", str(tmp_path / "rerun"), "--t-eval", "3"])
+    assert exc.value.code == 2
+    assert "--t-eval" in capsys.readouterr().err
+    assert not (tmp_path / "rerun").exists()
+
+
+def test_unknown_architecture_exits_two_before_any_output(tmp_path, capsys):
+    out = tmp_path / "grid"
+    for argv in (["matrix", "--seed", "0", "--out", str(out), "--teacher-arch", "nope"],
+                 ["matrix", "--seed", "0", "--out", str(out), "--student-arch", "nope"],
+                 ["train-teacher", "--seed", "0", "--dataset", "synth", "--out", str(out),
+                  "--arch", "nope"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "invalid choice: 'nope'" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_evaluate_argument_combinations(work, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["evaluate", "--dataset", str(work["data"]), "--out", str(tmp_path / "x")])

@@ -3,7 +3,7 @@ import pytest
 
 from distillab.nn import (Conv2d, Dense, Flatten, MaxPool2d, Network, ReLU, ShapeError,
                           build_network, sgd_step)
-from oracles import conv2d_valid_loops
+from oracles import conv2d_valid_loops, maxpool_backward_loops, maxpool_loops
 
 
 def _single_layer_net(layer, input_shape):
@@ -61,6 +61,42 @@ def test_maxpool_backward_routes_to_first_max_on_ties():
     g = layer.backward(np.array([[[[1.0]]]]))
     # all four tie; the first window element takes the gradient
     assert g[0, 0, 0, 0] == 1.0 and g.sum() == 1.0
+
+
+@pytest.mark.parametrize("size", [2, 3])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_maxpool_matches_per_window_oracle(size, dtype):
+    rng = np.random.default_rng(40 + size)
+    for _ in range(5):
+        # post-ReLU input: most windows are all zero, so first-occurrence ties dominate
+        x = np.maximum(rng.standard_normal((3, 2, 4 * size, 2 * size)) - 1.0, 0).astype(dtype)
+        x[0, 0, :size, :size] = 0.5  # a window tied at a non-zero maximum
+        assert np.mean(x == 0) > 0.5
+        layer = MaxPool2d(size)
+        layer.name = "0:maxpool2d"
+        want, arg = maxpool_loops(x, size)
+        got = layer.forward(x, record=True)
+        assert got.dtype == x.dtype and np.array_equal(got, want)
+        g = rng.standard_normal(want.shape).astype(dtype)
+        gx = layer.backward(g)
+        assert gx.dtype == g.dtype
+        assert np.array_equal(gx, maxpool_backward_loops(g, arg, size))
+
+
+def test_maxpool_record_false_keeps_recorded_state():
+    rng = np.random.default_rng(3)
+    layer = MaxPool2d(2)
+    layer.name = "0:maxpool2d"
+    x = np.maximum(rng.standard_normal((2, 3, 6, 6)), 0)
+    layer.forward(x, record=True)
+    masks, in_shape = [m.copy() for m in layer._masks], layer._in_shape
+    layer.forward(np.maximum(rng.standard_normal((5, 3, 8, 8)), 0), record=False)
+    assert layer._in_shape == in_shape
+    assert all(np.array_equal(a, b) for a, b in zip(layer._masks, masks, strict=True))
+    # the recorded forward still drives backward
+    g = rng.standard_normal((2, 3, 3, 3))
+    _, arg = maxpool_loops(x, 2)
+    assert np.array_equal(layer.backward(g), maxpool_backward_loops(g, arg, 2))
 
 
 def test_maxpool_rejects_indivisible_input():
@@ -198,6 +234,10 @@ def test_network_spec_round_trip_preserves_architecture():
     assert clone.spec_dict() == net.spec_dict()
     assert clone.input_shape == net.input_shape
     assert clone.n_outputs == net.n_outputs
+    bad = net.spec_dict()
+    bad["layers"][1] = {"kind": "dropout"}
+    with pytest.raises(ValueError, match="unknown layer kind 'dropout'"):
+        Network.from_spec(bad)
 
 
 def test_params_digest_changes_with_params():
