@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import datetime
 import shutil
 import sys
 from pathlib import Path
@@ -24,23 +23,14 @@ from .augment import STRATEGY_KINDS, AugmentStrategy
 from .distill import TrainConfig, TrainedModel, evaluate_model, train_student, train_teacher
 from .errors import FormatError, IntegrityError
 from .gradcheck import run_all
-from .nn import ARCHITECTURES
+from .nn import ARCHITECTURES, Network
 
 ARMS = ("teacher-aug", "student-aug", "both")
 
 
-def _now() -> str:
-    return datetime.datetime.now(datetime.timezone.utc).isoformat()
-
-
 def _strategy_from_args(args) -> AugmentStrategy:
-    params = {}
-    for flag, key in (("pad", "pad"), ("n_holes", "n_holes"), ("hole_size", "hole_size"),
-                      ("fill", "fill"), ("beta_alpha", "beta_alpha"),
-                      ("beta_a", "beta_a"), ("beta_b", "beta_b")):
-        v = getattr(args, flag, None)
-        if v is not None:
-            params[key] = v
+    params = {k: getattr(args, k) for k in ("pad", "n_holes", "hole_size", "fill", "beta_alpha",
+                                            "beta_a", "beta_b") if getattr(args, k, None) is not None}
     if getattr(args, "no_size_jitter", False):
         params["size_jitter"] = False
     defaults = AugmentStrategy(args.strategy).params
@@ -72,10 +62,6 @@ def _dataset_desc(spec: str, ds: D.Dataset) -> dict:
     return {"kind": "path", "spec": spec, "digest": ds.digest()}
 
 
-def _synth_desc(params: dict, ds: D.Dataset) -> dict:
-    return {"kind": "synthetic", "params": params, "digest": ds.digest()}
-
-
 def dataset_from_desc(desc: dict) -> D.Dataset:
     """Rebuild a dataset from a manifest descriptor, verifying its digest."""
     if desc["kind"] == "synthetic":
@@ -93,34 +79,35 @@ def dataset_from_desc(desc: dict) -> D.Dataset:
     return ds
 
 
+def _evaluate_into(out: Path, model: TrainedModel | Network, ds: D.Dataset, t_eval: float,
+                   n_bins: int) -> tuple[dict[str, Path], dict]:
+    """Evaluate, save the dump, write every report; returns (name -> file, summary metrics)."""
+    dump = evaluate_model(model, ds, t_eval=t_eval)
+    files = {f"dump/{p.name}": p for p in R.save_eval_dump(dump, out / "dump")}
+    written = R.emit_report(dump, out / "reports", reports="all", n_bins=n_bins)
+    files.update({f"reports/{name}": p for name, p in written.items()})
+    return files, M.summary_metrics(dump, n_bins=n_bins)
+
+
 def _emit_run(out: Path, model: TrainedModel, arch: str, train_desc: dict,
               eval_ds: D.Dataset | None, eval_desc: dict | None, t_eval: float,
               n_bins: int, teacher_ckpt_src: Path | None = None,
               run_id: str | None = None) -> dict:
     """Write checkpoint, optional dump+reports, and the manifest for one run."""
     out.mkdir(parents=True, exist_ok=True)
-    files = {}
-    for p in R.save_checkpoint(model.net, out / "checkpoint"):
-        files[f"checkpoint/{p.name}"] = p
+    files = {f"checkpoint/{p.name}": p for p in R.save_checkpoint(model.net, out / "checkpoint")}
     if teacher_ckpt_src is not None:
         tdir = out / "teacher"
         if tdir.exists():
             shutil.rmtree(tdir)
         shutil.copytree(teacher_ckpt_src, tdir)
-        for p in sorted(tdir.iterdir()):
-            files[f"teacher/{p.name}"] = p
+        files.update({f"teacher/{p.name}": p for p in sorted(tdir.iterdir())})
     metrics: dict = {"final_train": model.history[-1] if model.history else {}}
     if eval_ds is not None:
-        dump = evaluate_model(model, eval_ds, t_eval=t_eval)
-        for p in R.save_eval_dump(dump, out / "dump"):
-            files[f"dump/{p.name}"] = p
-        written = R.emit_report(dump, out / "reports", reports="all", n_bins=n_bins)
-        for name, p in written.items():
-            files[f"reports/{name}"] = p
-        metrics["eval"] = M.summary_metrics(dump, n_bins=n_bins)
+        eval_files, metrics["eval"] = _evaluate_into(out, model, eval_ds, t_eval, n_bins)
+        files.update(eval_files)
     manifest = R.RunManifest(
         run_id=run_id or f"{model.role}-{model.config.strategy.kind}-seed{model.config.seed}",
-        created=_now(),
         role=model.role,
         config={"train": model.config.to_dict(), "arch": arch, "t_eval": t_eval,
                 "n_bins": n_bins},
@@ -152,59 +139,56 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _cmd_train_teacher(args) -> int:
-    ds = D.resolve_dataset(args.dataset)
-    cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
-                      momentum=args.momentum, weight_decay=args.weight_decay,
-                      seed=args.seed, strategy=_strategy_from_args(args))
-    model = train_teacher(cfg, ds, arch=args.arch)
-    eval_ds = D.resolve_dataset(args.eval_dataset) if args.eval_dataset else None
-    metrics = _emit_run(Path(args.out), model, args.arch, _dataset_desc(args.dataset, ds),
-                        eval_ds, _dataset_desc(args.eval_dataset, eval_ds) if eval_ds else None,
-                        args.t_eval, args.bins)
-    acc = metrics.get("eval", {}).get("accuracy", metrics["final_train"].get("accuracy"))
-    print(f"teacher trained: accuracy {acc}")
-    return 0
+def _train(role: str, cfg: TrainConfig, ds: D.Dataset, arch: str,
+           teacher_ckpt: Path | None) -> TrainedModel:
+    if role == "teacher":
+        return train_teacher(cfg, ds, arch=arch)
+    teacher = TrainedModel(net=R.load_checkpoint(teacher_ckpt), role="teacher",
+                           config=TrainConfig(), history=[])
+    return train_student(cfg, teacher, ds, arch=arch)
 
 
-def _cmd_distill(args) -> int:
+# command -> (role, summary line)
+_TRAIN_COMMANDS = {"train-teacher": ("teacher", "teacher trained"),
+                   "distill": ("student", "student distilled")}
+
+
+def _cmd_train(args) -> int:
+    role, done = _TRAIN_COMMANDS[args.command]
     ds = D.resolve_dataset(args.dataset)
-    ckpt = _resolve_teacher(Path(args.teacher))
-    teacher_net = R.load_checkpoint(ckpt)
-    teacher = TrainedModel(net=teacher_net, role="teacher", config=TrainConfig(), history=[])
+    ckpt = _resolve_teacher(Path(args.teacher)) if role == "student" else None
+    eval_ds = D.resolve_dataset(args.eval_dataset) if args.eval_dataset else None
+    kd = ({"temperature": args.temperature, "distill_weight": args.distill_weight}
+          if role == "student" else {})
     cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
                       momentum=args.momentum, weight_decay=args.weight_decay,
-                      seed=args.seed, strategy=_strategy_from_args(args),
-                      temperature=args.temperature, distill_weight=args.distill_weight)
-    model = train_student(cfg, teacher, ds, arch=args.arch)
-    eval_ds = D.resolve_dataset(args.eval_dataset) if args.eval_dataset else None
+                      seed=args.seed, strategy=_strategy_from_args(args), **kd)
+    model = _train(role, cfg, ds, args.arch, ckpt)
     metrics = _emit_run(Path(args.out), model, args.arch, _dataset_desc(args.dataset, ds),
                         eval_ds, _dataset_desc(args.eval_dataset, eval_ds) if eval_ds else None,
                         args.t_eval, args.bins, teacher_ckpt_src=ckpt)
     acc = metrics.get("eval", {}).get("accuracy", metrics["final_train"].get("accuracy"))
-    print(f"student distilled: accuracy {acc}")
+    print(f"{done}: accuracy {acc}")
     return 0
 
 
 def _rerun_from_manifest(manifest_path: Path, out: Path, n_bins_override=None) -> int:
     m = R.read_manifest(manifest_path)
-    base = manifest_path.parent
-    cfg = TrainConfig.from_dict(m.config["train"])
-    train_ds = dataset_from_desc(m.dataset["train"])
+    if m.role not in ("teacher", "student"):
+        raise FormatError(f"{manifest_path}: unknown role {m.role!r}")
     if m.dataset.get("eval") is None:
         raise FormatError(f"{manifest_path}: run recorded no eval dataset to reproduce")
+    cfg = TrainConfig.from_dict(m.config["train"])
+    train_ds = dataset_from_desc(m.dataset["train"])
     eval_ds = dataset_from_desc(m.dataset["eval"])
-    if m.role == "teacher":
-        model = train_teacher(cfg, train_ds, arch=m.config["arch"])
-    elif m.role == "student":
-        teacher_net = R.load_checkpoint(base / "teacher")
-        teacher = TrainedModel(net=teacher_net, role="teacher", config=TrainConfig(), history=[])
-        model = train_student(cfg, teacher, train_ds, arch=m.config["arch"])
-    else:
-        raise FormatError(f"{manifest_path}: unknown role {m.role!r}")
+    model = _train(m.role, cfg, train_ds, m.config["arch"], manifest_path.parent / "teacher")
+    for p in R.save_checkpoint(model.net, out / "checkpoint"):
+        ref = m.files.get(f"checkpoint/{p.name}")
+        if ref is None or R.sha256_file(p) != ref["sha256"]:
+            print(f"error: retrained checkpoint/{p.name} differs from manifest", file=sys.stderr)
+            return 1
     n_bins = n_bins_override if n_bins_override is not None else m.config.get("n_bins", 15)
     dump = evaluate_model(model, eval_ds, t_eval=m.config.get("t_eval", 1.0))
-    out.mkdir(parents=True, exist_ok=True)
     R.emit_report(dump, out, reports="all", n_bins=n_bins)
     recomputed = M.summary_metrics(dump, n_bins=n_bins)
     recorded = m.metrics.get("eval", {})
@@ -213,7 +197,7 @@ def _rerun_from_manifest(manifest_path: Path, out: Path, n_bins_override=None) -
     if mismatched:
         print(f"error: rerun metrics differ from manifest on {mismatched}", file=sys.stderr)
         return 1
-    print(f"rerun reproduced {len(recorded)} recorded metrics bitwise")
+    print(f"rerun reproduced {len(recorded)} recorded metrics and the checkpoint bitwise")
     return 0
 
 
@@ -231,15 +215,12 @@ def _cmd_evaluate(args, parser: argparse.ArgumentParser) -> int:
         parser.error("--dataset is required")
     if not args.out:
         parser.error("--out is required")
-    n_bins = args.bins if args.bins is not None else 15
     net = R.load_checkpoint(_resolve_teacher(Path(args.checkpoint)))
     ds = D.resolve_dataset(args.dataset)
-    dump = evaluate_model(net, ds, t_eval=args.t_eval if args.t_eval is not None else 1.0)
-    out = Path(args.out)
-    R.save_eval_dump(dump, out / "dump")
-    R.emit_report(dump, out / "reports", reports="all", n_bins=n_bins)
-    vals = M.summary_metrics(dump, n_bins=n_bins)
-    print(f"evaluated {dump.n_samples} samples: accuracy {vals['accuracy']}")
+    _, vals = _evaluate_into(Path(args.out), net, ds,
+                             args.t_eval if args.t_eval is not None else 1.0,
+                             args.bins if args.bins is not None else 15)
+    print(f"evaluated {ds.n_samples} samples: accuracy {vals['accuracy']}")
     return 0
 
 
@@ -274,7 +255,7 @@ def _cmd_matrix(args) -> int:
                     "img_side": 12, "difficulty": args.difficulty, "channels": 1}
     if args.dataset == "synth":
         full = D.make_synthetic(**synth_params)
-        full_desc = _synth_desc(synth_params, full)
+        full_desc = {"kind": "synthetic", "params": synth_params, "digest": full.digest()}
     else:
         full = D.resolve_dataset(args.dataset)
         full_desc = _dataset_desc(args.dataset, full)
@@ -289,7 +270,7 @@ def _cmd_matrix(args) -> int:
 
     teacher_cfg_base = dict(epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
                             momentum=args.momentum, weight_decay=args.weight_decay)
-    teachers: dict[str, tuple[TrainedModel, Path, float]] = {}
+    teachers: dict[str, tuple[TrainedModel, Path, dict]] = {}
     for i, strat in enumerate(STRATEGY_KINDS):
         cfg = TrainConfig(seed=int(seeds[2 + i]), strategy=AugmentStrategy(strat),
                           **teacher_cfg_base)
@@ -297,9 +278,8 @@ def _cmd_matrix(args) -> int:
         tdir = out / "teachers" / strat
         tmetrics = _emit_run(tdir, model, args.teacher_arch, train_desc, eval_ds, eval_desc,
                              args.t_eval, args.bins, run_id=f"teacher-{strat}")
-        acc = tmetrics["eval"]["accuracy"]
-        teachers[strat] = (model, tdir / "checkpoint", acc)
-        print(f"teacher[{strat}] eval accuracy {acc:.4f}")
+        teachers[strat] = (model, tdir / "checkpoint", tmetrics["eval"])
+        print(f"teacher[{strat}] eval accuracy {tmetrics['eval']['accuracy']:.4f}")
 
     rows = []
     cell_index = 0
@@ -307,7 +287,7 @@ def _cmd_matrix(args) -> int:
         for arm in ARMS:
             t_strat = strat if arm in ("teacher-aug", "both") else "none"
             s_strat = strat if arm in ("student-aug", "both") else "none"
-            teacher_model, teacher_ckpt, teacher_acc = teachers[t_strat]
+            teacher_model, teacher_ckpt, teacher_eval = teachers[t_strat]
             student_cfg = dict(teacher_cfg_base, lr=args.student_lr, epochs=args.student_epochs)
             cfg = TrainConfig(seed=int(seeds[7 + cell_index]),
                               strategy=AugmentStrategy(s_strat),
@@ -320,6 +300,7 @@ def _cmd_matrix(args) -> int:
                                 eval_desc, args.t_eval, args.bins,
                                 teacher_ckpt_src=teacher_ckpt, run_id=f"cell-{cell}")
             svals = metrics["eval"]
+            teacher_acc = teacher_eval["accuracy"]
             rows.append([cell, strat, arm, teacher_acc] + [svals[c] for c in R.METRIC_COLUMNS])
             print(f"cell[{cell}] teacher acc {teacher_acc:.4f} student acc {svals['accuracy']:.4f}")
             cell_index += 1
@@ -337,12 +318,8 @@ def _cmd_matrix(args) -> int:
 
 def _write_trends(out: Path, teachers, rows) -> None:
     """Directional comparison against the reference full-scale findings (reported, not asserted)."""
-    sep = {}
-    disc = {}
-    for strat, (model, ckpt_dir, acc) in teachers.items():
-        m = R.read_manifest(out / "teachers" / strat / "manifest.json", verify=False)
-        sep[strat] = m.metrics["eval"]["separability"]
-        disc[strat] = m.metrics["eval"]["discrimination"]
+    sep = {strat: float(ev["separability"]) for strat, (_, _, ev) in teachers.items()}
+    disc = {strat: float(ev["discrimination"]) for strat, (_, _, ev) in teachers.items()}
     student_acc = {row[0]: row[3 + 1] for row in rows}  # accuracy column
     lines = []
     for strat in ("mixup", "cutmix"):
@@ -443,26 +420,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    commands = {"synth": _cmd_synth, "train-teacher": _cmd_train, "distill": _cmd_train,
+                "evaluate": lambda a: _cmd_evaluate(a, parser), "report": _cmd_report,
+                "gradcheck": _cmd_gradcheck, "matrix": _cmd_matrix}
     try:
-        if args.command == "synth":
-            return _cmd_synth(args)
-        if args.command == "train-teacher":
-            return _cmd_train_teacher(args)
-        if args.command == "distill":
-            return _cmd_distill(args)
-        if args.command == "evaluate":
-            return _cmd_evaluate(args, parser)
-        if args.command == "report":
-            return _cmd_report(args)
-        if args.command == "gradcheck":
-            return _cmd_gradcheck(args)
-        if args.command == "matrix":
-            return _cmd_matrix(args)
-        parser.error(f"unknown command {args.command!r}")
+        return commands[args.command](args)
     except (FormatError, IntegrityError, ValueError, RuntimeError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

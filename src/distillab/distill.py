@@ -121,13 +121,11 @@ def train_teacher(cfg: TrainConfig, data: Dataset, arch: str = "teacher-cnn") ->
         raise ValueError("dataset is empty")
     init_rng, shuffle_rng, aug_rng = _spawn_rngs(cfg.seed, 3)
     net = build_network(arch, data.images.shape[1:], data.n_classes, init_rng)
-    history = _fit(net, cfg, data, strategy=cfg.strategy, teacher=None,
-                   shuffle_rng=shuffle_rng, aug_rng=aug_rng)
+    history = _fit(net, cfg, data, teacher=None, shuffle_rng=shuffle_rng, aug_rng=aug_rng)
     return TrainedModel(net=net, role="teacher", config=cfg, history=history)
 
 
 def train_student(cfg: TrainConfig, teacher: TrainedModel, data: Dataset,
-                  student_strategy: AugmentStrategy | None = None,
                   arch: str = "student-mlp") -> TrainedModel:
     """Distill `teacher` into a fresh student under the blended objective.
 
@@ -139,19 +137,17 @@ def train_student(cfg: TrainConfig, teacher: TrainedModel, data: Dataset,
                          f"dataset has {data.n_classes} classes")
     if data.n_samples == 0:
         raise ValueError("dataset is empty")
-    strategy = student_strategy if student_strategy is not None else cfg.strategy
     before = teacher.net.params_digest()
     init_rng, shuffle_rng, aug_rng = _spawn_rngs(cfg.seed, 3)
     net = build_network(arch, data.images.shape[1:], data.n_classes, init_rng)
-    history = _fit(net, cfg, data, strategy=strategy, teacher=teacher.net,
-                   shuffle_rng=shuffle_rng, aug_rng=aug_rng)
+    history = _fit(net, cfg, data, teacher=teacher.net, shuffle_rng=shuffle_rng, aug_rng=aug_rng)
     if teacher.net.params_digest() != before:
         raise RuntimeError("teacher parameters changed during distillation")
     return TrainedModel(net=net, role="student", config=cfg, history=history)
 
 
-def _fit(net: Network, cfg: TrainConfig, data: Dataset, strategy: AugmentStrategy,
-         teacher: Network | None, shuffle_rng, aug_rng) -> list[dict]:
+def _fit(net: Network, cfg: TrainConfig, data: Dataset, teacher: Network | None,
+         shuffle_rng, aug_rng) -> list[dict]:
     one_hot = data.one_hot(dtype=np.float32)
     fill = dataset_fill_value(data.images)
     history = []
@@ -160,8 +156,8 @@ def _fit(net: Network, cfg: TrainConfig, data: Dataset, strategy: AugmentStrateg
         hits = 0
         for batch_i, idx in enumerate(_epoch_indices(data.n_samples, cfg.batch_size, shuffle_rng)):
             x, y = data.images[idx], one_hot[idx]
-            if strategy.kind != "none":
-                x, y = apply_strategy((x, y), strategy, aug_rng, fill=fill)
+            if cfg.strategy.kind != "none":
+                x, y = apply_strategy((x, y), cfg.strategy, aug_rng, fill=fill)
             try:
                 logits, _ = net.forward(x, record=True)
             except FloatingPointError:

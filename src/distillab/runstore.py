@@ -82,7 +82,6 @@ class RunManifest:
     """Auditable record of one training/evaluation run."""
 
     run_id: str
-    created: str
     role: str
     config: dict
     dataset: dict
@@ -107,10 +106,11 @@ def read_manifest(path: str | Path, verify: bool = True) -> RunManifest:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: not valid manifest JSON ({exc})") from None
-    missing = {"run_id", "created", "role", "config", "dataset"} - doc.keys()
+    missing = {"run_id", "role", "config", "dataset"} - doc.keys()
     if missing:
         raise FormatError(f"{path}: manifest missing fields {sorted(missing)}")
-    m = RunManifest(run_id=doc["run_id"], created=doc["created"], role=doc["role"],
+    # other keys, such as the wall-clock `created` of older manifests, are ignored
+    m = RunManifest(run_id=doc["run_id"], role=doc["role"],
                     config=doc["config"], dataset=doc["dataset"],
                     metrics=doc.get("metrics", {}), files=doc.get("files", {}))
     if verify:
@@ -155,7 +155,12 @@ def load_checkpoint(dir_path: str | Path):
     spec_path = d / "network.json"
     if not spec_path.exists():
         raise FormatError(f"{d}: no network.json; not a checkpoint directory")
-    net = Network.from_spec(json.loads(spec_path.read_text(encoding="utf-8")))
+    try:
+        net = Network.from_spec(json.loads(spec_path.read_text(encoding="utf-8")))
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{spec_path}: not valid JSON ({exc})") from None
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{spec_path}: malformed network spec ({type(exc).__name__}: {exc})") from None
     for key, layer, pname, arr in net.param_items():
         p = d / f"param-{key}.arr"
         if not p.exists():
@@ -216,9 +221,24 @@ def format_float(v) -> str:
 METRIC_COLUMNS = ("accuracy", "human_kld", "ece", "precision", "recall", "f1",
                   "separability", "cohesion", "adhesion", "discrimination")
 
+# name -> (file name, the dump's C x C matrix, diagonal masked); the lambdas look each
+# metric up when called, so a patched or traced `metrics` function is the one used
+MATRIX_REPORTS = {
+    "confusion": ("confusion_matrix.csv",
+                  lambda d: M.confusion_metrics(d)["confusion_matrix"], False),
+    "confidence": ("confidence_matrix.csv",
+                   lambda d: M.confidence_matrix(d, source="model"), False),
+    "confidence_masked": ("confidence_matrix_masked.csv",
+                          lambda d: M.confidence_matrix(d, masked=True, source="model"), True),
+    "kld_matrix": ("kld_matrix.csv", lambda d: M.kld_confusion_matrix(d), False),
+    "human_confidence": ("human_confidence_matrix.csv",
+                         lambda d: M.confidence_matrix(d, source="human"), False),
+    "human_confidence_masked": ("human_confidence_matrix_masked.csv",
+                                lambda d: M.confidence_matrix(d, masked=True, source="human"),
+                                True),
+}
 HUMAN_REPORTS = frozenset({"kld_matrix", "human_confidence", "human_confidence_masked"})
-ALL_REPORTS = ("metrics", "reliability", "confusion", "confidence", "confidence_masked",
-               "kld_matrix", "human_confidence", "human_confidence_masked", "embeddings")
+ALL_REPORTS = ("metrics", "reliability") + tuple(MATRIX_REPORTS)
 
 
 def write_matrix_csv(path: str | Path, mat: np.ndarray, mask_diagonal: bool = False) -> None:
@@ -263,6 +283,30 @@ def read_reliability_csv(path: str | Path) -> M.ReliabilityReport:
     return report
 
 
+def _write_rows(path: Path, rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+def _write_metrics_csv(path: Path, dump: M.EvalDump, n_bins: int) -> None:
+    vals = M.summary_metrics(dump, n_bins=n_bins)
+    _write_rows(path, [METRIC_COLUMNS, [format_float(vals[c]) for c in METRIC_COLUMNS]])
+
+
+def _write_reliability_csv(path: Path, dump: M.EvalDump, n_bins: int) -> None:
+    _write_rows(path, [("bin_lo", "bin_hi", "count", "conf", "acc")] + [
+        (format_float(b.lo), format_float(b.hi), str(b.count), format_float(b.conf),
+         format_float(b.acc)) for b in M.ece(dump, n_bins).bins])
+
+
+def _write_scale_csv(path: Path, mat: np.ndarray) -> Path:
+    _write_rows(path, [("vmin", "vmax"), (format_float(mat.min()), format_float(mat.max()))])
+    return path
+
+
+_TABLE_WRITERS = {"metrics": _write_metrics_csv, "reliability": _write_reliability_csv}
+
+
 def emit_report(dump: M.EvalDump, out_dir: str | Path, reports="all",
                 n_bins: int = 15) -> dict[str, Path]:
     """Write the selected CSV reports for one dump; returns name -> path.
@@ -286,53 +330,15 @@ def emit_report(dump: M.EvalDump, out_dir: str | Path, reports="all",
             raise ValueError(f"dump has no human_probs; cannot emit {sorted(blocked)}")
     written: dict[str, Path] = {}
     for name in selected:
-        if name == "metrics":
-            p = d / "metrics.csv"
-            vals = M.summary_metrics(dump, n_bins=n_bins)
-            with open(p, "w", newline="", encoding="utf-8") as fh:
-                w = csv.writer(fh)
-                w.writerow(METRIC_COLUMNS)
-                w.writerow([format_float(vals[c]) for c in METRIC_COLUMNS])
-        elif name == "reliability":
-            p = d / "reliability.csv"
-            rel = M.ece(dump, n_bins)
-            with open(p, "w", newline="", encoding="utf-8") as fh:
-                w = csv.writer(fh)
-                w.writerow(["bin_lo", "bin_hi", "count", "conf", "acc"])
-                for b in rel.bins:
-                    w.writerow([format_float(b.lo), format_float(b.hi), str(b.count),
-                                format_float(b.conf), format_float(b.acc)])
-        elif name == "confusion":
-            p = d / "confusion_matrix.csv"
-            write_matrix_csv(p, M.confusion_metrics(dump)["confusion_matrix"])
-        elif name == "confidence":
-            p = d / "confidence_matrix.csv"
-            write_matrix_csv(p, M.confidence_matrix(dump, source="model"))
-        elif name == "confidence_masked":
-            p = d / "confidence_matrix_masked.csv"
-            write_matrix_csv(p, M.confidence_matrix(dump, masked=True, source="model"),
-                             mask_diagonal=True)
-        elif name == "kld_matrix":
-            p = d / "kld_matrix.csv"
-            mat = M.kld_confusion_matrix(dump)
-            write_matrix_csv(p, mat)
-            scale = d / "kld_matrix_scale.csv"
-            with open(scale, "w", newline="", encoding="utf-8") as fh:
-                w = csv.writer(fh)
-                w.writerow(["vmin", "vmax"])
-                w.writerow([format_float(mat.min()), format_float(mat.max())])
-            written["kld_matrix_scale"] = scale
-        elif name == "human_confidence":
-            p = d / "human_confidence_matrix.csv"
-            write_matrix_csv(p, M.confidence_matrix(dump, source="human"))
-        elif name == "human_confidence_masked":
-            p = d / "human_confidence_matrix_masked.csv"
-            write_matrix_csv(p, M.confidence_matrix(dump, masked=True, source="human"),
-                             mask_diagonal=True)
-        elif name == "embeddings":
-            p = d / "embeddings.arr"
-            save_array(np.asarray(dump.embeddings), p)
-            save_array(dump.true_labels.astype(np.int64), d / "embedding_labels.arr")
-            written["embedding_labels"] = d / "embedding_labels.arr"
+        if name in MATRIX_REPORTS:
+            file_name, matrix_of, masked = MATRIX_REPORTS[name]
+            p = d / file_name
+            mat = matrix_of(dump)
+            write_matrix_csv(p, mat, mask_diagonal=masked)
+            if name == "kld_matrix":
+                written["kld_matrix_scale"] = _write_scale_csv(d / "kld_matrix_scale.csv", mat)
+        else:
+            p = d / f"{name}.csv"
+            _TABLE_WRITERS[name](p, dump, n_bins)
         written[name] = p
     return written

@@ -1,3 +1,5 @@
+import json
+import shutil
 import subprocess
 import sys
 
@@ -6,8 +8,8 @@ import pytest
 
 from distillab.cli import main
 from distillab.data import load_dataset
-from distillab.runstore import (load_checkpoint, load_eval_dump, read_manifest,
-                                read_matrix_csv, read_metrics_csv)
+from distillab.runstore import (load_array, load_checkpoint, load_eval_dump, read_manifest,
+                                read_matrix_csv, read_metrics_csv, save_array, sha256_file)
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +97,37 @@ def test_evaluate_from_manifest_reproduces_bitwise(work, tmp_path, capsys):
     rerun = read_metrics_csv(out / "metrics.csv")
     original = read_metrics_csv(work["student"] / "reports" / "metrics.csv")
     assert rerun == original
+
+
+def test_evaluate_from_manifest_checks_checkpoint_bytes(work, tmp_path, capsys):
+    # a stored parameter that no longer matches what its recorded config trains,
+    # with the manifest hash rewritten so that verification alone passes
+    run = tmp_path / "run"
+    shutil.copytree(work["teacher"], run)
+    param = sorted((run / "checkpoint").glob("param-*.arr"))[0]
+    arr = load_array(param)
+    arr.flat[0] += 1
+    save_array(arr, param)
+    doc = json.loads((run / "manifest.json").read_text())
+    doc["files"][f"checkpoint/{param.name}"]["sha256"] = sha256_file(param)
+    (run / "manifest.json").write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    read_manifest(run / "manifest.json", verify=True)
+    assert main(["evaluate", "--from-manifest", str(run / "manifest.json"),
+                 "--out", str(tmp_path / "rerun")]) == 1
+    captured = capsys.readouterr()
+    assert f"checkpoint/{param.name} differs" in captured.err
+    assert "reproduced" not in captured.out
+
+
+def test_run_directories_hold_one_copy_of_each_artifact(work):
+    # a student's teacher/ is the one deliberate copy: it keeps the run self-contained
+    for run in (work["teacher"], work["student"]):
+        seen = {}
+        for p in sorted(run.rglob("*")):
+            if p.is_file() and p.relative_to(run).parts[0] != "teacher":
+                content = p.read_bytes()
+                assert content not in seen, f"{p} repeats {seen.get(content)}"
+                seen[content] = p
 
 
 def test_evaluate_from_manifest_rejects_zero_bins(work, tmp_path, capsys):

@@ -214,8 +214,8 @@ def test_student_strategy_override_changes_outcome():
     teacher = train_teacher(_tiny_cfg(epochs=2), data, arch="student-mlp")
     cfg = _tiny_cfg(epochs=2, lr=0.02)
     plain = train_student(cfg, teacher, data, arch="student-mlp")
-    mixed = train_student(cfg, teacher, data,
-                          student_strategy=AugmentStrategy("mixup"), arch="student-mlp")
+    mixed = train_student(_tiny_cfg(epochs=2, lr=0.02, strategy=AugmentStrategy("mixup")),
+                          teacher, data, arch="student-mlp")
     assert plain.net.params_digest() != mixed.net.params_digest()
 
 

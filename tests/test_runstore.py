@@ -111,7 +111,7 @@ def _manifest(tmp_path):
     sub.mkdir(exist_ok=True)
     f = sub / "weights.arr"
     save_array(np.arange(6, dtype=np.float64), f)
-    m = RunManifest(run_id="r1", created="2026-01-01T00:00:00", role="teacher",
+    m = RunManifest(run_id="r1", role="teacher",
                     config={"lr": 0.08}, dataset={"kind": "synthetic", "seed": 0},
                     metrics={"accuracy": 0.5})
     m.add_file("weights", f, tmp_path)
@@ -126,6 +126,14 @@ def test_manifest_round_trip_with_verification(tmp_path):
     assert back == m
     assert back.files["weights"]["path"] == "arrays/weights.arr"
     assert back.files["weights"]["sha256"] == sha256_file(f)
+    # the older form: a wall-clock `created` field and file entries beyond today's set
+    doc = json.loads(path.read_text())
+    doc["created"] = "2026-01-01T00:00:00+00:00"
+    doc["files"]["reports/embeddings"] = dict(doc["files"]["weights"])
+    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    old = read_manifest(path, verify=True)
+    assert old.files.pop("reports/embeddings") == m.files["weights"]
+    assert old == m
 
 
 def test_manifest_is_sorted_key_json(tmp_path):
@@ -203,6 +211,27 @@ def test_checkpoint_shape_mismatch(tmp_path):
         load_checkpoint(tmp_path / "c")
 
 
+def test_checkpoint_unparsable_spec_names_the_file(tmp_path):
+    rng = np.random.default_rng(5)
+    save_checkpoint(build_network("student-mlp", (1, 6, 6), 3, rng), tmp_path / "c")
+    spec_path = tmp_path / "c" / "network.json"
+    spec_path.write_text("{bad")
+    with pytest.raises(FormatError, match="network.json: not valid JSON"):
+        load_checkpoint(tmp_path / "c")
+
+
+def test_checkpoint_malformed_layer_names_the_file(tmp_path):
+    rng = np.random.default_rng(6)
+    save_checkpoint(build_network("student-mlp", (1, 6, 6), 3, rng), tmp_path / "c")
+    spec_path = tmp_path / "c" / "network.json"
+    spec = json.loads(spec_path.read_text())
+    dense = next(layer for layer in spec["layers"] if layer["kind"] == "dense")
+    del dense["out_features"]
+    spec_path.write_text(json.dumps(spec))
+    with pytest.raises(FormatError, match="network.json: malformed network spec"):
+        load_checkpoint(tmp_path / "c")
+
+
 # --- eval dumps -------------------------------------------------------------
 
 def _dump_pair(with_human=True):
@@ -264,7 +293,9 @@ def test_emit_report_all_with_humans(tmp_path):
     d = _dump_pair()
     written = emit_report(d, tmp_path)
     assert set(ALL_REPORTS) <= set(written)
-    assert "kld_matrix_scale" in written and "embedding_labels" in written
+    assert "kld_matrix_scale" in written
+    # the dump already holds the embeddings; reports are CSV only
+    assert sorted(p.suffix for p in tmp_path.iterdir()) == [".csv"] * len(written)
     for p in written.values():
         assert p.exists()
     # metrics.csv reparses to the exact summary values
