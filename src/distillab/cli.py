@@ -259,8 +259,7 @@ def _cmd_matrix(args) -> int:
     else:
         full = D.resolve_dataset(args.dataset)
         full_desc = _dataset_desc(args.dataset, full)
-    n = full.n_samples
-    fractions = [2000 / 3000, 1000 / 3000] if n == 3000 else [2 / 3, 1 / 3]
+    fractions = [2 / 3, 1 / 3]
     split_seed = int(seeds[1])
     train_ds, eval_ds = D.split(full, fractions, split_seed)
     train_desc = {"kind": "split", "parent": full_desc, "fractions": fractions,

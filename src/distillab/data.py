@@ -212,11 +212,13 @@ def split(ds: Dataset, fractions: list[float], seed: int) -> list[Dataset]:
         raise ValueError(f"fractions must be positive, got {fractions}")
     if sum(fractions) > 1.0 + 1e-9:
         raise ValueError(f"fractions sum to {sum(fractions)} > 1")
+    sizes = [int(round(f * ds.n_samples)) for f in fractions]
+    if sum(sizes) > ds.n_samples:
+        raise ValueError(f"split sizes {sizes} need {sum(sizes)} samples, dataset has {ds.n_samples}")
     perm = np.random.default_rng(np.random.SeedSequence(seed)).permutation(ds.n_samples)
     out = []
     start = 0
-    for f in fractions:
-        size = int(round(f * ds.n_samples))
+    for size in sizes:
         idx = perm[start:start + size]
         start += size
         out.append(Dataset(

@@ -193,4 +193,4 @@ def evaluate_model(model: TrainedModel | Network, data: Dataset, t_eval: float =
         probs[start:stop] = softmax_t(logits.astype(np.float64), t_eval)
         embs[start:stop] = emb
     return EvalDump(probs=probs, embeddings=embs, true_labels=data.labels,
-                    human_probs=None if data.human_probs is None else data.human_probs)
+                    human_probs=data.human_probs)

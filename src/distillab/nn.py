@@ -43,9 +43,6 @@ class Layer:
     def grads(self) -> dict[str, np.ndarray]:
         return {}
 
-    def out_shape(self, in_shape: tuple[int, ...]) -> tuple[int, ...]:
-        raise NotImplementedError
-
     def spec(self) -> dict:
         return {"kind": self.kind}
 
@@ -81,11 +78,6 @@ class Dense(Layer):
 
     def grads(self):
         return {"weight": self.grad_weight, "bias": self.grad_bias}
-
-    def out_shape(self, in_shape):
-        if len(in_shape) != 1 or in_shape[0] != self.in_features:
-            raise ShapeError(f"layer {self.name}: expected {self.in_features} features, got {in_shape}")
-        return (self.out_features,)
 
     def spec(self):
         return {"kind": self.kind, "in_features": self.in_features,
@@ -164,16 +156,6 @@ class Conv2d(Layer):
     def grads(self):
         return {"weight": self.grad_weight, "bias": self.grad_bias}
 
-    def out_shape(self, in_shape):
-        if len(in_shape) != 3 or in_shape[0] != self.in_channels:
-            raise ShapeError(f"layer {self.name}: expected [{self.in_channels}, H, W], got {in_shape}")
-        lo, hi = self._pads()
-        oh = in_shape[1] + lo + hi - self.kernel_size + 1
-        ow = in_shape[2] + lo + hi - self.kernel_size + 1
-        if oh < 1 or ow < 1:
-            raise ShapeError(f"layer {self.name}: kernel {self.kernel_size} larger than input {in_shape[1:]}")
-        return (self.out_channels, oh, ow)
-
     def spec(self):
         return {"kind": self.kind, "in_channels": self.in_channels,
                 "out_channels": self.out_channels, "kernel_size": self.kernel_size,
@@ -230,11 +212,6 @@ class MaxPool2d(Layer):
             np.multiply(grad_out, m, out=view)
         return gx
 
-    def out_shape(self, in_shape):
-        if len(in_shape) != 3 or in_shape[1] % self.size or in_shape[2] % self.size:
-            raise ShapeError(f"layer {self.name}: spatial dims of {in_shape} not divisible by {self.size}")
-        return (in_shape[0], in_shape[1] // self.size, in_shape[2] // self.size)
-
     def spec(self):
         return {"kind": self.kind, "size": self.size}
 
@@ -253,9 +230,6 @@ class ReLU(Layer):
     def backward(self, grad_out):
         return grad_out * self._mask
 
-    def out_shape(self, in_shape):
-        return in_shape
-
 
 class Flatten(Layer):
     kind = "flatten"
@@ -266,13 +240,10 @@ class Flatten(Layer):
     def forward(self, x, record=True):
         if record:
             self._in_shape = x.shape
-        return x.reshape(x.shape[0], -1)
+        return x.reshape(x.shape[0], math.prod(x.shape[1:]))
 
     def backward(self, grad_out):
         return grad_out.reshape(self._in_shape)
-
-    def out_shape(self, in_shape):
-        return (int(np.prod(in_shape)),)
 
 
 LAYER_KINDS = {cls.kind: cls for cls in (Dense, Conv2d, MaxPool2d, ReLU, Flatten)}
@@ -301,16 +272,12 @@ class Network:
         self._forward_done = False
         for i, layer in enumerate(layers):
             layer.name = f"{i}:{layer.kind}"
-        # static shape pass: validates the stack once and fixes output dims
-        shape = self.input_shape
-        self.layer_shapes = []
-        for layer in layers:
-            shape = layer.out_shape(shape)
-            self.layer_shapes.append(shape)
-        if len(self.layer_shapes[-1]) != 1:
+        # a zero-row probe runs every layer's own shape check and allocates nothing
+        logits, emb = self.forward(np.zeros((0, *self.input_shape), dtype=self.dtype), record=False)
+        if logits.ndim != 2:
             raise ShapeError("network must end with a layer producing [B, C] logits")
-        self.n_outputs = int(self.layer_shapes[-1][0])
-        self.embedding_dim = int(np.prod(self.layer_shapes[self.embedding_tap]))
+        self.n_outputs = logits.shape[1]
+        self.embedding_dim = emb.shape[1]
 
     def forward(self, batch: np.ndarray, record: bool = True):
         """Run the stack; returns (logits [B, C], embeddings [B, d])."""
@@ -321,7 +288,7 @@ class Network:
         for i, layer in enumerate(self.layers):
             x = layer.forward(x, record=record)
             if i == self.embedding_tap:
-                emb = x.reshape(x.shape[0], -1)
+                emb = x.reshape(x.shape[0], math.prod(x.shape[1:]))
         if record:
             self._forward_done = True
         if not np.all(np.isfinite(x)):
@@ -395,41 +362,26 @@ def sgd_step(net: Network, lr: float, momentum: float = 0.0, weight_decay: float
         p -= (lr * v + (lr * weight_decay) * p).astype(p.dtype, copy=False)
 
 
+# name -> (conv widths, hidden dense width).  Each conv is a 3x3 "same" conv,
+# ReLU and 2x2 max-pool; then flatten, dense, ReLU (the embedding), dense logits.
+ARCHITECTURE_TABLE = {
+    "teacher-cnn": ((8, 16), 64),
+    "student-mlp": ((), 48),
+    "student-cnn": ((6,), 32),
+}
+ARCHITECTURES = tuple(ARCHITECTURE_TABLE)
+
+
 def build_network(arch: str, input_shape: tuple[int, ...], n_classes: int,
-                  rng: np.random.Generator, dtype=np.float32) -> Network:
+                  rng: np.random.Generator) -> Network:
     """Instantiate one of the named desk-scale architectures."""
-    ch = input_shape[0]
-    if arch == "teacher-cnn":
-        layers = [
-            Conv2d(ch, 8, 3, padding="same", rng=rng, dtype=dtype),
-            ReLU(),
-            MaxPool2d(2),
-            Conv2d(8, 16, 3, padding="same", rng=rng, dtype=dtype),
-            ReLU(),
-            MaxPool2d(2),
-            Flatten(),
-        ]
-        flat = 16 * (input_shape[1] // 4) * (input_shape[2] // 4)
-        layers += [Dense(flat, 64, rng=rng, dtype=dtype), ReLU(), Dense(64, n_classes, rng=rng, dtype=dtype)]
-        tap = len(layers) - 2
-    elif arch == "student-mlp":
-        flat = int(np.prod(input_shape))
-        layers = [Flatten(), Dense(flat, 48, rng=rng, dtype=dtype), ReLU(),
-                  Dense(48, n_classes, rng=rng, dtype=dtype)]
-        tap = len(layers) - 2
-    elif arch == "student-cnn":
-        layers = [
-            Conv2d(ch, 6, 3, padding="same", rng=rng, dtype=dtype),
-            ReLU(),
-            MaxPool2d(2),
-            Flatten(),
-        ]
-        flat = 6 * (input_shape[1] // 2) * (input_shape[2] // 2)
-        layers += [Dense(flat, 32, rng=rng, dtype=dtype), ReLU(), Dense(32, n_classes, rng=rng, dtype=dtype)]
-        tap = len(layers) - 2
-    else:
+    if arch not in ARCHITECTURE_TABLE:
         raise ValueError(f"unknown architecture {arch!r}")
-    return Network(layers, tap, input_shape, dtype=dtype)
-
-
-ARCHITECTURES = ("teacher-cnn", "student-mlp", "student-cnn")
+    convs, hidden = ARCHITECTURE_TABLE[arch]
+    ch, h, w = input_shape
+    layers = []
+    for out in convs:
+        layers += [Conv2d(ch, out, 3, padding="same", rng=rng), ReLU(), MaxPool2d(2)]
+        ch, h, w = out, h // 2, w // 2
+    layers += [Flatten(), Dense(ch * h * w, hidden, rng=rng), ReLU(), Dense(hidden, n_classes, rng=rng)]
+    return Network(layers, len(layers) - 2, input_shape)

@@ -273,6 +273,19 @@ def test_split_validates_fractions():
         split(ds, [0.8, 0.4], seed=0)
 
 
+def test_split_rejects_rounded_sizes_beyond_the_dataset():
+    images = np.arange(5, dtype=np.float32).reshape(5, 1, 1, 1)
+    ds = Dataset(images=images, labels=np.arange(5) % 2, class_names=["a", "b"])
+    # round(1.5) + round(3.5) = 2 + 4 asks for 6 of 5 samples
+    with pytest.raises(ValueError, match=r"\[2, 4\].*5"):
+        split(ds, [0.3, 0.7], seed=0)
+    # a split that fits keeps consecutive slices of the seeded permutation
+    perm = np.random.default_rng(np.random.SeedSequence(0)).permutation(5)
+    a, b = split(ds, [0.3, 0.6], seed=0)
+    assert a.images[:, 0, 0, 0].tolist() == perm[:2].tolist()
+    assert b.images[:, 0, 0, 0].tolist() == perm[2:5].tolist()
+
+
 # --- persistence ------------------------------------------------------------
 
 def test_dataset_save_load_round_trip_bitwise(tmp_path):

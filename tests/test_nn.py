@@ -1,8 +1,13 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from distillab.nn import (Conv2d, Dense, Flatten, MaxPool2d, Network, ReLU, ShapeError,
-                          build_network, sgd_step)
+from distillab.errors import FormatError
+from distillab.nn import (ARCHITECTURES, Conv2d, Dense, Flatten, MaxPool2d, Network, ReLU,
+                          ShapeError, build_network, sgd_step)
+from distillab.runstore import load_checkpoint
 from oracles import conv2d_valid_loops, maxpool_backward_loops, maxpool_loops
 
 
@@ -113,6 +118,11 @@ def test_forward_shape_error_names_offending_layer():
         net.forward(np.zeros((2, 1, 4, 4)))
     with pytest.raises(ShapeError, match="1:dense"):
         Network([Flatten(), Dense(8, 4)], 1, (1, 3, 3))
+    with pytest.raises(ShapeError, match=r"\[B, C\] logits"):
+        Network([Conv2d(1, 2, 3)], 0, (1, 4, 4))
+    # 10 -> pool -> 5: the second max-pool cannot halve it
+    with pytest.raises(ShapeError, match="5:maxpool2d"):
+        build_network("teacher-cnn", (1, 10, 10), 4, np.random.default_rng(0))
 
 
 def test_backward_before_forward_is_rejected():
@@ -210,12 +220,35 @@ def test_sgd_decoupled_weight_decay_uses_pre_step_params():
     assert abs(layer.weight[0, 0] - 1.8) < 1e-12
 
 
-def test_param_and_grad_shapes_always_match():
+@pytest.mark.parametrize("input_shape", [(1, 12, 12), (1, 28, 28), (3, 32, 32)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_param_and_grad_shapes_always_match(arch, input_shape):
     rng = np.random.default_rng(0)
-    for arch in ("teacher-cnn", "student-mlp", "student-cnn"):
-        net = build_network(arch, (1, 8, 8), 4, rng)
-        for _, layer, pname, p in net.param_items():
-            assert layer.grads()[pname].shape == p.shape
+    net = build_network(arch, input_shape, 4, rng)
+    for _, layer, pname, p in net.param_items():
+        assert layer.grads()[pname].shape == p.shape
+    logits, emb = net.forward(rng.random((2, *input_shape)), record=False)
+    assert logits.shape == (2, net.n_outputs) == (2, 4)
+    assert emb.shape == (2, net.embedding_dim)
+    # the embedding is the penultimate output: the last layer maps it to the logits
+    assert np.array_equal(logits, net.layers[-1].forward(emb, record=False))
+
+
+def test_huge_declared_input_fails_without_allocating(tmp_path):
+    spec = build_network("teacher-cnn", (3, 32, 32), 4, np.random.default_rng(0)).spec_dict()
+    spec["input_shape"] = [3, 200000, 200000]
+    tracemalloc.start()
+    try:
+        with pytest.raises(ShapeError, match=r"layer \d+:\w+"):
+            Network.from_spec(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    (tmp_path / "network.json").write_text(json.dumps(spec), encoding="utf-8")
+    with pytest.raises(FormatError, match="network.json"):
+        load_checkpoint(tmp_path)
 
 
 def test_embedding_tap_produces_flat_embeddings():
