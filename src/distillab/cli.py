@@ -59,6 +59,9 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _dataset_desc(spec: str, ds: D.Dataset) -> dict:
+    """Record a path dataset with each of its paths made absolute, so a replay
+    from any working directory reads the same files."""
+    spec = ",".join(str(Path(part).resolve()) for part in spec.split(",", 1))
     return {"kind": "path", "spec": spec, "digest": ds.digest()}
 
 

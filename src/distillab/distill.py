@@ -130,7 +130,13 @@ def train_student(cfg: TrainConfig, teacher: TrainedModel, data: Dataset,
     """Distill `teacher` into a fresh student under the blended objective.
 
     The teacher scores the same post-augmentation batch the student sees, and
-    its parameters are never touched (checked by digest).
+    its parameters are never touched (checked by digest).  A student trained
+    under strategy "none" sees unaugmented rows, so the teacher forwards the
+    training set once, in order at the fit's batch size, and each batch reads
+    its rows of that logit table (the tests check it equals a forward of the
+    batch, bitwise, at the grid's shapes); an augmented student forwards the
+    teacher once per batch.  The teacher's convolutions build their im2col
+    columns directly in GEMM layout.
     """
     if teacher.net.n_outputs != data.n_classes:
         raise ValueError(f"teacher has {teacher.net.n_outputs} outputs, "
@@ -146,10 +152,20 @@ def train_student(cfg: TrainConfig, teacher: TrainedModel, data: Dataset,
     return TrainedModel(net=net, role="student", config=cfg, history=history)
 
 
+def _logit_table(net: Network, images: np.ndarray, batch_size: int) -> np.ndarray:
+    """Logits of every image, forwarded in order at `batch_size`."""
+    return np.concatenate([net.forward(images[start:start + batch_size], record=False)[0]
+                           for start in range(0, len(images), batch_size)])
+
+
 def _fit(net: Network, cfg: TrainConfig, data: Dataset, teacher: Network | None,
          shuffle_rng, aug_rng) -> list[dict]:
     one_hot = data.one_hot(dtype=np.float32)
     fill = dataset_fill_value(data.images)
+    # a clean-batch student's teacher logits are a fixed function of the sample
+    table = None
+    if teacher is not None and cfg.strategy.kind == "none" and cfg.epochs:
+        table = _logit_table(teacher, data.images, cfg.batch_size)
     history = []
     for epoch in range(cfg.epochs):
         losses = []
@@ -166,7 +182,7 @@ def _fit(net: Network, cfg: TrainConfig, data: Dataset, teacher: Network | None,
             if teacher is None:
                 loss, grad = _ce_loss_grad(logits, y)
             else:
-                t_logits, _ = teacher.forward(x, record=False)
+                t_logits = table[idx] if table is not None else teacher.forward(x, record=False)[0]
                 loss, grad = kd_loss(logits, t_logits, y, cfg.temperature, cfg.distill_weight)
             if not np.isfinite(loss):
                 raise RuntimeError(f"loss diverged at epoch {epoch}, batch {batch_i}")

@@ -115,23 +115,30 @@ class Conv2d(Layer):
     def forward(self, x, record=True):
         if x.ndim != 4 or x.shape[1] != self.in_channels:
             raise ShapeError(f"layer {self.name}: expected input [B, {self.in_channels}, H, W], got {x.shape}")
-        k = self.kernel_size
+        b, c, h, w = x.shape
+        k, o = self.kernel_size, self.out_channels
         lo, hi = self._pads()
-        xp = np.pad(x, ((0, 0), (0, 0), (lo, hi), (lo, hi))) if lo or hi else x
-        oh = xp.shape[2] - k + 1
-        ow = xp.shape[3] - k + 1
+        oh, ow = h + lo + hi - k + 1, w + lo + hi - k + 1
         if oh < 1 or ow < 1:
-            raise ShapeError(f"layer {self.name}: kernel {k} larger than padded input {xp.shape[2:]}")
-        cols = np.empty((x.shape[0], self.in_channels, k, k, oh, ow), dtype=x.dtype)
+            raise ShapeError(f"layer {self.name}: kernel {k} larger than padded input "
+                             f"{(h + lo + hi, w + lo + hi)}")
+        # im2col in GEMM layout: zero-padded channels-last input, then columns
+        # [B, oh, ow, C, k, k] whose row-major reshape is the GEMM's left operand
+        xp = np.zeros((b, h + lo + hi, w + lo + hi, c), dtype=x.dtype)
+        xp[:, lo:lo + h, lo:lo + w] = x.transpose(0, 2, 3, 1)
+        cols = np.empty((b, oh, ow, c, k, k), dtype=x.dtype)
         for i in range(k):
             for j in range(k):
-                cols[:, :, i, j] = xp[:, :, i:i + oh, j:j + ow]
+                cols[..., i, j] = xp[:, i:i + oh, j:j + ow]
         if record:
             self._cols = cols
             self._in_shape = x.shape
-        out = np.tensordot(cols, self.weight, axes=([1, 2, 3], [1, 2, 3]))
-        # tensordot yields [B, oh, ow, out_channels]
-        return np.ascontiguousarray(out.transpose(0, 3, 1, 2)) + self.bias[None, :, None, None]
+        # the weight operand stays the F-order view of [O, C*k*k]: a C-order copy
+        # hands BLAS another transposition flag, which can move the last ulp
+        prod = np.dot(cols.reshape(b * oh * ow, c * k * k), self.weight.reshape(o, c * k * k).T)
+        out = np.empty((b, o, oh, ow), dtype=prod.dtype)
+        np.add(prod.reshape(b, oh, ow, o).transpose(0, 3, 1, 2), self.bias[:, None, None], out=out)
+        return out
 
     def backward(self, grad_out):
         cols = self._cols
@@ -140,15 +147,15 @@ class Conv2d(Layer):
         lo, hi = self._pads()
         oh, ow = grad_out.shape[2], grad_out.shape[3]
         self.grad_bias = grad_out.sum(axis=(0, 2, 3))
-        self.grad_weight = np.tensordot(grad_out, cols, axes=([0, 2, 3], [0, 4, 5]))
-        # grad wrt columns, then scatter-add back into the padded input
-        gcols = np.tensordot(grad_out, self.weight, axes=([1], [0]))  # [B, oh, ow, C, k, k]
-        gcols = gcols.transpose(0, 3, 4, 5, 1, 2)
-        gxp = np.zeros((b, c, h + lo + hi, w + lo + hi), dtype=grad_out.dtype)
+        self.grad_weight = np.tensordot(grad_out, cols, axes=([0, 2, 3], [0, 1, 2]))
+        # grad wrt columns [B, oh, ow, C, k, k], scatter-added back into the
+        # channels-last padded input one kernel offset at a time
+        gcols = np.tensordot(grad_out, self.weight, axes=([1], [0]))
+        gxp = np.zeros((b, h + lo + hi, w + lo + hi, c), dtype=grad_out.dtype)
         for i in range(k):
             for j in range(k):
-                gxp[:, :, i:i + oh, j:j + ow] += gcols[:, :, i, j]
-        return gxp[:, :, lo:lo + h, lo:lo + w]
+                gxp[:, i:i + oh, j:j + ow] += gcols[..., i, j]
+        return gxp[:, lo:lo + h, lo:lo + w].transpose(0, 3, 1, 2)
 
     def params(self):
         return {"weight": self.weight, "bias": self.bias}

@@ -155,6 +155,53 @@ def conv2d_valid_loops(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarra
     return out
 
 
+def _conv_pads(k: int, padding: str) -> tuple[int, int]:
+    return ((k - 1) // 2, k // 2) if padding == "same" else (0, 0)
+
+
+def _conv_cols_nchw(x: np.ndarray, k: int, padding: str) -> np.ndarray:
+    """np.pad, then one strided copy per kernel offset into [B, C, k, k, oh, ow]."""
+    lo, hi = _conv_pads(k, padding)
+    xp = np.pad(x, ((0, 0), (0, 0), (lo, hi), (lo, hi)))
+    oh, ow = xp.shape[2] - k + 1, xp.shape[3] - k + 1
+    cols = np.empty((x.shape[0], x.shape[1], k, k, oh, ow), dtype=x.dtype)
+    for i in range(k):
+        for j in range(k):
+            cols[:, :, i, j] = xp[:, :, i:i + oh, j:j + ow]
+    return cols
+
+
+def conv2d_im2col_reference(x: np.ndarray, w: np.ndarray, b: np.ndarray,
+                            padding: str) -> np.ndarray:
+    """Stride-1 conv as NCHW im2col plus one tensordot: the byte reference for Conv2d.
+
+    tensordot hands BLAS the same operands Conv2d does for any batch of two
+    or more rows; at one row it passes the columns as an F-order view.
+    """
+    cols = _conv_cols_nchw(x, w.shape[2], padding)
+    out = np.tensordot(cols, w, axes=([1, 2, 3], [1, 2, 3]))
+    return np.ascontiguousarray(out.transpose(0, 3, 1, 2)) + b[None, :, None, None]
+
+
+def conv2d_im2col_backward_reference(x: np.ndarray, w: np.ndarray, grad_out: np.ndarray,
+                                     padding: str):
+    """(grad_input, grad_weight, grad_bias) of the reference conv, with the
+    input gradient scatter-added in NCHW one kernel offset at a time."""
+    k = w.shape[2]
+    lo, hi = _conv_pads(k, padding)
+    b, c, h, wd = x.shape
+    oh, ow = grad_out.shape[2], grad_out.shape[3]
+    cols = _conv_cols_nchw(x, k, padding)
+    grad_w = np.tensordot(grad_out, cols, axes=([0, 2, 3], [0, 4, 5]))
+    grad_b = grad_out.sum(axis=(0, 2, 3))
+    gcols = np.tensordot(grad_out, w, axes=([1], [0])).transpose(0, 3, 4, 5, 1, 2)
+    gxp = np.zeros((b, c, h + lo + hi, wd + lo + hi), dtype=grad_out.dtype)
+    for i in range(k):
+        for j in range(k):
+            gxp[:, :, i:i + oh, j:j + ow] += gcols[:, :, i, j]
+    return gxp[:, :, lo:lo + h, lo:lo + wd], grad_w, grad_b
+
+
 def maxpool_loops(x: np.ndarray, s: int):
     """Per-window max pooling; returns (out, argmax) with argmax the row-major
     index of the first maximal element of each s*s window."""

@@ -1,13 +1,14 @@
 import json
 import shutil
+import struct
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from distillab.cli import main
-from distillab.data import load_dataset
+from distillab.cli import _dataset_desc, dataset_from_desc, main
+from distillab.data import load_dataset, resolve_dataset
 from distillab.runstore import (load_array, load_checkpoint, load_eval_dump, read_manifest,
                                 read_matrix_csv, read_metrics_csv, save_array, sha256_file)
 
@@ -193,6 +194,38 @@ def test_bad_dataset_path_reports_error(tmp_path, capsys):
                  "--out", str(tmp_path / "o")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_relative_dataset_path_replays_from_another_directory(tmp_path, monkeypatch, capsys):
+    home = tmp_path / "home"
+    home.mkdir()
+    monkeypatch.chdir(home)
+    assert main(["synth", "--seed", "3", "--out", "data", "--classes", "2",
+                 "--per-class", "10", "--side", "6"]) == 0
+    assert main(["train-teacher", "--seed", "1", "--dataset", "data", "--eval-dataset", "data",
+                 "--out", "run", "--arch", "student-mlp", "--epochs", "1", "--batch-size", "8"]) == 0
+    manifest = home / "run" / "manifest.json"
+    m = read_manifest(manifest)
+    assert m.dataset["train"]["spec"] == str(home / "data")
+    assert m.dataset["eval"]["spec"] == str(home / "data")
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert main(["evaluate", "--from-manifest", str(manifest), "--out", "rerun"]) == 0
+    assert "reproduced" in capsys.readouterr().out
+
+
+def test_dataset_descriptor_stores_both_idx_paths_absolute(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "img.idx").write_bytes(struct.pack(">IIII", 0x803, 2, 3, 3) + bytes(range(18)))
+    (tmp_path / "lbl.idx").write_bytes(struct.pack(">II", 0x801, 2) + bytes([1, 7]))
+    ds = resolve_dataset("img.idx,lbl.idx")
+    desc = _dataset_desc("img.idx,lbl.idx", ds)
+    assert desc["spec"] == f"{tmp_path / 'img.idx'},{tmp_path / 'lbl.idx'}"
+    # a descriptor written with relative paths still replays from its own directory
+    old = dict(desc, spec="img.idx,lbl.idx")
+    assert dataset_from_desc(old).digest() == ds.digest()
+    monkeypatch.chdir(tmp_path.parent)
+    assert dataset_from_desc(desc).digest() == ds.digest()
 
 
 def test_gradcheck_passes_and_prints_lines(capsys):

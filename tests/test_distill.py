@@ -3,8 +3,8 @@ import pytest
 
 from distillab.augment import AugmentStrategy
 from distillab.data import make_synthetic
-from distillab.distill import (TrainConfig, TrainedModel, evaluate_model, kd_loss,
-                               train_student, train_teacher)
+from distillab.distill import (TrainConfig, TrainedModel, _epoch_indices, _logit_table,
+                               evaluate_model, kd_loss, train_student, train_teacher)
 from distillab.metrics import confusion_metrics
 
 from oracles import kd_loss_scalar
@@ -217,6 +217,36 @@ def test_student_strategy_override_changes_outcome():
     mixed = train_student(_tiny_cfg(epochs=2, lr=0.02, strategy=AugmentStrategy("mixup")),
                           teacher, data, arch="student-mlp")
     assert plain.net.params_digest() != mixed.net.params_digest()
+
+
+def test_teacher_logit_table_equals_per_batch_forwards_bitwise():
+    # the grid's shapes: 2,000 training rows of 1x12x12, teacher-cnn, batch 64
+    data = make_synthetic(seed=3, n_classes=4, per_class=500, img_side=12, difficulty=1.0)
+    teacher = train_teacher(_tiny_cfg(epochs=1, batch_size=64), data, arch="teacher-cnn").net
+    table = _logit_table(teacher, data.images, 64)
+    assert table.shape == (2000, 4) and table.dtype == np.float32
+    batches = list(_epoch_indices(data.n_samples, 64, np.random.default_rng(5)))
+    assert len(batches[0]) == 64 and len(batches[-1]) == 16
+    for idx in batches:
+        assert np.array_equal(table[idx], teacher.forward(data.images[idx], record=False)[0])
+
+
+# 90 rows in batches of 32 make 3 batches an epoch
+@pytest.mark.parametrize("strategy, epochs, forwards", [("none", 4, 3), ("standard", 4, 4 * 3),
+                                                        ("none", 0, 0)])
+def test_teacher_forwards_per_student_fit(monkeypatch, strategy, epochs, forwards):
+    data = _tiny_data()
+    teacher = train_teacher(_tiny_cfg(epochs=1), data, arch="student-mlp")
+    calls = []
+    forward = teacher.net.forward
+
+    def counting_forward(batch, record=True):
+        calls.append(record)
+        return forward(batch, record=record)
+
+    monkeypatch.setattr(teacher.net, "forward", counting_forward)
+    train_student(_tiny_cfg(epochs=epochs, strategy=AugmentStrategy(strategy)), teacher, data)
+    assert calls == [False] * forwards
 
 
 def test_class_count_mismatch_rejected():

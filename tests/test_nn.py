@@ -8,7 +8,8 @@ from distillab.errors import FormatError
 from distillab.nn import (ARCHITECTURES, Conv2d, Dense, Flatten, MaxPool2d, Network, ReLU,
                           ShapeError, build_network, sgd_step)
 from distillab.runstore import load_checkpoint
-from oracles import conv2d_valid_loops, maxpool_backward_loops, maxpool_loops
+from oracles import (conv2d_im2col_backward_reference, conv2d_im2col_reference,
+                     conv2d_valid_loops, maxpool_backward_loops, maxpool_loops)
 
 
 def _single_layer_net(layer, input_shape):
@@ -48,6 +49,60 @@ def test_conv_same_padding_preserves_spatial_dims():
     layer.name = "0:conv2d"
     out = layer.forward(rng.standard_normal((2, 1, 8, 8)).astype(np.float32), record=False)
     assert out.shape == (2, 4, 8, 8)
+
+
+def _conv_against_reference(cin, cout, side, batch, dtype, padding, seed=0):
+    rng = np.random.default_rng(seed)
+    layer = Conv2d(cin, cout, 3, padding=padding, rng=rng, dtype=dtype)
+    layer.name = "0:conv2d"
+    x = rng.standard_normal((batch, cin, side, side)).astype(dtype)
+    out = layer.forward(x, record=True)
+    grad_out = rng.standard_normal(out.shape).astype(dtype)
+    gx = layer.backward(grad_out)
+    want = (conv2d_im2col_reference(x, layer.weight, layer.bias, padding),
+            *conv2d_im2col_backward_reference(x, layer.weight, grad_out, padding))
+    return (out, gx, layer.grad_weight, layer.grad_bias), want
+
+
+# both teacher-cnn convolutions at the grid's 1x12x12 input
+TEACHER_CONVS = [(1, 8, 12), (8, 16, 6)]
+
+
+@pytest.mark.parametrize("cin, cout, side", TEACHER_CONVS)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("padding", ["same", "valid"])
+def test_conv_matches_im2col_reference_bitwise(cin, cout, side, dtype, padding):
+    for batch in (2, 16, 64, 232, 256):
+        got, want = _conv_against_reference(cin, cout, side, batch, dtype, padding)
+        for name, g, w in zip(("forward", "grad_input", "grad_weight", "grad_bias"), got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape, (name, batch)
+            assert np.array_equal(g, w), (name, batch)
+
+
+@pytest.mark.parametrize("cin, cout, side", TEACHER_CONVS)
+def test_conv_batch_of_one_matches_reference_to_rounding(cin, cout, side):
+    # at one row the reference's tensordot hands BLAS the columns as an F-order
+    # view, so batch size 1 may differ from it in the last ulp
+    got, want = _conv_against_reference(cin, cout, side, 1, np.float64, "same")
+    for g, w in zip(got, want):
+        assert np.allclose(g, w, rtol=1e-12, atol=1e-12)
+
+
+def test_conv_kernel_larger_than_valid_input_raises_before_allocating():
+    layer = Conv2d(1, 2, 3, padding="valid")
+    layer.name = "4:conv2d"
+    # a million 2x2 images as a broadcast view: no memory until a buffer is made
+    x = np.broadcast_to(np.zeros((1, 1, 2, 2), dtype=np.float32), (1_000_000, 1, 2, 2))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ShapeError, match="4:conv2d"):
+            layer.forward(x, record=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # the padded copy alone would take 16 MB
+    with pytest.raises(ShapeError, match="0:conv2d"):
+        Network([Conv2d(1, 2, 5, padding="valid"), Flatten()], 1, (1, 4, 4))
 
 
 def test_maxpool_takes_window_maxima():
