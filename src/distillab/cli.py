@@ -3,7 +3,8 @@
 Every run lands in a self-contained directory: manifest.json (hash-referenced
 file inventory + config + metrics), checkpoint/, and optionally dump/ and
 reports/.  A student run also carries a copy of its teacher checkpoint, so
-`evaluate --from-manifest` can rebuild any result from the manifest alone.
+`evaluate --from-manifest` can re-run any run from its directory alone and check
+every byte it writes against the manifest.
 """
 
 from __future__ import annotations
@@ -25,37 +26,35 @@ from .errors import FormatError, IntegrityError
 from .gradcheck import run_all
 from .nn import ARCHITECTURES, Network
 
-ARMS = ("teacher-aug", "student-aug", "both")
+# arm -> (teacher augmented, student augmented)
+ARMS = {"teacher-aug": (True, False), "student-aug": (False, True), "both": (True, True)}
+T_EVAL, N_BINS = 1.0, 15
+STUDENT_LR = 0.02  # the tau^2-scaled soft-target gradient runs hotter than plain CE
+_TRAIN_FLAGS = ("epochs", "batch_size", "lr", "momentum", "weight_decay")
+_KD_FLAGS = ("temperature", "distill_weight")
+# strategy parameter -> flag type; a flag left at None was not given
+_STRATEGY_PARAMS = {"pad": int, "n_holes": int, "hole_size": int, "fill": float,
+                    "beta_alpha": float, "beta_a": float, "beta_b": float}
 
 
 def _strategy_from_args(args) -> AugmentStrategy:
-    params = {k: getattr(args, k) for k in ("pad", "n_holes", "hole_size", "fill", "beta_alpha",
-                                            "beta_a", "beta_b") if getattr(args, k, None) is not None}
-    if getattr(args, "no_size_jitter", False):
+    """Pass on only the flags given; AugmentStrategy rejects any the strategy does not take."""
+    params = {k: getattr(args, k) for k in _STRATEGY_PARAMS if getattr(args, k) is not None}
+    if args.no_size_jitter:
         params["size_jitter"] = False
-    defaults = AugmentStrategy(args.strategy).params
-    params = {k: v for k, v in params.items() if k in defaults}
     return AugmentStrategy(args.strategy, params)
 
 
-def _add_strategy_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--strategy", choices=STRATEGY_KINDS, default="none")
-    p.add_argument("--pad", type=int, default=None)
-    p.add_argument("--n-holes", dest="n_holes", type=int, default=None)
-    p.add_argument("--hole-size", dest="hole_size", type=int, default=None)
-    p.add_argument("--fill", type=float, default=None)
-    p.add_argument("--no-size-jitter", dest="no_size_jitter", action="store_true")
-    p.add_argument("--beta-alpha", dest="beta_alpha", type=float, default=None)
-    p.add_argument("--beta-a", dest="beta_a", type=float, default=None)
-    p.add_argument("--beta-b", dest="beta_b", type=float, default=None)
+def _add_config_flags(p: argparse.ArgumentParser, names, **defaults) -> None:
+    """One flag per TrainConfig field, typed and defaulted from TrainConfig unless overridden."""
+    for name in names:
+        default = defaults.get(name, getattr(TrainConfig, name))
+        p.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
 
 
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--epochs", type=int, default=15)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=64)
-    p.add_argument("--lr", type=float, default=0.08)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--weight-decay", dest="weight_decay", type=float, default=1e-4)
+def _add_eval_flags(p: argparse.ArgumentParser, t_eval=T_EVAL, bins=N_BINS) -> None:
+    p.add_argument("--t-eval", type=float, default=t_eval)
+    p.add_argument("--bins", type=int, default=bins)
 
 
 def _dataset_desc(spec: str, ds: D.Dataset) -> dict:
@@ -95,8 +94,9 @@ def _evaluate_into(out: Path, model: TrainedModel | Network, ds: D.Dataset, t_ev
 def _emit_run(out: Path, model: TrainedModel, arch: str, train_desc: dict,
               eval_ds: D.Dataset | None, eval_desc: dict | None, t_eval: float,
               n_bins: int, teacher_ckpt_src: Path | None = None,
-              run_id: str | None = None) -> dict:
-    """Write checkpoint, optional dump+reports, and the manifest for one run."""
+              run_id: str | None = None) -> R.RunManifest:
+    """Write checkpoint, optional dump+reports, and the manifest for one run; returns
+    the manifest."""
     out.mkdir(parents=True, exist_ok=True)
     files = {f"checkpoint/{p.name}": p for p in R.save_checkpoint(model.net, out / "checkpoint")}
     if teacher_ckpt_src is not None:
@@ -120,7 +120,7 @@ def _emit_run(out: Path, model: TrainedModel, arch: str, train_desc: dict,
     for name, p in files.items():
         manifest.add_file(name, p, out)
     R.write_manifest(manifest, out / "manifest.json")
-    return metrics
+    return manifest
 
 
 def _resolve_teacher(path: Path) -> Path:
@@ -151,78 +151,76 @@ def _train(role: str, cfg: TrainConfig, ds: D.Dataset, arch: str,
     return train_student(cfg, teacher, ds, arch=arch)
 
 
-# command -> (role, summary line)
-_TRAIN_COMMANDS = {"train-teacher": ("teacher", "teacher trained"),
-                   "distill": ("student", "student distilled")}
+# command -> (role, summary line, default arch, help)
+_TRAIN_COMMANDS = {
+    "train-teacher": ("teacher", "teacher trained", "teacher-cnn",
+                      "train a teacher under an augmentation strategy"),
+    "distill": ("student", "student distilled", "student-mlp",
+                "distill a teacher checkpoint into a student"),
+}
+
+
+def _config_flags(role: str) -> tuple[str, ...]:
+    return _TRAIN_FLAGS + (_KD_FLAGS if role == "student" else ())
 
 
 def _cmd_train(args) -> int:
-    role, done = _TRAIN_COMMANDS[args.command]
+    role, done, _, _ = _TRAIN_COMMANDS[args.command]
+    cfg = TrainConfig(seed=args.seed, strategy=_strategy_from_args(args),
+                      **{k: getattr(args, k) for k in _config_flags(role)})
     ds = D.resolve_dataset(args.dataset)
     ckpt = _resolve_teacher(Path(args.teacher)) if role == "student" else None
     eval_ds = D.resolve_dataset(args.eval_dataset) if args.eval_dataset else None
-    kd = ({"temperature": args.temperature, "distill_weight": args.distill_weight}
-          if role == "student" else {})
-    cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
-                      momentum=args.momentum, weight_decay=args.weight_decay,
-                      seed=args.seed, strategy=_strategy_from_args(args), **kd)
     model = _train(role, cfg, ds, args.arch, ckpt)
     metrics = _emit_run(Path(args.out), model, args.arch, _dataset_desc(args.dataset, ds),
                         eval_ds, _dataset_desc(args.eval_dataset, eval_ds) if eval_ds else None,
-                        args.t_eval, args.bins, teacher_ckpt_src=ckpt)
+                        args.t_eval, args.bins, teacher_ckpt_src=ckpt).metrics
     acc = metrics.get("eval", {}).get("accuracy", metrics["final_train"].get("accuracy"))
     print(f"{done}: accuracy {acc}")
     return 0
 
 
-def _rerun_from_manifest(manifest_path: Path, out: Path, n_bins_override=None) -> int:
+def _rerun_from_manifest(manifest_path: Path, out: Path) -> int:
+    """Re-run a recorded run into `out` with its own writer; every file written must
+    hash as the manifest records it."""
     m = R.read_manifest(manifest_path)
     if m.role not in ("teacher", "student"):
         raise FormatError(f"{manifest_path}: unknown role {m.role!r}")
     if m.dataset.get("eval") is None:
         raise FormatError(f"{manifest_path}: run recorded no eval dataset to reproduce")
+    if out.resolve() == manifest_path.parent.resolve():
+        raise FormatError(f"{out}: a replay cannot overwrite the run it replays")
     cfg = TrainConfig.from_dict(m.config["train"])
     train_ds = dataset_from_desc(m.dataset["train"])
     eval_ds = dataset_from_desc(m.dataset["eval"])
-    model = _train(m.role, cfg, train_ds, m.config["arch"], manifest_path.parent / "teacher")
-    for p in R.save_checkpoint(model.net, out / "checkpoint"):
-        ref = m.files.get(f"checkpoint/{p.name}")
-        if ref is None or R.sha256_file(p) != ref["sha256"]:
-            print(f"error: retrained checkpoint/{p.name} differs from manifest", file=sys.stderr)
+    teacher = manifest_path.parent / "teacher" if m.role == "student" else None
+    model = _train(m.role, cfg, train_ds, m.config["arch"], teacher)
+    rerun = _emit_run(out, model, m.config["arch"], m.dataset["train"], eval_ds, m.dataset["eval"],
+                      m.config.get("t_eval", T_EVAL), m.config.get("n_bins", N_BINS),
+                      teacher_ckpt_src=teacher, run_id=m.run_id)
+    for name, ref in rerun.files.items():
+        if m.files.get(name, {}).get("sha256") != ref["sha256"]:
+            print(f"error: {name} differs from manifest", file=sys.stderr)
             return 1
-    n_bins = n_bins_override if n_bins_override is not None else m.config.get("n_bins", 15)
-    dump = evaluate_model(model, eval_ds, t_eval=m.config.get("t_eval", 1.0))
-    R.emit_report(dump, out, reports="all", n_bins=n_bins)
-    recomputed = M.summary_metrics(dump, n_bins=n_bins)
-    recorded = m.metrics.get("eval", {})
-    mismatched = [k for k, v in recorded.items()
-                  if not (recomputed.get(k) == v or (v != v and recomputed.get(k) != recomputed.get(k)))]
-    if mismatched:
-        print(f"error: rerun metrics differ from manifest on {mismatched}", file=sys.stderr)
-        return 1
-    print(f"rerun reproduced {len(recorded)} recorded metrics and the checkpoint bitwise")
+    print(f"rerun reproduced all {len(rerun.files)} files bitwise")
     return 0
 
 
 def _cmd_evaluate(args, parser: argparse.ArgumentParser) -> int:
     if args.from_manifest:
-        if not args.out:
-            parser.error("--out is required")
-        if args.t_eval is not None:
-            parser.error("--t-eval cannot be combined with --from-manifest; "
-                         "the replay uses the manifest's t_eval")
-        return _rerun_from_manifest(Path(args.from_manifest), Path(args.out), args.bins)
-    if not args.checkpoint:
-        parser.error("--checkpoint is required (or use --from-manifest)")
+        given = [flag for flag, v in (("--dataset", args.dataset), ("--t-eval", args.t_eval),
+                                      ("--bins", args.bins)) if v is not None]
+        if given:
+            parser.error(f"{', '.join(given)} cannot be combined with --from-manifest; "
+                         "the replay uses the manifest's values")
+        return _rerun_from_manifest(Path(args.from_manifest), Path(args.out))
     if not args.dataset:
-        parser.error("--dataset is required")
-    if not args.out:
-        parser.error("--out is required")
+        parser.error("--dataset is required with --checkpoint")
     net = R.load_checkpoint(_resolve_teacher(Path(args.checkpoint)))
     ds = D.resolve_dataset(args.dataset)
     _, vals = _evaluate_into(Path(args.out), net, ds,
-                             args.t_eval if args.t_eval is not None else 1.0,
-                             args.bins if args.bins is not None else 15)
+                             T_EVAL if args.t_eval is None else args.t_eval,
+                             N_BINS if args.bins is None else args.bins)
     print(f"evaluated {ds.n_samples} samples: accuracy {vals['accuracy']}")
     return 0
 
@@ -262,57 +260,48 @@ def _cmd_matrix(args) -> int:
     else:
         full = D.resolve_dataset(args.dataset)
         full_desc = _dataset_desc(args.dataset, full)
-    fractions = [2 / 3, 1 / 3]
-    split_seed = int(seeds[1])
-    train_ds, eval_ds = D.split(full, fractions, split_seed)
-    train_desc = {"kind": "split", "parent": full_desc, "fractions": fractions,
-                  "seed": split_seed, "index": 0, "digest": train_ds.digest()}
-    eval_desc = {"kind": "split", "parent": full_desc, "fractions": fractions,
-                 "seed": split_seed, "index": 1, "digest": eval_ds.digest()}
+    fractions, split_seed = [2 / 3, 1 / 3], int(seeds[1])
+    train_ds, eval_ds = splits = D.split(full, fractions, split_seed)
+    train_desc, eval_desc = ({"kind": "split", "parent": full_desc, "fractions": fractions,
+                              "seed": split_seed, "index": i, "digest": ds.digest()}
+                             for i, ds in enumerate(splits))
 
-    teacher_cfg_base = dict(epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
-                            momentum=args.momentum, weight_decay=args.weight_decay)
+    base = {k: getattr(args, k) for k in _TRAIN_FLAGS}
     teachers: dict[str, tuple[TrainedModel, Path, dict]] = {}
     for i, strat in enumerate(STRATEGY_KINDS):
-        cfg = TrainConfig(seed=int(seeds[2 + i]), strategy=AugmentStrategy(strat),
-                          **teacher_cfg_base)
+        cfg = TrainConfig(seed=int(seeds[2 + i]), strategy=AugmentStrategy(strat), **base)
         model = train_teacher(cfg, train_ds, arch=args.teacher_arch)
         tdir = out / "teachers" / strat
-        tmetrics = _emit_run(tdir, model, args.teacher_arch, train_desc, eval_ds, eval_desc,
-                             args.t_eval, args.bins, run_id=f"teacher-{strat}")
-        teachers[strat] = (model, tdir / "checkpoint", tmetrics["eval"])
-        print(f"teacher[{strat}] eval accuracy {tmetrics['eval']['accuracy']:.4f}")
+        tvals = _emit_run(tdir, model, args.teacher_arch, train_desc, eval_ds, eval_desc,
+                          args.t_eval, args.bins, run_id=f"teacher-{strat}").metrics["eval"]
+        teachers[strat] = (model, tdir / "checkpoint", tvals)
+        print(f"teacher[{strat}] eval accuracy {tvals['accuracy']:.4f}")
 
+    student_base = dict(base, lr=args.student_lr, epochs=args.student_epochs,
+                        **{k: getattr(args, k) for k in _KD_FLAGS})
     rows = []
-    cell_index = 0
     for strat in STRATEGY_KINDS:
-        for arm in ARMS:
-            t_strat = strat if arm in ("teacher-aug", "both") else "none"
-            s_strat = strat if arm in ("student-aug", "both") else "none"
-            teacher_model, teacher_ckpt, teacher_eval = teachers[t_strat]
-            student_cfg = dict(teacher_cfg_base, lr=args.student_lr, epochs=args.student_epochs)
-            cfg = TrainConfig(seed=int(seeds[7 + cell_index]),
-                              strategy=AugmentStrategy(s_strat),
-                              temperature=args.temperature,
-                              distill_weight=args.distill_weight, **student_cfg)
+        for arm, (teacher_aug, student_aug) in ARMS.items():
+            teacher_model, teacher_ckpt, teacher_eval = teachers[strat if teacher_aug else "none"]
+            cfg = TrainConfig(seed=int(seeds[7 + len(rows)]),
+                              strategy=AugmentStrategy(strat if student_aug else "none"),
+                              **student_base)
             student = train_student(cfg, teacher_model, train_ds, arch=args.student_arch)
             cell = f"{strat}-{arm}"
-            cdir = out / "cells" / cell
-            metrics = _emit_run(cdir, student, args.student_arch, train_desc, eval_ds,
-                                eval_desc, args.t_eval, args.bins,
-                                teacher_ckpt_src=teacher_ckpt, run_id=f"cell-{cell}")
-            svals = metrics["eval"]
-            teacher_acc = teacher_eval["accuracy"]
-            rows.append([cell, strat, arm, teacher_acc] + [svals[c] for c in R.METRIC_COLUMNS])
-            print(f"cell[{cell}] teacher acc {teacher_acc:.4f} student acc {svals['accuracy']:.4f}")
-            cell_index += 1
+            svals = _emit_run(out / "cells" / cell, student, args.student_arch, train_desc,
+                              eval_ds, eval_desc, args.t_eval, args.bins,
+                              teacher_ckpt_src=teacher_ckpt, run_id=f"cell-{cell}").metrics["eval"]
+            rows.append(dict(zip(MATRIX_COLUMNS, (cell, strat, arm, teacher_eval["accuracy"],
+                                                  *(svals[c] for c in R.METRIC_COLUMNS)))))
+            print(f"cell[{cell}] teacher acc {teacher_eval['accuracy']:.4f} "
+                  f"student acc {svals['accuracy']:.4f}")
 
     agg = out / "matrix_metrics.csv"
     with open(agg, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(MATRIX_COLUMNS)
         for row in rows:
-            w.writerow([row[0], row[1], row[2]] + [R.format_float(v) for v in row[3:]])
+            w.writerow([v if isinstance(v, str) else R.format_float(v) for v in row.values()])
     _write_trends(out, teachers, rows)
     print(f"matrix complete: {len(rows)} cells -> {agg}")
     return 0
@@ -322,7 +311,7 @@ def _write_trends(out: Path, teachers, rows) -> None:
     """Directional comparison against the reference full-scale findings (reported, not asserted)."""
     sep = {strat: float(ev["separability"]) for strat, (_, _, ev) in teachers.items()}
     disc = {strat: float(ev["discrimination"]) for strat, (_, _, ev) in teachers.items()}
-    student_acc = {row[0]: row[3 + 1] for row in rows}  # accuracy column
+    student_acc = {row["cell"]: row["accuracy"] for row in rows}
     lines = []
     for strat in ("mixup", "cutmix"):
         lines.append(f"separability[{strat}]={sep[strat]!r} vs baseline={sep['none']!r} "
@@ -347,53 +336,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--classes", type=int, default=4)
-    p.add_argument("--per-class", dest="per_class", type=int, default=500)
+    p.add_argument("--per-class", type=int, default=500)
     p.add_argument("--side", type=int, default=12)
     p.add_argument("--difficulty", type=float, default=0.5)
     p.add_argument("--channels", type=int, default=1)
     p.add_argument("--contrast", type=float, default=1.0)
     p.add_argument("--brightness", type=float, default=0.0)
 
-    p = sub.add_parser("train-teacher", help="train a teacher under an augmentation strategy")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--eval-dataset", dest="eval_dataset", default=None)
-    p.add_argument("--arch", choices=ARCHITECTURES, default="teacher-cnn")
-    p.add_argument("--t-eval", dest="t_eval", type=float, default=1.0)
-    p.add_argument("--bins", type=int, default=15)
-    _add_train_flags(p)
-    _add_strategy_flags(p)
-
-    p = sub.add_parser("distill", help="distill a teacher checkpoint into a student")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--teacher", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--eval-dataset", dest="eval_dataset", default=None)
-    p.add_argument("--arch", choices=ARCHITECTURES, default="student-mlp")
-    p.add_argument("--t-eval", dest="t_eval", type=float, default=1.0)
-    p.add_argument("--bins", type=int, default=15)
-    p.add_argument("--temperature", type=float, default=20.0)
-    p.add_argument("--distill-weight", dest="distill_weight", type=float, default=0.5)
-    _add_train_flags(p)
-    _add_strategy_flags(p)
-    # the tau^2-scaled soft-target gradient runs hotter than plain CE
-    p.set_defaults(lr=0.02)
+    for command, (role, _, arch, help_text) in _TRAIN_COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--seed", type=int, required=True)
+        p.add_argument("--dataset", required=True)
+        if role == "student":
+            p.add_argument("--teacher", required=True)
+        p.add_argument("--out", required=True)
+        p.add_argument("--eval-dataset", default=None)
+        p.add_argument("--arch", choices=ARCHITECTURES, default=arch)
+        _add_eval_flags(p)
+        _add_config_flags(p, _config_flags(role),
+                          lr=STUDENT_LR if role == "student" else TrainConfig.lr)
+        p.add_argument("--strategy", choices=STRATEGY_KINDS, default="none")
+        for name, kind in _STRATEGY_PARAMS.items():
+            p.add_argument("--" + name.replace("_", "-"), type=kind, default=None)
+        p.add_argument("--no-size-jitter", action="store_true")
 
     p = sub.add_parser("evaluate", help="evaluate a checkpoint, or re-run a manifest")
-    p.add_argument("--checkpoint", default=None)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--checkpoint", default=None)
+    source.add_argument("--from-manifest", default=None)
     p.add_argument("--dataset", default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--from-manifest", dest="from_manifest", default=None)
-    p.add_argument("--t-eval", dest="t_eval", type=float, default=None)
-    p.add_argument("--bins", type=int, default=None)
+    p.add_argument("--out", required=True)
+    _add_eval_flags(p, t_eval=None, bins=None)
 
     p = sub.add_parser("report", help="emit CSV reports from a stored evaluation dump")
     p.add_argument("--dump", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--reports", default="all")
-    p.add_argument("--bins", type=int, default=15)
+    p.add_argument("--bins", type=int, default=N_BINS)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of every backward pass")
     p.add_argument("--seed", type=int, required=True)
@@ -404,18 +383,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--dataset", default="synth")
     p.add_argument("--out", required=True)
-    p.add_argument("--teacher-arch", dest="teacher_arch", choices=ARCHITECTURES,
-                   default="teacher-cnn")
-    p.add_argument("--student-arch", dest="student_arch", choices=ARCHITECTURES,
-                   default="student-mlp")
+    p.add_argument("--teacher-arch", choices=ARCHITECTURES, default="teacher-cnn")
+    p.add_argument("--student-arch", choices=ARCHITECTURES, default="student-mlp")
     p.add_argument("--difficulty", type=float, default=1.0)
-    p.add_argument("--temperature", type=float, default=20.0)
-    p.add_argument("--distill-weight", dest="distill_weight", type=float, default=0.5)
-    p.add_argument("--t-eval", dest="t_eval", type=float, default=1.0)
-    p.add_argument("--bins", type=int, default=15)
-    p.add_argument("--student-lr", dest="student_lr", type=float, default=0.02)
-    p.add_argument("--student-epochs", dest="student_epochs", type=int, default=15)
-    _add_train_flags(p)
+    _add_eval_flags(p)
+    _add_config_flags(p, _TRAIN_FLAGS + _KD_FLAGS)
+    p.add_argument("--student-lr", type=float, default=STUDENT_LR)
+    p.add_argument("--student-epochs", type=int, default=TrainConfig.epochs)
     return parser
 
 

@@ -314,8 +314,9 @@ def test_7_determinism(matrix_run, announce, tmp_path, capsys):
         code = cli_main(["evaluate", "--from-manifest", str(src / "manifest.json"),
                          "--out", str(dst)])
         text = capsys.readouterr().out
-        bitwise = (dst / "metrics.csv").read_bytes() == \
-            (src / "reports" / "metrics.csv").read_bytes()
+        # the replay rewrites the whole run directory, reports/metrics.csv and manifest included
+        bitwise = _tree_files(dst) == _tree_files(src) and all(
+            (dst / r).read_bytes() == (src / r).read_bytes() for r in _tree_files(src))
         reruns_ok = reruns_ok and code == 0 and "reproduced" in text and bitwise
         rerun_details.append(f"{src.name}:{'ok' if code == 0 and bitwise else 'MISMATCH'}")
     ok = same_tree and not differing and reruns_ok

@@ -1,3 +1,4 @@
+import argparse
 import json
 import shutil
 import struct
@@ -7,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from distillab.cli import _dataset_desc, dataset_from_desc, main
+from distillab.cli import _dataset_desc, build_parser, dataset_from_desc, main
 from distillab.data import load_dataset, resolve_dataset
 from distillab.runstore import (load_array, load_checkpoint, load_eval_dump, read_manifest,
                                 read_matrix_csv, read_metrics_csv, save_array, sha256_file)
@@ -79,6 +80,20 @@ def test_strategy_flags_reach_the_manifest(work, tmp_path):
     assert strat["params"]["size_jitter"] is False
 
 
+@pytest.mark.parametrize("argv", [["--strategy", "mixup", "--pad", "7", "--n-holes", "3"],
+                                  ["--strategy", "none", "--no-size-jitter"]])
+@pytest.mark.parametrize("command", ["train-teacher", "distill"])
+def test_strategy_flag_the_strategy_does_not_take_is_an_error(work, tmp_path, capsys, command, argv):
+    out = tmp_path / "run"
+    teacher = ["--teacher", str(work["teacher"])] if command == "distill" else []
+    assert main([command, "--seed", "3", "--dataset", str(work["data"]), "--out", str(out),
+                 "--arch", "student-mlp", "--epochs", "1", *teacher, *argv]) == 1
+    err = capsys.readouterr().err
+    names = ["n_holes", "pad"] if "mixup" in argv else ["size_jitter"]
+    assert f"does not take params {names}" in err
+    assert not out.exists()
+
+
 def test_evaluate_checkpoint_writes_dump_and_reports(work, tmp_path, capsys):
     out = tmp_path / "eval"
     assert main(["evaluate", "--checkpoint", str(work["teacher"]),
@@ -95,9 +110,79 @@ def test_evaluate_from_manifest_reproduces_bitwise(work, tmp_path, capsys):
     assert main(["evaluate", "--from-manifest", str(work["student"] / "manifest.json"),
                  "--out", str(out)]) == 0
     assert "reproduced" in capsys.readouterr().out
-    rerun = read_metrics_csv(out / "metrics.csv")
+    rerun = read_metrics_csv(out / "reports" / "metrics.csv")
     original = read_metrics_csv(work["student"] / "reports" / "metrics.csv")
     assert rerun == original
+
+
+def _tree(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("run", ["teacher", "student"])
+def test_replay_writes_the_run_directory_byte_for_byte(work, tmp_path, run):
+    out = tmp_path / "rerun"
+    assert main(["evaluate", "--from-manifest", str(work[run] / "manifest.json"),
+                 "--out", str(out)]) == 0
+    assert _tree(out) == _tree(work[run])
+
+
+def _tamper(src, dst, name):
+    """Copy a run and flip the last byte of one manifest entry's file, rewriting its
+    hash so that verification alone passes."""
+    shutil.copytree(src, dst)
+    doc = json.loads((dst / "manifest.json").read_text())
+    target = dst / doc["files"][name]["path"]
+    data = bytearray(target.read_bytes())
+    data[-1] ^= 1
+    target.write_bytes(bytes(data))
+    doc["files"][name]["sha256"] = sha256_file(target)
+    (dst / "manifest.json").write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    read_manifest(dst / "manifest.json", verify=True)
+
+
+def test_replay_checks_every_report_byte(work, tmp_path, capsys):
+    _tamper(work["teacher"], tmp_path / "run", "reports/reliability")
+    assert main(["evaluate", "--from-manifest", str(tmp_path / "run" / "manifest.json"),
+                 "--out", str(tmp_path / "rerun")]) == 1
+    assert capsys.readouterr().err == "error: reports/reliability differs from manifest\n"
+
+
+def test_replay_catches_a_changed_teacher_copy(work, tmp_path, capsys):
+    # the copy itself is carried into the replay as recorded, so the first file to
+    # differ is the student checkpoint retrained against it; the output bias moves
+    # every soft target (a weight of a dead hidden unit would move none)
+    param = sorted((work["student"] / "teacher").glob("param-*.bias.arr"))[-1]
+    _tamper(work["student"], tmp_path / "run", f"teacher/{param.name}")
+    assert main(["evaluate", "--from-manifest", str(tmp_path / "run" / "manifest.json"),
+                 "--out", str(tmp_path / "rerun")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: checkpoint/param-") and err.endswith(" differs from manifest\n")
+
+
+def test_replay_accepts_an_aged_manifest(work, tmp_path, capsys):
+    # older manifests carried a wall-clock `created` key and a reports/ copy of the embeddings
+    run = tmp_path / "run"
+    shutil.copytree(work["student"], run)
+    shutil.copyfile(run / "dump" / "embeddings.arr", run / "reports" / "embeddings.arr")
+    doc = json.loads((run / "manifest.json").read_text())
+    doc["created"] = "2024-01-01T00:00:00"
+    doc["files"]["reports/embeddings"] = {"path": "reports/embeddings.arr",
+                                          "sha256": sha256_file(run / "reports" / "embeddings.arr")}
+    (run / "manifest.json").write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    assert main(["evaluate", "--from-manifest", str(run / "manifest.json"),
+                 "--out", str(tmp_path / "rerun")]) == 0
+    assert "reproduced" in capsys.readouterr().out
+
+
+def test_replay_refuses_to_overwrite_its_own_run(work, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(work["student"], run)
+    before = _tree(run)
+    assert main(["evaluate", "--from-manifest", str(run / "manifest.json"),
+                 "--out", str(run)]) == 1
+    assert "cannot overwrite the run it replays" in capsys.readouterr().err
+    assert _tree(run) == before
 
 
 def test_evaluate_from_manifest_checks_checkpoint_bytes(work, tmp_path, capsys):
@@ -136,9 +221,13 @@ def test_evaluate_from_manifest_rejects_zero_bins(work, tmp_path, capsys):
                  "--out", str(tmp_path / "direct"), "--bins", "0"]) == 1
     direct = capsys.readouterr().err
     assert "n_bins must be >= 1, got 0" in direct
-    assert main(["evaluate", "--from-manifest", str(work["teacher"] / "manifest.json"),
-                 "--out", str(tmp_path / "rerun"), "--bins", "0"]) == 1
-    assert capsys.readouterr().err == direct
+    # the replay takes n_bins from the manifest, so --bins there is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["evaluate", "--from-manifest", str(work["teacher"] / "manifest.json"),
+              "--out", str(tmp_path / "rerun"), "--bins", "0"])
+    assert exc.value.code == 2
+    assert "--bins cannot be combined with --from-manifest" in capsys.readouterr().err
+    assert not (tmp_path / "rerun").exists()
 
 
 def test_evaluate_from_manifest_rejects_t_eval(work, tmp_path, capsys):
@@ -148,6 +237,17 @@ def test_evaluate_from_manifest_rejects_t_eval(work, tmp_path, capsys):
               "--out", str(tmp_path / "rerun"), "--t-eval", "3"])
     assert exc.value.code == 2
     assert "--t-eval" in capsys.readouterr().err
+    assert not (tmp_path / "rerun").exists()
+
+
+@pytest.mark.parametrize("extra", [["--checkpoint", "/nonexistent"], ["--dataset", "/nonexistent"],
+                                   ["--checkpoint", "/nonexistent", "--dataset", "/nonexistent"]])
+def test_evaluate_from_manifest_rejects_flags_it_would_ignore(work, tmp_path, capsys, extra):
+    with pytest.raises(SystemExit) as exc:
+        main(["evaluate", "--from-manifest", str(work["teacher"] / "manifest.json"),
+              "--out", str(tmp_path / "rerun"), *extra])
+    assert exc.value.code == 2
+    assert extra[0] in capsys.readouterr().err
     assert not (tmp_path / "rerun").exists()
 
 
@@ -262,3 +362,55 @@ def test_module_entry_point_runs():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert "ok" in proc.stdout
+
+ARCHS = ("teacher-cnn", "student-mlp", "student-cnn")
+STRATS = ("none", "standard", "cutout", "mixup", "cutmix")
+_TRAIN = {"epochs": (15, int, False, None), "batch_size": (64, int, False, None),
+          "lr": (0.08, float, False, None), "momentum": (0.9, float, False, None),
+          "weight_decay": (1e-4, float, False, None)}
+_STRATEGY = {"strategy": ("none", None, False, STRATS), "pad": (None, int, False, None),
+             "n_holes": (None, int, False, None), "hole_size": (None, int, False, None),
+             "fill": (None, float, False, None), "no_size_jitter": (False, None, False, None),
+             "beta_alpha": (None, float, False, None), "beta_a": (None, float, False, None),
+             "beta_b": (None, float, False, None)}
+_RUN = {"seed": (None, int, True, None), "dataset": (None, None, True, None),
+        "out": (None, None, True, None), "eval_dataset": (None, None, False, None),
+        "t_eval": (1.0, float, False, None), "bins": (15, int, False, None)}
+_KD = {"temperature": (20.0, float, False, None), "distill_weight": (0.5, float, False, None)}
+# every flag's (default, type, required, choices) as released; the one change since is
+# that evaluate's --out became required
+PARSER_SNAPSHOT = {
+    "synth": {"seed": (None, int, True, None), "out": (None, None, True, None),
+              "classes": (4, int, False, None), "per_class": (500, int, False, None),
+              "side": (12, int, False, None), "difficulty": (0.5, float, False, None),
+              "channels": (1, int, False, None), "contrast": (1.0, float, False, None),
+              "brightness": (0.0, float, False, None)},
+    "train-teacher": {**_RUN, "arch": ("teacher-cnn", None, False, ARCHS), **_TRAIN, **_STRATEGY},
+    "distill": {**_RUN, "teacher": (None, None, True, None),
+                "arch": ("student-mlp", None, False, ARCHS), **_KD,
+                **_TRAIN, "lr": (0.02, float, False, None), **_STRATEGY},
+    "evaluate": {"checkpoint": (None, None, False, None), "dataset": (None, None, False, None),
+                 "out": (None, None, True, None), "from_manifest": (None, None, False, None),
+                 "t_eval": (None, float, False, None), "bins": (None, int, False, None)},
+    "report": {"dump": (None, None, True, None), "out": (None, None, True, None),
+               "reports": ("all", None, False, None), "bins": (15, int, False, None)},
+    "gradcheck": {"seed": (None, int, True, None), "instances": (20, int, False, None),
+                  "tolerance": (1e-5, float, False, None)},
+    "matrix": {"seed": (None, int, True, None), "dataset": ("synth", None, False, None),
+               "out": (None, None, True, None),
+               "teacher_arch": ("teacher-cnn", None, False, ARCHS),
+               "student_arch": ("student-mlp", None, False, ARCHS),
+               "difficulty": (1.0, float, False, None), **_KD,
+               "t_eval": (1.0, float, False, None), "bins": (15, int, False, None),
+               "student_lr": (0.02, float, False, None), "student_epochs": (15, int, False, None),
+               **_TRAIN},
+}
+
+
+def test_parser_flags_match_snapshot():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(sub.choices) == sorted(PARSER_SNAPSHOT)
+    for command, parser in sub.choices.items():
+        got = {a.dest: (a.default, a.type, a.required, tuple(a.choices) if a.choices else None)
+               for a in parser._actions if a.dest != "help"}
+        assert got == PARSER_SNAPSHOT[command], command
