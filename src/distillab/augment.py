@@ -202,7 +202,5 @@ def apply_strategy(batch: tuple[np.ndarray, np.ndarray], strategy: AugmentStrate
 
 
 def dataset_fill_value(images: np.ndarray) -> np.ndarray:
-    """Per-channel mean over a [N, channels, H, W] image stack (cutout fill)."""
-    if images.ndim != 4 or images.shape[0] == 0:
-        return np.asarray(0.5, dtype=np.float32)
+    """Per-channel mean over a non-empty [N, channels, H, W] image stack (cutout fill)."""
     return images.mean(axis=(0, 2, 3))

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import FormatError
 from .probs import check_prob_rows, softmax_t
-from .runstore import load_array, save_array
+from .runstore import load_array, load_arrays, save_arrays
 
 CIFAR10_CLASSES = ["airplane", "automobile", "bird", "cat", "deer",
                    "dog", "frog", "horse", "ship", "truck"]
@@ -229,34 +229,27 @@ def split(ds: Dataset, fractions: list[float], seed: int) -> list[Dataset]:
 
 def save_dataset(ds: Dataset, dir_path: str | Path) -> list[Path]:
     """Write a dataset as array containers plus a class-name listing."""
-    d = Path(dir_path)
-    d.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name, arr in (("images", ds.images), ("labels", ds.labels)):
-        p = d / f"{name}.arr"
-        save_array(arr, p)
-        written.append(p)
-    if ds.human_probs is not None:
-        p = d / "human_probs.arr"
-        save_array(ds.human_probs, p)
-        written.append(p)
-    meta = d / "classes.json"
+    written = save_arrays(dir_path, {"images": ds.images, "labels": ds.labels,
+                                     "human_probs": ds.human_probs})
+    meta = Path(dir_path) / "classes.json"
     meta.write_text(json.dumps(ds.class_names, indent=2) + "\n", encoding="utf-8")
-    written.append(meta)
-    return written
+    return written + [meta]
 
 
 def load_dataset(dir_path: str | Path) -> Dataset:
     d = Path(dir_path)
     if not (d / "images.arr").exists():
         raise FormatError(f"{d}: no images.arr; not a saved dataset directory")
-    human = d / "human_probs.arr"
-    return Dataset(
-        images=load_array(d / "images.arr"),
-        labels=load_array(d / "labels.arr"),
-        class_names=json.loads((d / "classes.json").read_text(encoding="utf-8")),
-        human_probs=load_array(human) if human.exists() else None,
-    )
+    meta = d / "classes.json"
+    try:
+        names = json.loads(meta.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{meta}: not valid JSON ({exc})") from None
+    if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+        raise FormatError(f"{meta}: class names must be a JSON list of strings")
+    a = load_arrays(d, ("images", "labels"), optional=("human_probs",))
+    return Dataset(images=a["images"], labels=a["labels"], class_names=names,
+                   human_probs=a["human_probs"])
 
 
 def resolve_dataset(spec: str | Path) -> Dataset:

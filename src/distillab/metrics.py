@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .probs import check_prob_rows, kl_div, kl_div_rows, cross_entropy_rows
+from .probs import check_prob_rows, kl_div, kl_div_rows
 
 
 @dataclass
@@ -146,50 +146,41 @@ def ece(dump: EvalDump, n_bins: int = 15) -> ReliabilityReport:
     return ReliabilityReport(bins=bins, ece=value, n_samples=dump.n_samples)
 
 
-def human_kld(dump: EvalDump, mode: str = "kl") -> float:
-    """Mean divergence between model and human label distributions.
-
-    mode="kl" is KL(model || human) as written; "kl-reversed" swaps the
-    arguments; "cross-entropy" uses -sum(human * log model) instead.
-    """
+def human_kld(dump: EvalDump) -> float:
+    """Mean KL(model || human) between model and human label distributions."""
     if dump.human_probs is None:
         raise ValueError("dump has no human_probs; human-label divergence unavailable")
-    model = dump.probs.astype(np.float64)
-    human = dump.human_probs.astype(np.float64)
-    if mode == "kl":
-        vals = kl_div_rows(model, human)
-    elif mode == "kl-reversed":
-        vals = kl_div_rows(human, model)
-    elif mode == "cross-entropy":
-        vals = cross_entropy_rows(model, human)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return float(vals.mean())
+    return float(kl_div_rows(dump.probs.astype(np.float64),
+                             dump.human_probs.astype(np.float64)).mean())
 
 
-def _class_mean_rows(rows: np.ndarray, dump: EvalDump, what: str) -> np.ndarray:
-    """Per-class mean of `rows`, rejecting any empty class by id."""
+def class_means(dump: EvalDump, rows: np.ndarray) -> np.ndarray:
+    """[C, K] float64 table whose row c averages the [N, K] `rows` over samples of class c."""
+    rows = np.asarray(rows, dtype=np.float64)
     means = np.empty((dump.n_classes, rows.shape[1]), dtype=np.float64)
     for c, idx in enumerate(dump.class_indices()):
         if idx.size == 0:
-            raise ValueError(f"class {c} has no samples; cannot average {what}")
+            raise ValueError(f"class {c} has no samples; cannot average its rows")
         means[c] = rows[idx].mean(axis=0)
     return means
+
+
+def kl_matrix(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Matrix of KL(p_i || q_j) over the rows of two [C, K] distribution tables."""
+    return np.array([[kl_div(pi, qj) for qj in q] for pi in p], dtype=np.float64)
 
 
 def class_separability(dump: EvalDump) -> float:
     """Mean pairwise KL divergence between per-class average predictions.
 
     S = (1/C^2) * sum_i sum_j KL(pbar_i || pbar_j), diagonal terms included
-    (each exactly 0).
+    (each exactly 0), summed in row-major order.
     """
-    means = _class_mean_rows(dump.probs.astype(np.float64), dump, "predictions")
-    c = dump.n_classes
+    means = class_means(dump, dump.probs)
     total = 0.0
-    for i in range(c):
-        for j in range(c):
-            total += kl_div(means[i], means[j]) if i != j else 0.0
-    return total / (c * c)
+    for v in kl_matrix(means, means).ravel().tolist():
+        total += v
+    return total / (dump.n_classes * dump.n_classes)
 
 
 def standardize_embeddings(emb: np.ndarray) -> np.ndarray:
@@ -289,35 +280,7 @@ def kld_confusion_matrix(dump: EvalDump) -> np.ndarray:
     """CxC matrix of KL(mean human distribution of class i || mean model distribution of class j)."""
     if dump.human_probs is None:
         raise ValueError("dump has no human_probs; KLD matrix unavailable")
-    human_means = _class_mean_rows(dump.human_probs.astype(np.float64), dump, "human labels")
-    model_means = _class_mean_rows(dump.probs.astype(np.float64), dump, "predictions")
-    c = dump.n_classes
-    out = np.empty((c, c), dtype=np.float64)
-    for i in range(c):
-        for j in range(c):
-            out[i, j] = kl_div(human_means[i], model_means[j])
-    return out
-
-
-def confidence_matrix(dump: EvalDump, masked: bool = False, source: str = "model") -> np.ndarray:
-    """CxC mean probability assigned to class j over samples of true class i.
-
-    source selects the model's predicted distributions or the human label
-    distributions.  With masked=True the diagonal is NaN so off-diagonal
-    structure can be inspected on its own scale.
-    """
-    if source == "model":
-        rows = dump.probs
-    elif source == "human":
-        if dump.human_probs is None:
-            raise ValueError("dump has no human_probs; human confidence matrix unavailable")
-        rows = dump.human_probs
-    else:
-        raise ValueError(f"unknown source {source!r}")
-    means = _class_mean_rows(rows.astype(np.float64), dump, f"{source} rows")
-    if masked:
-        np.fill_diagonal(means, np.nan)
-    return means
+    return kl_matrix(class_means(dump, dump.human_probs), class_means(dump, dump.probs))
 
 
 def summary_metrics(dump: EvalDump, n_bins: int = 15) -> dict[str, float]:

@@ -106,9 +106,18 @@ def read_manifest(path: str | Path, verify: bool = True) -> RunManifest:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: not valid manifest JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path}: manifest must be a JSON object, got {type(doc).__name__}")
     missing = {"run_id", "role", "config", "dataset"} - doc.keys()
     if missing:
         raise FormatError(f"{path}: manifest missing fields {sorted(missing)}")
+    wrong = [k for k in ("config", "dataset", "metrics", "files")
+             if not isinstance(doc.get(k, {}), dict)]
+    if wrong:
+        raise FormatError(f"{path}: manifest fields {wrong} must be JSON objects")
+    for name, ref in doc.get("files", {}).items():
+        if not (isinstance(ref, dict) and all(isinstance(ref.get(k), str) for k in ("path", "sha256"))):
+            raise FormatError(f"{path}: files entry {name!r} needs string path and sha256")
     # other keys, such as the wall-clock `created` of older manifests, are ignored
     m = RunManifest(run_id=doc["run_id"], role=doc["role"],
                     config=doc["config"], dataset=doc["dataset"],
@@ -124,6 +133,44 @@ def read_manifest(path: str | Path, verify: bool = True) -> RunManifest:
                 raise IntegrityError(
                     f"{name}: content hash of {target} is {digest}, manifest records {ref['sha256']}")
     return m
+
+
+# ---------------------------------------------------------------------------
+# Array directories: one container file `<name>.arr` per array.  Datasets and
+# evaluation dumps are stored this way; checkpoints add a shape check on load.
+
+
+def save_arrays(dir_path: str | Path, arrays: dict) -> list[Path]:
+    """Write each non-None array of `arrays` as `<name>.arr`; returns the files written."""
+    d = Path(dir_path)
+    d.mkdir(parents=True, exist_ok=True)
+    written = []
+    for name, arr in arrays.items():
+        if arr is not None:
+            p = d / f"{name}.arr"
+            save_array(arr, p)
+            written.append(p)
+    return written
+
+
+def load_arrays(dir_path: str | Path, names, optional=()) -> dict:
+    """Read `<name>.arr` for every name; an absent optional one reads as None."""
+    d = Path(dir_path)
+    return {name: load_array(d / f"{name}.arr")
+            if name in names or (d / f"{name}.arr").exists() else None
+            for name in (*names, *optional)}
+
+
+def save_eval_dump(dump: M.EvalDump, dir_path: str | Path) -> list[Path]:
+    return save_arrays(dir_path, {"probs": dump.probs, "embeddings": dump.embeddings,
+                                  "labels": dump.true_labels.astype(np.int64),
+                                  "human_probs": dump.human_probs})
+
+
+def load_eval_dump(dir_path: str | Path) -> M.EvalDump:
+    a = load_arrays(dir_path, ("probs", "embeddings", "labels"), optional=("human_probs",))
+    return M.EvalDump(probs=a["probs"], embeddings=a["embeddings"], true_labels=a["labels"],
+                      human_probs=a["human_probs"])
 
 
 # ---------------------------------------------------------------------------
@@ -174,37 +221,6 @@ def load_checkpoint(dir_path: str | Path):
 
 
 # ---------------------------------------------------------------------------
-# Evaluation dumps: a directory of array containers.
-
-
-def save_eval_dump(dump: M.EvalDump, dir_path: str | Path) -> list[Path]:
-    d = Path(dir_path)
-    d.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name, arr in (("probs", dump.probs), ("embeddings", dump.embeddings),
-                      ("labels", dump.true_labels.astype(np.int64))):
-        p = d / f"{name}.arr"
-        save_array(arr, p)
-        written.append(p)
-    if dump.human_probs is not None:
-        p = d / "human_probs.arr"
-        save_array(dump.human_probs, p)
-        written.append(p)
-    return written
-
-
-def load_eval_dump(dir_path: str | Path) -> M.EvalDump:
-    d = Path(dir_path)
-    human = d / "human_probs.arr"
-    return M.EvalDump(
-        probs=load_array(d / "probs.arr"),
-        embeddings=load_array(d / "embeddings.arr"),
-        true_labels=load_array(d / "labels.arr"),
-        human_probs=load_array(human) if human.exists() else None,
-    )
-
-
-# ---------------------------------------------------------------------------
 # CSV report emission.  Floats are written with repr(): the shortest decimal
 # string that parses back to the identical IEEE double.
 
@@ -222,20 +238,19 @@ METRIC_COLUMNS = ("accuracy", "human_kld", "ece", "precision", "recall", "f1",
                   "separability", "cohesion", "adhesion", "discrimination")
 
 # name -> (file name, the dump's C x C matrix, diagonal masked); the lambdas look each
-# metric up when called, so a patched or traced `metrics` function is the one used
+# metric up when called, so a patched or traced `metrics` function is the one used.
+# A masked report is its unmasked twin with the diagonal cells written empty.
 MATRIX_REPORTS = {
     "confusion": ("confusion_matrix.csv",
                   lambda d: M.confusion_metrics(d)["confusion_matrix"], False),
-    "confidence": ("confidence_matrix.csv",
-                   lambda d: M.confidence_matrix(d, source="model"), False),
+    "confidence": ("confidence_matrix.csv", lambda d: M.class_means(d, d.probs), False),
     "confidence_masked": ("confidence_matrix_masked.csv",
-                          lambda d: M.confidence_matrix(d, masked=True, source="model"), True),
+                          lambda d: M.class_means(d, d.probs), True),
     "kld_matrix": ("kld_matrix.csv", lambda d: M.kld_confusion_matrix(d), False),
     "human_confidence": ("human_confidence_matrix.csv",
-                         lambda d: M.confidence_matrix(d, source="human"), False),
+                         lambda d: M.class_means(d, d.human_probs), False),
     "human_confidence_masked": ("human_confidence_matrix_masked.csv",
-                                lambda d: M.confidence_matrix(d, masked=True, source="human"),
-                                True),
+                                lambda d: M.class_means(d, d.human_probs), True),
 }
 HUMAN_REPORTS = frozenset({"kld_matrix", "human_confidence", "human_confidence_masked"})
 ALL_REPORTS = ("metrics", "reliability") + tuple(MATRIX_REPORTS)

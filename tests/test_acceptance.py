@@ -20,9 +20,8 @@ from distillab.data import load_cifar10_bin, load_mnist_idx
 from distillab.distill import kd_loss
 from distillab.errors import FormatError
 from distillab.gradcheck import run_all
-from distillab.metrics import (EvalDump, class_discrimination, class_separability,
-                               confidence_matrix, confusion_metrics, ece,
-                               kld_confusion_matrix, summary_metrics)
+from distillab.metrics import (EvalDump, class_discrimination, class_means, class_separability,
+                               confusion_metrics, ece, kld_confusion_matrix, summary_metrics)
 from distillab.runstore import (load_array, load_eval_dump, read_manifest, read_matrix_csv,
                                 read_metrics_csv, read_reliability_csv, save_array)
 
@@ -214,23 +213,25 @@ def _verify_run_dir(run_dir):
     if rel.ece != fresh.ece or [b.count for b in rel.bins] != [b.count for b in fresh.bins]:
         problems.append(f"{run_dir.name}: reliability reparse mismatch")
     c = dump.n_classes
+    reports = run_dir / "reports"
     pairs = (
-        ("confusion_matrix.csv", confusion_metrics(dump)["confusion_matrix"].astype(float), False),
-        ("confidence_matrix.csv", confidence_matrix(dump), False),
-        ("confidence_matrix_masked.csv", confidence_matrix(dump, masked=True), True),
-        ("kld_matrix.csv", kld_confusion_matrix(dump), False),
-        ("human_confidence_matrix.csv", confidence_matrix(dump, source="human"), False),
+        ("confusion_matrix.csv", confusion_metrics(dump)["confusion_matrix"].astype(float)),
+        ("confidence_matrix.csv", class_means(dump, dump.probs)),
+        ("kld_matrix.csv", kld_confusion_matrix(dump)),
+        ("human_confidence_matrix.csv", class_means(dump, dump.human_probs)),
     )
-    for name, want, masked in pairs:
-        got = read_matrix_csv(run_dir / "reports" / name)
-        if got.shape != (c, c):
-            problems.append(f"{run_dir.name}: {name} shape {got.shape}")
-            continue
-        sel = ~np.eye(c, dtype=bool) if masked else np.ones((c, c), dtype=bool)
-        if not np.array_equal(got[sel], want[sel]):
+    for name, want in pairs:
+        got = read_matrix_csv(reports / name)
+        if got.shape != (c, c) or not np.array_equal(got, want):
             problems.append(f"{run_dir.name}: {name} does not reparse to the dump's values")
-        if masked and not np.all(np.isnan(np.diag(got))):
-            problems.append(f"{run_dir.name}: {name} diagonal not masked")
+    # a masked matrix is its twin's cells with the diagonal left empty
+    for twin in ("confidence_matrix", "human_confidence_matrix"):
+        with open(reports / f"{twin}.csv", newline="") as fh:
+            want = [row[:i] + [""] + row[i + 1:] for i, row in enumerate(csv.reader(fh))]
+        with open(reports / f"{twin}_masked.csv", newline="") as fh:
+            if list(csv.reader(fh)) != want:
+                problems.append(f"{run_dir.name}: {twin}_masked.csv is not {twin}.csv "
+                                "with an empty diagonal")
     return problems
 
 

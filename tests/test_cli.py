@@ -175,6 +175,17 @@ def test_replay_accepts_an_aged_manifest(work, tmp_path, capsys):
     assert "reproduced" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("doc", [[], {"run_id": "r", "role": "teacher", "config": {},
+                                     "dataset": {}, "files": {"w": {"sha256": "ab"}}}])
+def test_replay_of_a_wrong_shape_manifest_is_a_format_error(tmp_path, capsys, doc):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(doc))
+    assert main(["evaluate", "--from-manifest", str(manifest),
+                 "--out", str(tmp_path / "rerun")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: FormatError: {manifest}: ")
+
+
 def test_replay_refuses_to_overwrite_its_own_run(work, tmp_path, capsys):
     run = tmp_path / "run"
     shutil.copytree(work["student"], run)

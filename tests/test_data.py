@@ -310,6 +310,18 @@ def test_load_dataset_missing_images(tmp_path):
         load_dataset(tmp_path)
 
 
+@pytest.mark.parametrize("text, why", [("{nope", "not valid JSON"),
+                                       ('{"a": 1}', "list of strings"),
+                                       ('["a", 2]', "list of strings")])
+def test_load_dataset_names_malformed_classes_json(tmp_path, text, why):
+    save_dataset(_plain_ds(), tmp_path / "d")
+    meta = tmp_path / "d" / "classes.json"
+    meta.write_text(text)
+    with pytest.raises(FormatError, match=why) as info:
+        load_dataset(tmp_path / "d")
+    assert str(meta) in str(info.value)
+
+
 def test_resolve_dataset_dispatches(tmp_path):
     ds = make_synthetic(seed=8, n_classes=2, per_class=5, img_side=6)
     save_dataset(ds, tmp_path / "saved")

@@ -4,9 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from distillab.metrics import (EvalDump, class_discrimination, class_separability,
-                               confidence_matrix, confusion_metrics, ece, human_kld,
+from distillab.metrics import (EvalDump, class_discrimination, class_means, class_separability,
+                               confusion_metrics, ece, human_kld, kl_matrix,
                                kld_confusion_matrix, standardize_embeddings, summary_metrics)
+from distillab.runstore import emit_report
 
 from oracles import (discrimination_pairs, ece_rebin, kld_matrix_loops, kl_scalar,
                      random_dump_arrays, separability_pairs, standardize_pop)
@@ -137,32 +138,24 @@ def test_ece_validates_arguments():
 
 # --- human divergence -------------------------------------------------------
 
-def test_human_kld_hand_values_all_modes():
+def test_human_kld_hand_value_model_to_human():
     human = np.array([[0.25, 0.75]])
     d = _dump([[0.5, 0.5]], [1], human=human)
-    assert human_kld(d, "kl") == pytest.approx(
+    assert human_kld(d) == pytest.approx(
         0.5 * math.log(0.5 / 0.25) + 0.5 * math.log(0.5 / 0.75))
-    assert human_kld(d, "kl-reversed") == pytest.approx(
-        0.25 * math.log(0.25 / 0.5) + 0.75 * math.log(0.75 / 0.5))
-    assert human_kld(d, "cross-entropy") == pytest.approx(
-        -(0.25 * math.log(0.5) + 0.75 * math.log(0.5)))
 
 
 def test_human_kld_zero_when_model_matches_humans():
     rng = np.random.default_rng(4)
     h = rng.dirichlet(np.ones(3), size=6)
     d = _dump(h, rng.integers(0, 3, 6), human=h.copy())
-    assert human_kld(d, "kl") == pytest.approx(0.0, abs=1e-12)
-    assert human_kld(d, "kl-reversed") == pytest.approx(0.0, abs=1e-12)
+    assert human_kld(d) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_human_kld_requires_human_probs_and_known_mode():
+def test_human_kld_requires_human_probs():
     d = _dump([[0.5, 0.5]], [0])
     with pytest.raises(ValueError):
         human_kld(d)
-    d2 = _dump([[0.5, 0.5]], [0], human=np.array([[0.5, 0.5]]))
-    with pytest.raises(ValueError):
-        human_kld(d2, "js")
 
 
 # --- separability -----------------------------------------------------------
@@ -357,23 +350,35 @@ def test_kld_confusion_matrix_zero_diagonal_when_model_echoes_humans():
     assert np.allclose(np.diag(got), 0.0, atol=1e-12)
 
 
-def test_confidence_matrix_rows_and_masking():
+def test_kl_matrix_hand_case():
+    p = np.array([[1.0, 0.0], [0.5, 0.5]])
+    q = np.array([[0.5, 0.5], [0.25, 0.75], [0.5, 0.5]])
+    got = kl_matrix(p, q)
+    assert got.shape == (2, 3)
+    assert np.allclose(got, [
+        [math.log(2), math.log(4), math.log(2)],
+        [0.0, 0.5 * math.log(2) + 0.5 * math.log(2 / 3), 0.0]], rtol=1e-12, atol=0)
+    assert np.all(np.diag(kl_matrix(q, q)) == 0.0)
+
+
+def test_confidence_matrix_rows_and_masking(tmp_path):
+    """The confidence matrix is `class_means` of the probs; the CSV writer masks it."""
     d = _dump([[0.9, 0.1], [0.7, 0.3], [0.2, 0.8], [0.4, 0.6]], [0, 0, 1, 1])
-    m = confidence_matrix(d)
+    m = class_means(d, d.probs)
     assert np.allclose(m, [[0.8, 0.2], [0.3, 0.7]])
-    masked = confidence_matrix(d, masked=True)
-    assert np.isnan(masked[0, 0]) and np.isnan(masked[1, 1])
-    assert masked[0, 1] == pytest.approx(0.2)
-    with pytest.raises(ValueError):
-        confidence_matrix(d, source="human")
-    with pytest.raises(ValueError):
-        confidence_matrix(d, source="oracle")
+    emit_report(d, tmp_path, reports=["confidence", "confidence_masked"])
+    plain = (tmp_path / "confidence_matrix.csv").read_text().splitlines()
+    masked = (tmp_path / "confidence_matrix_masked.csv").read_text().splitlines()
+    assert [r.split(",") for r in masked] == [
+        ["", plain[0].split(",")[1]], [plain[1].split(",")[0], ""]]
+    with pytest.raises(ValueError, match="class 2"):
+        class_means(_dump([[0.8, 0.1, 0.1], [0.2, 0.7, 0.1]], [0, 1]), np.eye(2))
 
 
 def test_confidence_matrix_human_source():
     human = np.array([[0.6, 0.4], [0.8, 0.2], [0.1, 0.9], [0.3, 0.7]])
     d = _dump([[0.9, 0.1], [0.9, 0.1], [0.1, 0.9], [0.1, 0.9]], [0, 0, 1, 1], human=human)
-    m = confidence_matrix(d, source="human")
+    m = class_means(d, d.human_probs)
     assert np.allclose(m, [[0.7, 0.3], [0.2, 0.8]])
 
 

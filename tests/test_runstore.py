@@ -8,9 +8,9 @@ from distillab.errors import FormatError, IntegrityError
 from distillab.metrics import EvalDump, summary_metrics, ece
 from distillab.nn import build_network
 from distillab.runstore import (ALL_REPORTS, ARRAY_MAGIC, RunManifest, emit_report,
-                                format_float, load_array, load_checkpoint, load_eval_dump,
-                                read_manifest, read_matrix_csv, read_metrics_csv,
-                                read_reliability_csv, save_array, save_checkpoint,
+                                format_float, load_array, load_arrays, load_checkpoint,
+                                load_eval_dump, read_manifest, read_matrix_csv, read_metrics_csv,
+                                read_reliability_csv, save_array, save_arrays, save_checkpoint,
                                 save_eval_dump, sha256_file, write_manifest,
                                 write_matrix_csv)
 
@@ -174,6 +174,28 @@ def test_manifest_rejects_bad_json_and_missing_fields(tmp_path):
         read_manifest(p)
 
 
+@pytest.mark.parametrize("doc, why", [
+    ([], "must be a JSON object"),
+    ({"run_id": "x", "role": "teacher", "config": {}, "dataset": {}, "files": []},
+     r"\['files'\] must be JSON objects"),
+    ({"run_id": "x", "role": "teacher", "config": [], "dataset": 3},
+     r"\['config', 'dataset'\] must be JSON objects"),
+    ({"run_id": "x", "role": "teacher", "config": {}, "dataset": {},
+      "files": {"w": {"sha256": "ab"}}}, "'w' needs string path and sha256"),
+    ({"run_id": "x", "role": "teacher", "config": {}, "dataset": {},
+      "files": {"w": {"path": "w.arr", "sha256": 7}}}, "'w' needs string path and sha256"),
+    ({"run_id": "x", "role": "teacher", "config": {}, "dataset": {}, "files": {"w": "w.arr"}},
+     "'w' needs string path and sha256"),
+])
+def test_manifest_rejects_wrong_shape_naming_the_file(tmp_path, doc, why):
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps(doc))
+    for verify in (True, False):
+        with pytest.raises(FormatError, match=why) as info:
+            read_manifest(p, verify=verify)
+        assert str(p) in str(info.value)
+
+
 # --- checkpoints ------------------------------------------------------------
 
 def test_checkpoint_round_trip_bitwise(tmp_path):
@@ -254,6 +276,16 @@ def test_eval_dump_round_trip_without_humans(tmp_path):
     d = _dump_pair(with_human=False)
     save_eval_dump(d, tmp_path / "dump")
     assert load_eval_dump(tmp_path / "dump").human_probs is None
+
+
+def test_array_directory_skips_none_and_reads_optional_as_none(tmp_path):
+    a = np.arange(3, dtype=np.int64)
+    written = save_arrays(tmp_path / "d", {"a": a, "b": None})
+    assert written == [tmp_path / "d" / "a.arr"]
+    back = load_arrays(tmp_path / "d", ("a",), optional=("b",))
+    assert back["b"] is None and np.array_equal(back["a"], a)
+    with pytest.raises(FileNotFoundError):
+        load_arrays(tmp_path / "d", ("b",))
 
 
 # --- CSV formatting ---------------------------------------------------------
