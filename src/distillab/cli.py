@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import shutil
 import sys
 from pathlib import Path
@@ -190,6 +191,11 @@ def _rerun_from_manifest(manifest_path: Path, out: Path) -> int:
         raise FormatError(f"{manifest_path}: run recorded no eval dataset to reproduce")
     if out.resolve() == manifest_path.parent.resolve():
         raise FormatError(f"{out}: a replay cannot overwrite the run it replays")
+    missing = [f"{section}.{key}" for section, key in
+               (("config", "train"), ("config", "arch"), ("dataset", "train"))
+               if key not in getattr(m, section)]
+    if missing:
+        raise FormatError(f"{manifest_path}: manifest records no {', '.join(missing)}")
     cfg = TrainConfig.from_dict(m.config["train"])
     train_ds = dataset_from_desc(m.dataset["train"])
     eval_ds = dataset_from_desc(m.dataset["eval"])
@@ -326,7 +332,10 @@ def _write_trends(out: Path, teachers, rows) -> None:
         print("trend:", line)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parse_args keeps no state
+    between calls, so every call to `main` may share it."""
     parser = argparse.ArgumentParser(
         prog="distillab",
         description="Deterministic desk-scale distillation and augmentation laboratory.")

@@ -189,17 +189,22 @@ def standardize_embeddings(emb: np.ndarray) -> np.ndarray:
     Dimensions with zero variance come out as all zeros rather than dividing
     by zero.
     """
-    emb = np.asarray(emb, dtype=np.float64)
+    emb = np.array(emb, dtype=np.float64)  # a private copy, centred and scaled in place
     if emb.ndim != 2:
         raise ValueError(f"embeddings must be [N, d], got shape {emb.shape}")
     if emb.shape[0] < 2:
         raise ValueError(f"standardization needs N >= 2, got N={emb.shape[0]}")
-    centered = emb - emb.mean(axis=0)
-    std = emb.std(axis=0)
-    out = np.zeros_like(centered)
-    nz = std > 0
-    out[:, nz] = centered[:, nz] / std[nz]
-    return out
+    emb -= emb.mean(axis=0)
+    # np.std's own steps, on the centred array it would otherwise build again
+    std = np.sqrt(np.add.reduce(emb * emb, axis=0) / emb.shape[0])
+    return _divide_or_zero(emb, std, std > 0)
+
+
+def _divide_or_zero(a: np.ndarray, divisor: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """a / divisor in place where `keep` holds, exact zeros elsewhere."""
+    np.divide(a, divisor, out=a, where=keep)
+    np.copyto(a, 0.0, where=~keep)
+    return a
 
 
 @dataclass
@@ -250,14 +255,16 @@ def class_discrimination(dump: EvalDump, standardize: bool = True,
         if idx.size < 2:
             raise ValueError(f"class {c} has {idx.size} samples; cohesion needs at least 2")
     emb = standardize_embeddings(dump.embeddings) if standardize \
-        else np.asarray(dump.embeddings, dtype=np.float64)
+        else np.array(dump.embeddings, dtype=np.float64)
     d = emb.shape[1]
-    norms = np.linalg.norm(emb, axis=1)
-    zero = norms == 0.0
-    unit = np.zeros_like(emb)
-    unit[~zero] = emb[~zero] / norms[~zero, None]
-    sums = np.stack([unit[idx].sum(axis=0) for idx in groups])
-    sq_norms = np.array([np.einsum("ij,ij->", unit[idx], unit[idx]) for idx in groups])
+    norms = np.linalg.norm(emb, axis=1)[:, None]
+    unit = _divide_or_zero(emb, norms, norms != 0.0)
+    sums = np.empty((dump.n_classes, d))
+    sq_norms = np.empty(dump.n_classes)
+    for c, idx in enumerate(groups):
+        rows = unit[idx]
+        sums[c] = rows.sum(axis=0)
+        sq_norms[c] = np.einsum("ij,ij->", rows, rows)
     dots = sums @ sums.T
     n = np.array([idx.size for idx in groups], dtype=np.float64)
     cohesion = (np.diag(dots) - sq_norms) / 2.0 / (n * (n - 1))
@@ -271,7 +278,7 @@ def class_discrimination(dump: EvalDump, standardize: bool = True,
         adhesion=adhesion,
         discrimination=_assemble_d(cohesion, adhesion, d),
         dim=d,
-        zero_norm_count=int(zero.sum()),
+        zero_norm_count=int(np.count_nonzero(norms == 0.0)),
         pair_mean=pair_mean,
     )
 

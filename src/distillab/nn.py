@@ -3,12 +3,18 @@
 Arrays are plain numpy ndarrays: float32 for training, float64 when checking
 gradients against finite differences.  Layers cache their inputs during a
 recorded forward pass so backward() can fill per-parameter gradient slots;
-forward with record=False touches no state and is safe to run concurrently
-on a frozen network.
+forward with record=False writes no layer or network state and is safe to run
+concurrently on a frozen network.  The one thing it may fill is a process-wide
+memo of im2col gather indices, a pure function of the input shape.
+
+Shapes are NCHW throughout, but a convolution returns an NCHW view of
+channels-last memory, and ReLU and max-pool keep whatever memory order they
+are given, so the next convolution reads its input contiguously.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 
@@ -35,6 +41,11 @@ class Layer:
         raise NotImplementedError
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        """Fill the gradient slots and return d/d input.
+
+        Layers with parameters also take input_grad=False, which fills the
+        slots only and returns None.
+        """
         raise NotImplementedError
 
     def params(self) -> dict[str, np.ndarray]:
@@ -67,11 +78,11 @@ class Dense(Layer):
             self._x = x
         return x @ self.weight + self.bias
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, input_grad=True):
         x = self._x
         self.grad_weight = x.T @ grad_out
         self.grad_bias = grad_out.sum(axis=0)
-        return grad_out @ self.weight.T
+        return grad_out @ self.weight.T if input_grad else None
 
     def params(self):
         return {"weight": self.weight, "bias": self.bias}
@@ -82,6 +93,19 @@ class Dense(Layer):
     def spec(self):
         return {"kind": self.kind, "in_features": self.in_features,
                 "out_features": self.out_features}
+
+
+@functools.lru_cache(maxsize=32)
+def _im2col_index(hp: int, wp: int, c: int, k: int) -> np.ndarray:
+    """Flat offsets into one zero-padded channels-last image [hp, wp, C] of its
+    stride-1 im2col columns [oh, ow, C, k, k]; read-only, as it is shared."""
+    oh, ow = hp - k + 1, wp - k + 1
+    r = np.arange(k)
+    rows = (np.arange(oh)[:, None] + r)[:, None, None, :, None]
+    cols = (np.arange(ow)[:, None] + r)[None, :, None, None, :]
+    idx = ((rows * wp + cols) * c + np.arange(c)[:, None, None]).ravel()
+    idx.flags.writeable = False
+    return idx
 
 
 class Conv2d(Layer):
@@ -122,32 +146,44 @@ class Conv2d(Layer):
         if oh < 1 or ow < 1:
             raise ShapeError(f"layer {self.name}: kernel {k} larger than padded input "
                              f"{(h + lo + hi, w + lo + hi)}")
-        # im2col in GEMM layout: zero-padded channels-last input, then columns
-        # [B, oh, ow, C, k, k] whose row-major reshape is the GEMM's left operand
-        xp = np.zeros((b, h + lo + hi, w + lo + hi, c), dtype=x.dtype)
+        # im2col in GEMM layout: zero-padded channels-last input, then one gather
+        # into columns [B, oh, ow, C, k, k] whose row-major reshape is the GEMM's
+        # left operand.  A zero-row batch (Network's shape probe) builds no index
+        # and no tiled bias: its declared shape may be too large to allocate.
+        hp, wp = h + lo + hi, w + lo + hi
+        xp = np.zeros((b, hp, wp, c), dtype=x.dtype)
         xp[:, lo:lo + h, lo:lo + w] = x.transpose(0, 2, 3, 1)
-        cols = np.empty((b, oh, ow, c, k, k), dtype=x.dtype)
-        for i in range(k):
-            for j in range(k):
-                cols[..., i, j] = xp[:, i:i + oh, j:j + ow]
+        if b:
+            cols = np.take(xp.reshape(b, hp * wp * c), _im2col_index(hp, wp, c, k), axis=1)
+        else:
+            cols = np.empty((0, oh * ow * c * k * k), dtype=x.dtype)
+        cols = cols.reshape(b, oh, ow, c, k, k)
         if record:
             self._cols = cols
             self._in_shape = x.shape
         # the weight operand stays the F-order view of [O, C*k*k]: a C-order copy
         # hands BLAS another transposition flag, which can move the last ulp
         prod = np.dot(cols.reshape(b * oh * ow, c * k * k), self.weight.reshape(o, c * k * k).T)
-        out = np.empty((b, o, oh, ow), dtype=prod.dtype)
-        np.add(prod.reshape(b, oh, ow, o).transpose(0, 3, 1, 2), self.bias[:, None, None], out=out)
-        return out
+        if b:
+            # the bias tiled over one image's rows: broadcast over [B*oh*ow, O]
+            # alone, numpy adds it in inner loops of only O elements
+            prod.reshape(b, oh * ow * o)[...] += np.tile(self.bias, oh * ow)
+        return prod.reshape(b, oh, ow, o).transpose(0, 3, 1, 2)
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, input_grad=True):
         cols = self._cols
         b, c, h, w = self._in_shape
         k = self.kernel_size
         lo, hi = self._pads()
         oh, ow = grad_out.shape[2], grad_out.shape[3]
+        # the reductions read a C-contiguous NCHW gradient whatever memory order it
+        # arrives in: numpy's summation order and the operands BLAS is handed
+        # follow the layout, and either can move the last ulp
+        grad_out = np.ascontiguousarray(grad_out)
         self.grad_bias = grad_out.sum(axis=(0, 2, 3))
         self.grad_weight = np.tensordot(grad_out, cols, axes=([0, 2, 3], [0, 1, 2]))
+        if not input_grad:
+            return None
         # grad wrt columns [B, oh, ow, C, k, k], scatter-added back into the
         # channels-last padded input one kernel offset at a time
         gcols = np.tensordot(grad_out, self.weight, axes=([1], [0]))
@@ -199,11 +235,11 @@ class MaxPool2d(Layer):
         phases = self._phases(x)
         # folded from the last phase back: where np.maximum returns its second
         # operand on equal inputs (+0 vs -0), the earlier phase's value is kept
-        out = phases[-1].copy()
+        out = phases[-1].copy(order="K")
         for p in reversed(phases[:-1]):
             np.maximum(out, p, out=out)
         if record:
-            free = np.ones(out.shape, dtype=bool)
+            free = np.ones_like(out, dtype=bool)
             self._masks = []
             for p in phases:
                 m = (p == out) & free
@@ -213,10 +249,16 @@ class MaxPool2d(Layer):
         return out
 
     def backward(self, grad_out):
+        # work in the memory order of the recorded forward (channels-last after a
+        # convolution), which the masks share: a multiply across two orders runs
+        # ~6x slower than copying grad_out over first
+        like = self._masks[0]
+        g = np.empty_like(like, dtype=grad_out.dtype)
+        np.copyto(g, grad_out)
         # the phases tile the input, so every element of gx is written once
-        gx = np.empty(self._in_shape, dtype=grad_out.dtype)
+        gx = np.empty_like(like, dtype=grad_out.dtype, shape=self._in_shape)
         for view, m in zip(self._phases(gx), self._masks):
-            np.multiply(grad_out, m, out=view)
+            np.multiply(g, m, out=view)
         return gx
 
     def spec(self):
@@ -262,7 +304,8 @@ class Network:
 
     `embedding_tap` indexes the layer whose (flattened) output is reported as
     the embedding.  Training mutates the instance and must be serialized by
-    the caller; forward with record=False is read-only.
+    the caller; forward with record=False leaves the instance untouched (see
+    the module docstring for the one process-wide memo it may fill).
     """
 
     def __init__(self, layers: list[Layer], embedding_tap: int,
@@ -302,14 +345,22 @@ class Network:
             raise FloatingPointError("non-finite logits; training has diverged")
         return x, emb
 
-    def backward(self, grad_logits: np.ndarray) -> np.ndarray:
-        """Backpropagate from the logits; fills every gradient slot, returns d/d input."""
+    def backward(self, grad_logits: np.ndarray) -> None:
+        """Backpropagate from the logits, filling every gradient slot.
+
+        Nothing reads the gradient with respect to the network's input, so
+        backpropagation stops at the lowest layer with parameters, which fills
+        its parameter gradients only.
+        """
         if not self._forward_done:
             raise RuntimeError("backward called before a recorded forward pass")
         g = np.asarray(grad_logits, dtype=self.dtype)
-        for layer in reversed(self.layers):
+        trainable = [i for i, layer in enumerate(self.layers) if layer.params()]
+        if not trainable:
+            return
+        for layer in reversed(self.layers[trainable[0] + 1:]):
             g = layer.backward(g)
-        return g
+        self.layers[trainable[0]].backward(g, input_grad=False)
 
     def param_items(self):
         for i, layer in enumerate(self.layers):

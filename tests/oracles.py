@@ -108,6 +108,41 @@ def discrimination_pairs(emb: np.ndarray, labels: np.ndarray, n_classes: int,
     return cohesion, adhesion, d
 
 
+def standardize_reference(emb: np.ndarray) -> np.ndarray:
+    """Per-dimension standardization through np.std and boolean column gathers:
+    the byte reference for metrics.standardize_embeddings."""
+    emb = np.asarray(emb, dtype=np.float64)
+    centered = emb - emb.mean(axis=0)
+    std = emb.std(axis=0)
+    out = np.zeros_like(centered)
+    nz = std > 0
+    out[:, nz] = centered[:, nz] / std[nz]
+    return out
+
+
+def discrimination_reference(emb: np.ndarray, labels: np.ndarray, n_classes: int,
+                             standardize: bool = True):
+    """Class-sum cohesion/adhesion/D with boolean row gathers and one gather per
+    class for each of the sum and the squared norms: the byte reference for
+    metrics.class_discrimination.  Returns (cohesion, adhesion, D, zero-norm count)."""
+    emb = standardize_reference(emb) if standardize else np.asarray(emb, dtype=np.float64)
+    groups = [np.flatnonzero(labels == c) for c in range(n_classes)]
+    norms = np.linalg.norm(emb, axis=1)
+    zero = norms == 0.0
+    unit = np.zeros_like(emb)
+    unit[~zero] = emb[~zero] / norms[~zero, None]
+    sums = np.stack([unit[idx].sum(axis=0) for idx in groups])
+    sq_norms = np.array([np.einsum("ij,ij->", unit[idx], unit[idx]) for idx in groups])
+    dots = sums @ sums.T
+    n = np.array([idx.size for idx in groups], dtype=np.float64)
+    cohesion = (np.diag(dots) - sq_norms) / 2.0 / (n * (n - 1))
+    adhesion = {(i, j): float(dots[i, j] / (n[i] * n[j]))
+                for i in range(n_classes) for j in range(i + 1, n_classes)}
+    mean_a = float(np.mean(list(adhesion.values()))) if adhesion else 0.0
+    d = (float(np.mean(cohesion)) - mean_a) / math.sqrt(emb.shape[1])
+    return cohesion, adhesion, d, int(zero.sum())
+
+
 def kld_matrix_loops(probs: np.ndarray, human: np.ndarray, labels: np.ndarray,
                      n_classes: int) -> np.ndarray:
     out = np.zeros((n_classes, n_classes))

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from distillab import cli
 from distillab.cli import _dataset_desc, build_parser, dataset_from_desc, main
 from distillab.data import load_dataset, resolve_dataset
 from distillab.runstore import (load_array, load_checkpoint, load_eval_dump, read_manifest,
@@ -184,6 +185,33 @@ def test_replay_of_a_wrong_shape_manifest_is_a_format_error(tmp_path, capsys, do
                  "--out", str(tmp_path / "rerun")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: FormatError: {manifest}: ")
+
+
+@pytest.mark.parametrize("section, key", [("config", "train"), ("config", "arch"),
+                                          ("dataset", "train")])
+def test_replay_of_a_manifest_missing_a_record_is_a_format_error(work, tmp_path, capsys,
+                                                                 section, key):
+    run = tmp_path / "run"
+    shutil.copytree(work["teacher"], run)
+    doc = json.loads((run / "manifest.json").read_text())
+    del doc[section][key]
+    (run / "manifest.json").write_text(json.dumps(doc))
+    assert main(["evaluate", "--from-manifest", str(run / "manifest.json"),
+                 "--out", str(tmp_path / "rerun")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: FormatError: {run / 'manifest.json'}: ")
+    assert f"{section}.{key}" in err
+
+
+def test_parser_is_built_once_and_keeps_no_flag_between_calls(monkeypatch):
+    assert build_parser() is build_parser()
+    seen = []
+    monkeypatch.setattr(cli, "_cmd_report", lambda args: seen.append(vars(args)) or 0)
+    assert main(["report", "--dump", "d", "--out", "o", "--reports", "ece", "--bins", "5"]) == 0
+    assert main(["report", "--dump", "d2", "--out", "o2"]) == 0
+    assert seen[0]["reports"] == "ece" and seen[0]["bins"] == 5
+    assert seen[1] == {"command": "report", "dump": "d2", "out": "o2", "reports": "all",
+                       "bins": 15}
 
 
 def test_replay_refuses_to_overwrite_its_own_run(work, tmp_path, capsys):

@@ -9,8 +9,9 @@ from distillab.metrics import (EvalDump, class_discrimination, class_means, clas
                                kld_confusion_matrix, standardize_embeddings, summary_metrics)
 from distillab.runstore import emit_report
 
-from oracles import (discrimination_pairs, ece_rebin, kld_matrix_loops, kl_scalar,
-                     random_dump_arrays, separability_pairs, standardize_pop)
+from oracles import (discrimination_pairs, discrimination_reference, ece_rebin, kld_matrix_loops,
+                     kl_scalar, random_dump_arrays, separability_pairs, standardize_pop,
+                     standardize_reference)
 
 
 def _dump(probs, labels, emb=None, human=None):
@@ -287,6 +288,54 @@ def test_discrimination_matches_pair_oracle():
                 for key, val in adh.items():
                     assert rep.adhesion[key] == pytest.approx(val, abs=1e-9)
                 assert rep.discrimination == pytest.approx(disc, rel=1e-8, abs=1e-10)
+
+
+def _reference_dumps(rng):
+    """Random dumps, each with a zero-variance dimension and, before or after
+    standardization, a zero-norm row; float32 embeddings as a network emits them."""
+    dumps = []
+    for i in range(20):
+        probs, emb, labels, _, _ = random_dump_arrays(rng, with_human=False)
+        if i % 2:
+            # integer values summing to 0 per column: every mean is exactly 0, so
+            # row 0 is zero once standardized (the constant column goes to 0)
+            emb = rng.integers(-3, 4, size=emb.shape).astype(np.float64)
+            emb[:2] = 0.0
+            emb[1] = -emb.sum(axis=0)
+            emb[:, -1] = 2.5
+        else:
+            emb[0] = 0.0
+            emb[:, -1] = 0.0
+        if i % 4 < 2:
+            emb = emb.astype(np.float32)
+        dumps.append(EvalDump(probs=probs, embeddings=emb, true_labels=labels))
+    return dumps
+
+
+def test_discrimination_matches_gather_reference_bitwise():
+    rng = np.random.default_rng(21)
+    zero_rows = {True: 0, False: 0}
+    for d in _reference_dumps(rng):
+        std = standardize_embeddings(d.embeddings)
+        assert std.tobytes() == standardize_reference(d.embeddings).tobytes()
+        assert not std[:, -1].any()
+        for standardize in (True, False):
+            rep = class_discrimination(d, standardize=standardize)
+            coh, adh, disc, zeros = discrimination_reference(
+                d.embeddings, d.true_labels, d.n_classes, standardize=standardize)
+            assert rep.cohesion.tobytes() == coh.tobytes()
+            assert list(rep.adhesion) == list(adh)
+            assert [v.hex() for v in rep.adhesion.values()] == [v.hex() for v in adh.values()]
+            assert rep.discrimination.hex() == disc.hex()
+            assert rep.zero_norm_count == zeros
+            zero_rows[standardize] += zeros
+    assert zero_rows[True] >= 10 and zero_rows[False] >= 10
+    # the caller's embeddings are left as they were
+    emb = np.arange(12.0).reshape(6, 2)
+    d = _dump(np.full((6, 2), 0.5), [0, 0, 0, 1, 1, 1], emb=emb)
+    for standardize in (True, False):
+        class_discrimination(d, standardize=standardize)
+    assert np.array_equal(d.embeddings, np.arange(12.0).reshape(6, 2))
 
 
 def test_discrimination_allocates_no_n_by_n_array():

@@ -180,6 +180,25 @@ def test_forward_shape_error_names_offending_layer():
         build_network("teacher-cnn", (1, 10, 10), 4, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("arch, calls", [
+    ("teacher-cnn", ["dense", "relu", "dense", "flatten", "maxpool2d", "relu", "conv2d",
+                     "maxpool2d", "relu", "conv2d:no-input-grad"]),
+    ("student-mlp", ["dense", "relu", "dense:no-input-grad"]),
+])
+def test_backward_stops_at_the_lowest_layer_with_parameters(arch, calls):
+    rng = np.random.default_rng(4)
+    net = build_network(arch, (1, 12, 12), 4, rng)
+    seen = []
+    for layer in net.layers:
+        def spy(g, _layer=layer, _backward=layer.backward, **kw):
+            seen.append(_layer.kind + (":no-input-grad" if kw == {"input_grad": False} else ""))
+            return _backward(g, **kw)
+        layer.backward = spy
+    net.forward(rng.random((3, 1, 12, 12)).astype(np.float32))
+    assert net.backward(rng.standard_normal((3, 4)).astype(np.float32)) is None
+    assert seen == calls
+
+
 def test_backward_before_forward_is_rejected():
     net = Network([Dense(3, 2)], 0, (3,))
     with pytest.raises(RuntimeError):
@@ -334,6 +353,79 @@ def test_params_digest_changes_with_params():
     d1 = net.params_digest()
     net.layers[1].weight[0, 0] += 1.0
     assert net.params_digest() != d1
+
+
+def _oracle_forward(net, x):
+    """The network's layers chained through the NCHW oracles; returns the logits
+    and, per layer, its input and (for max-pool) the window argmax."""
+    tape = []
+    for layer in net.layers:
+        arg = None
+        if layer.kind == "conv2d":
+            out = conv2d_im2col_reference(x, layer.weight, layer.bias, layer.padding)
+        elif layer.kind == "relu":
+            out = np.maximum(x, 0)
+        elif layer.kind == "maxpool2d":
+            out, arg = maxpool_loops(x, layer.size)
+        elif layer.kind == "flatten":
+            out = x.reshape(x.shape[0], -1)
+        else:
+            out = x @ layer.weight + layer.bias
+        tape.append((x, arg))
+        x = out
+    return x, tape
+
+
+def _oracle_param_grads(net, tape, g):
+    """Parameter gradients of one backward pass chained through the NCHW oracles."""
+    grads = {}
+    for i in reversed(range(len(net.layers))):
+        layer, (x, arg) = net.layers[i], tape[i]
+        if layer.kind == "conv2d":
+            g, gw, gb = conv2d_im2col_backward_reference(x, layer.weight, g, layer.padding)
+            grads[i] = (gw, gb)
+        elif layer.kind == "relu":
+            g = g * (x > 0)
+        elif layer.kind == "maxpool2d":
+            g = maxpool_backward_loops(g, arg, layer.size)
+        elif layer.kind == "flatten":
+            g = g.reshape(x.shape)
+        else:
+            grads[i] = (x.T @ g, g.sum(axis=0))
+            g = g @ layer.weight.T
+    return grads
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_training_step_matches_nchw_oracle_chain_bitwise(arch):
+    # the conv returns NCHW views of channels-last memory and ReLU and max-pool
+    # keep that order; the parameter gradients must not move by one bit
+    rng = np.random.default_rng(31)
+    net = build_network(arch, (1, 12, 12), 4, rng)
+    x = rng.random((64, 1, 12, 12)).astype(np.float32)
+    g = rng.standard_normal((64, 4)).astype(np.float32)
+    logits, _ = net.forward(x, record=True)
+    assert net.backward(g) is None
+    want_logits, tape = _oracle_forward(net, x)
+    assert logits.tobytes() == want_logits.tobytes()
+    want = _oracle_param_grads(net, tape, g)
+    assert sorted(want) == sorted(i for i, layer in enumerate(net.layers) if layer.params())
+    for i, (gw, gb) in want.items():
+        layer = net.layers[i]
+        assert layer.grad_weight.dtype == gw.dtype and layer.grad_bias.dtype == gb.dtype
+        assert layer.grad_weight.tobytes() == gw.tobytes(), (arch, i, "weight")
+        assert layer.grad_bias.tobytes() == gb.tobytes(), (arch, i, "bias")
+
+
+@pytest.mark.parametrize("batch", [64, 232, 256])
+def test_no_record_forward_matches_nchw_oracle_chain_bitwise(batch):
+    rng = np.random.default_rng(batch)
+    net = build_network("teacher-cnn", (1, 12, 12), 4, rng)
+    x = rng.random((batch, 1, 12, 12)).astype(np.float32)
+    logits, emb = net.forward(x, record=False)
+    want, tape = _oracle_forward(net, x)
+    assert logits.dtype == want.dtype and logits.tobytes() == want.tobytes()
+    assert emb.tobytes() == tape[net.embedding_tap + 1][0].tobytes()
 
 
 def test_record_false_leaves_caches_untouched():
