@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import os
 import shutil
 import sys
 from pathlib import Path
@@ -196,9 +197,17 @@ def _rerun_from_manifest(manifest_path: Path, out: Path) -> int:
                if key not in getattr(m, section)]
     if missing:
         raise FormatError(f"{manifest_path}: manifest records no {', '.join(missing)}")
-    cfg = TrainConfig.from_dict(m.config["train"])
-    train_ds = dataset_from_desc(m.dataset["train"])
-    eval_ds = dataset_from_desc(m.dataset["eval"])
+
+    def build(record: str, make, value):
+        try:
+            return make(value)
+        except (KeyError, TypeError) as exc:
+            raise FormatError(f"{manifest_path}: malformed {record} "
+                              f"({type(exc).__name__}: {exc})") from None
+
+    cfg = build("config.train", TrainConfig.from_dict, m.config["train"])
+    train_ds = build("dataset.train", dataset_from_desc, m.dataset["train"])
+    eval_ds = build("dataset.eval", dataset_from_desc, m.dataset["eval"])
     teacher = manifest_path.parent / "teacher" if m.role == "student" else None
     model = _train(m.role, cfg, train_ds, m.config["arch"], teacher)
     rerun = _emit_run(out, model, m.config["arch"], m.dataset["train"], eval_ds, m.dataset["eval"],
@@ -254,6 +263,47 @@ def _cmd_gradcheck(args) -> int:
 MATRIX_COLUMNS = ("cell", "strategy", "arm", "teacher_accuracy") + R.METRIC_COLUMNS
 
 
+# (train set, student architecture) of the grid, set in each worker process
+_cell_fit: tuple[D.Dataset, str] | None = None
+
+
+def _init_cell_fits(fit: tuple[D.Dataset, str]) -> None:
+    global _cell_fit
+    _cell_fit = fit
+
+
+def _fit_cell(cfg: TrainConfig, teacher_ckpt: Path) -> TrainedModel:
+    """Fit one grid student in a worker against its teacher's checkpoint: the bytes
+    that its run directory's `teacher/` copy holds and that a replay reads."""
+    train_ds, arch = _cell_fit
+    return _train("student", cfg, train_ds, arch, teacher_ckpt)
+
+
+def _os_threads() -> int:
+    """OS threads of this process, BLAS threads included; 0 where there is no
+    `/proc/self/task` (off Linux), so the grid fits every cell in one process there."""
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except OSError:
+        return 0
+
+
+def _cell_pool(n_cells: int, fit: tuple[D.Dataset, str]):
+    """A fork pool with one worker per usable CPU beyond this process, which trains the
+    teachers and writes, or None to fit every cell here.  Forking needs a single-threaded
+    process: a multi-threaded BLAS already spreads each fit over the CPUs, its spinning
+    threads starve the workers (a 1-epoch grid ran 2-4x slower), and a forked
+    multi-threaded process may deadlock.  Fork hands each worker the train set once."""
+    jobs = min(len(os.sched_getaffinity(0)) - 1, n_cells) if _os_threads() == 1 else 0
+    if jobs < 1:
+        return None
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_init_cell_fits, initargs=(fit,))
+
+
 def _cmd_matrix(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -273,34 +323,50 @@ def _cmd_matrix(args) -> int:
                              for i, ds in enumerate(splits))
 
     base = {k: getattr(args, k) for k in _TRAIN_FLAGS}
-    teachers: dict[str, tuple[TrainedModel, Path, dict]] = {}
-    for i, strat in enumerate(STRATEGY_KINDS):
-        cfg = TrainConfig(seed=int(seeds[2 + i]), strategy=AugmentStrategy(strat), **base)
-        model = train_teacher(cfg, train_ds, arch=args.teacher_arch)
-        tdir = out / "teachers" / strat
-        tvals = _emit_run(tdir, model, args.teacher_arch, train_desc, eval_ds, eval_desc,
-                          args.t_eval, args.bins, run_id=f"teacher-{strat}").metrics["eval"]
-        teachers[strat] = (model, tdir / "checkpoint", tvals)
-        print(f"teacher[{strat}] eval accuracy {tvals['accuracy']:.4f}")
-
     student_base = dict(base, lr=args.student_lr, epochs=args.student_epochs,
                         **{k: getattr(args, k) for k in _KD_FLAGS})
-    rows = []
+    # (strategy, arm, teacher strategy, student config) of each cell, in the order written
+    cells = []
     for strat in STRATEGY_KINDS:
         for arm, (teacher_aug, student_aug) in ARMS.items():
-            teacher_model, teacher_ckpt, teacher_eval = teachers[strat if teacher_aug else "none"]
-            cfg = TrainConfig(seed=int(seeds[7 + len(rows)]),
+            cfg = TrainConfig(seed=int(seeds[7 + len(cells)]),
                               strategy=AugmentStrategy(strat if student_aug else "none"),
                               **student_base)
-            student = train_student(cfg, teacher_model, train_ds, arch=args.student_arch)
-            cell = f"{strat}-{arm}"
-            svals = _emit_run(out / "cells" / cell, student, args.student_arch, train_desc,
+            cells.append((strat, arm, strat if teacher_aug else "none", cfg))
+
+    # Students fit in worker processes, each submitted once its teacher's checkpoint is
+    # written; this process trains the teachers and alone writes, in cell order.
+    pool = _cell_pool(len(cells), (train_ds, args.student_arch))
+    fits = {}  # cell index -> a call that returns the cell's trained student
+    teacher_eval: dict[str, dict] = {}
+    rows = []
+    try:
+        for i, strat in enumerate(STRATEGY_KINDS):
+            cfg = TrainConfig(seed=int(seeds[2 + i]), strategy=AugmentStrategy(strat), **base)
+            model = train_teacher(cfg, train_ds, arch=args.teacher_arch)
+            teacher_eval[strat] = tvals = _emit_run(
+                out / "teachers" / strat, model, args.teacher_arch, train_desc, eval_ds,
+                eval_desc, args.t_eval, args.bins, run_id=f"teacher-{strat}").metrics["eval"]
+            print(f"teacher[{strat}] eval accuracy {tvals['accuracy']:.4f}")
+            ckpt = out / "teachers" / strat / "checkpoint"
+            for k, (*_, t_strat, student_cfg) in enumerate(cells):
+                if t_strat == strat:
+                    fits[k] = (pool.submit(_fit_cell, student_cfg, ckpt).result if pool
+                               else functools.partial(_train, "student", student_cfg, train_ds,
+                                                      args.student_arch, ckpt))
+
+        for k, (strat, arm, t_strat, _) in enumerate(cells):
+            cell, t_acc = f"{strat}-{arm}", teacher_eval[t_strat]["accuracy"]
+            svals = _emit_run(out / "cells" / cell, fits.pop(k)(), args.student_arch, train_desc,
                               eval_ds, eval_desc, args.t_eval, args.bins,
-                              teacher_ckpt_src=teacher_ckpt, run_id=f"cell-{cell}").metrics["eval"]
-            rows.append(dict(zip(MATRIX_COLUMNS, (cell, strat, arm, teacher_eval["accuracy"],
+                              teacher_ckpt_src=out / "teachers" / t_strat / "checkpoint",
+                              run_id=f"cell-{cell}").metrics["eval"]
+            rows.append(dict(zip(MATRIX_COLUMNS, (cell, strat, arm, t_acc,
                                                   *(svals[c] for c in R.METRIC_COLUMNS)))))
-            print(f"cell[{cell}] teacher acc {teacher_eval['accuracy']:.4f} "
-                  f"student acc {svals['accuracy']:.4f}")
+            print(f"cell[{cell}] teacher acc {t_acc:.4f} student acc {svals['accuracy']:.4f}")
+    finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
 
     agg = out / "matrix_metrics.csv"
     with open(agg, "w", newline="", encoding="utf-8") as fh:
@@ -308,15 +374,15 @@ def _cmd_matrix(args) -> int:
         w.writerow(MATRIX_COLUMNS)
         for row in rows:
             w.writerow([v if isinstance(v, str) else R.format_float(v) for v in row.values()])
-    _write_trends(out, teachers, rows)
+    _write_trends(out, teacher_eval, rows)
     print(f"matrix complete: {len(rows)} cells -> {agg}")
     return 0
 
 
-def _write_trends(out: Path, teachers, rows) -> None:
+def _write_trends(out: Path, teacher_eval: dict[str, dict], rows) -> None:
     """Directional comparison against the reference full-scale findings (reported, not asserted)."""
-    sep = {strat: float(ev["separability"]) for strat, (_, _, ev) in teachers.items()}
-    disc = {strat: float(ev["discrimination"]) for strat, (_, _, ev) in teachers.items()}
+    sep = {strat: float(ev["separability"]) for strat, ev in teacher_eval.items()}
+    disc = {strat: float(ev["discrimination"]) for strat, ev in teacher_eval.items()}
     student_acc = {row["cell"]: row["accuracy"] for row in rows}
     lines = []
     for strat in ("mixup", "cutmix"):

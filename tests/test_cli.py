@@ -1,9 +1,12 @@
 import argparse
 import json
+import multiprocessing
+import os
 import shutil
 import struct
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -203,6 +206,23 @@ def test_replay_of_a_manifest_missing_a_record_is_a_format_error(work, tmp_path,
     assert f"{section}.{key}" in err
 
 
+@pytest.mark.parametrize("section, key, value", [("config", "train", {"bogus": 1}),
+                                                 ("config", "train", []),
+                                                 ("dataset", "train", {}),
+                                                 ("dataset", "eval", {"kind": "path"})])
+def test_replay_of_a_malformed_record_is_a_format_error(work, tmp_path, capsys, section, key,
+                                                        value):
+    run = tmp_path / "run"
+    shutil.copytree(work["teacher"], run)
+    doc = json.loads((run / "manifest.json").read_text())
+    doc[section][key] = value
+    (run / "manifest.json").write_text(json.dumps(doc))
+    assert main(["evaluate", "--from-manifest", str(run / "manifest.json"),
+                 "--out", str(tmp_path / "rerun")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: FormatError: {run / 'manifest.json'}: malformed {section}.{key} ")
+
+
 def test_parser_is_built_once_and_keeps_no_flag_between_calls(monkeypatch):
     assert build_parser() is build_parser()
     seen = []
@@ -374,15 +394,26 @@ def test_gradcheck_passes_and_prints_lines(capsys):
     assert "FAIL" not in out
 
 
-def test_matrix_mini_grid_end_to_end(tmp_path, capsys):
-    data = tmp_path / "grid-data"
+MINI_GRID = ("--teacher-arch", "student-mlp", "--student-arch", "student-mlp", "--epochs", "1",
+             "--student-epochs", "1", "--batch-size", "16", "--temperature", "4")
+
+
+@pytest.fixture(scope="module")
+def grid_data(tmp_path_factory):
+    data = tmp_path_factory.mktemp("grid") / "data"
     assert main(["synth", "--seed", "21", "--out", str(data), "--classes", "2",
                  "--per-class", "40", "--side", "6", "--difficulty", "0.3"]) == 0
+    return data
+
+
+def _mini_grid(data, out, *extra):
+    return main(["matrix", "--seed", "5", "--dataset", str(data), "--out", str(out),
+                 *MINI_GRID, *extra])
+
+
+def test_matrix_mini_grid_end_to_end(grid_data, tmp_path, capsys):
     out = tmp_path / "grid"
-    assert main(["matrix", "--seed", "5", "--dataset", str(data), "--out", str(out),
-                 "--teacher-arch", "student-mlp", "--student-arch", "student-mlp",
-                 "--epochs", "1", "--student-epochs", "1", "--batch-size", "16",
-                 "--temperature", "4"]) == 0
+    assert _mini_grid(grid_data, out) == 0
     text = capsys.readouterr().out
     assert "matrix complete: 15 cells" in text
     assert "trend:" in text
@@ -393,6 +424,79 @@ def test_matrix_mini_grid_end_to_end(tmp_path, capsys):
     assert m.role == "student"
     assert m.config["train"]["strategy"]["kind"] == "mixup"
     assert m.dataset["train"]["kind"] == "split"
+
+
+def _grid_on_cpus(monkeypatch, cpus, data, out, *extra, threads=1):
+    """Run the mini grid as if `cpus` CPUs were usable and the process ran `threads` OS
+    threads; returns (exit code, pids forked)."""
+    forked = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(cli, "_os_threads", lambda: threads)
+    monkeypatch.setattr(os, "fork", fork)
+    rc = _mini_grid(data, out, *extra)
+    monkeypatch.undo()
+    # no worker outlives the command
+    assert multiprocessing.active_children() == []
+    for pid in forked:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+    return rc, forked
+
+
+def test_grid_bytes_do_not_depend_on_the_worker_count(grid_data, tmp_path, monkeypatch):
+    trees = {}
+    for cpus in (1, 2, 3):
+        rc, forked = _grid_on_cpus(monkeypatch, cpus, grid_data, tmp_path / str(cpus))
+        assert rc == 0
+        # one worker per CPU beyond the one that trains teachers and writes; none on one
+        assert len(forked) == cpus - 1
+        trees[cpus] = _tree(tmp_path / str(cpus))
+    assert sum(path.name == "manifest.json" for path in trees[1]) == 20
+    assert trees[1] == trees[2] == trees[3]
+
+
+def test_a_multi_threaded_process_fits_the_grid_itself(grid_data, tmp_path, monkeypatch):
+    # a multi-threaded BLAS already spreads each fit over the CPUs
+    rc, forked = _grid_on_cpus(monkeypatch, 2, grid_data, tmp_path / "out", threads=2)
+    assert rc == 0 and forked == []
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux's /proc")
+def test_the_thread_probe_counts_the_threads_of_this_process():
+    before = cli._os_threads()
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert cli._os_threads() == before + 1
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+
+
+def test_a_cell_failing_in_a_worker_fails_the_grid_as_in_process(grid_data, tmp_path,
+                                                                 monkeypatch, capsys):
+    seen = {}
+    for cpus in (1, 2):
+        out = tmp_path / str(cpus)
+        rc, forked = _grid_on_cpus(monkeypatch, cpus, grid_data, out, "--student-lr", "1e30")
+        assert rc == 1 and len(forked) == cpus - 1
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+        seen[cpus] = (captured.out, errors, _tree(out))
+    assert seen[1] == seen[2]
+    _, errors, tree = seen[1]
+    assert errors == ["error: RuntimeError: loss diverged (non-finite logits) at epoch 0, batch 1"]
+    # the teachers are written, and no cell is
+    assert tree and all(path.parts[0] == "teachers" for path in tree)
 
 
 def test_module_entry_point_runs():
