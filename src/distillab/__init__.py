@@ -15,7 +15,7 @@ from .metrics import (DiscriminationReport, EvalDump, ReliabilityReport, class_d
                       class_separability, confusion_metrics, ece, human_kld, kld_confusion_matrix,
                       standardize_embeddings, summary_metrics)
 from .nn import Conv2d, Dense, Flatten, MaxPool2d, Network, ReLU, ShapeError, build_network, sgd_step
-from .probs import PROB_EPS, cross_entropy, entropy, kl_div, softmax_t
+from .probs import PROB_EPS, kl_div, softmax_t
 from .runstore import (RunManifest, load_array, load_checkpoint, load_eval_dump, read_manifest,
                        save_array, save_checkpoint, save_eval_dump, write_manifest, emit_report)
 

@@ -304,6 +304,25 @@ def _cell_pool(n_cells: int, fit: tuple[D.Dataset, str]):
                                initializer=_init_cell_fits, initargs=(fit,))
 
 
+def _grid_plan(args) -> list[tuple[Path, Path | None, TrainConfig]]:
+    """The grid's 20 runs in write order, teachers first: (run directory, its teacher's
+    run directory or None, config).  Run j is seeded by generate_state(22)[2 + j]; [0]
+    and [1] seed the synthetic set and its split."""
+    seeds = np.random.SeedSequence(args.seed).generate_state(22)
+    out = Path(args.out)
+    teachers = {strat: out / "teachers" / strat for strat in STRATEGY_KINDS}
+    base = {k: getattr(args, k) for k in _TRAIN_FLAGS}
+    student = dict(base, lr=args.student_lr, epochs=args.student_epochs,
+                   **{k: getattr(args, k) for k in _KD_FLAGS})
+    runs = [(teachers[strat], None, strat, base) for strat in STRATEGY_KINDS] + [
+        (out / "cells" / f"{strat}-{arm}", teachers[strat if teacher_aug else "none"],
+         strat if student_aug else "none", student)
+        for strat in STRATEGY_KINDS for arm, (teacher_aug, student_aug) in ARMS.items()]
+    return [(run, teacher, TrainConfig(seed=int(seeds[2 + j]), strategy=AugmentStrategy(strat),
+                                       **flags))
+            for j, (run, teacher, strat, flags) in enumerate(runs)]
+
+
 def _cmd_matrix(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -322,77 +341,53 @@ def _cmd_matrix(args) -> int:
                               "seed": split_seed, "index": i, "digest": ds.digest()}
                              for i, ds in enumerate(splits))
 
-    base = {k: getattr(args, k) for k in _TRAIN_FLAGS}
-    student_base = dict(base, lr=args.student_lr, epochs=args.student_epochs,
-                        **{k: getattr(args, k) for k in _KD_FLAGS})
-    # (strategy, arm, teacher strategy, student config) of each cell, in the order written
-    cells = []
-    for strat in STRATEGY_KINDS:
-        for arm, (teacher_aug, student_aug) in ARMS.items():
-            cfg = TrainConfig(seed=int(seeds[7 + len(cells)]),
-                              strategy=AugmentStrategy(strat if student_aug else "none"),
-                              **student_base)
-            cells.append((strat, arm, strat if teacher_aug else "none", cfg))
-
     # Students fit in worker processes, each submitted once its teacher's checkpoint is
-    # written; this process trains the teachers and alone writes, in cell order.
-    pool = _cell_pool(len(cells), (train_ds, args.student_arch))
-    fits = {}  # cell index -> a call that returns the cell's trained student
-    teacher_eval: dict[str, dict] = {}
-    rows = []
+    # written; this process trains the teachers and alone writes, in plan order.
+    plan = _grid_plan(args)
+    cells = len(plan) - len(STRATEGY_KINDS)
+    pool = _cell_pool(cells, (train_ds, args.student_arch))
+    # plan index -> a call that returns the run's trained model
+    fits = {k: functools.partial(train_teacher, cfg, train_ds, arch=args.teacher_arch)
+            for k, (_, teacher, cfg) in enumerate(plan) if teacher is None}
     try:
-        for i, strat in enumerate(STRATEGY_KINDS):
-            cfg = TrainConfig(seed=int(seeds[2 + i]), strategy=AugmentStrategy(strat), **base)
-            model = train_teacher(cfg, train_ds, arch=args.teacher_arch)
-            teacher_eval[strat] = tvals = _emit_run(
-                out / "teachers" / strat, model, args.teacher_arch, train_desc, eval_ds,
-                eval_desc, args.t_eval, args.bins, run_id=f"teacher-{strat}").metrics["eval"]
-            print(f"teacher[{strat}] eval accuracy {tvals['accuracy']:.4f}")
-            ckpt = out / "teachers" / strat / "checkpoint"
-            for k, (*_, t_strat, student_cfg) in enumerate(cells):
-                if t_strat == strat:
-                    fits[k] = (pool.submit(_fit_cell, student_cfg, ckpt).result if pool
-                               else functools.partial(_train, "student", student_cfg, train_ds,
-                                                      args.student_arch, ckpt))
-
-        for k, (strat, arm, t_strat, _) in enumerate(cells):
-            cell, t_acc = f"{strat}-{arm}", teacher_eval[t_strat]["accuracy"]
-            svals = _emit_run(out / "cells" / cell, fits.pop(k)(), args.student_arch, train_desc,
-                              eval_ds, eval_desc, args.t_eval, args.bins,
-                              teacher_ckpt_src=out / "teachers" / t_strat / "checkpoint",
-                              run_id=f"cell-{cell}").metrics["eval"]
-            rows.append(dict(zip(MATRIX_COLUMNS, (cell, strat, arm, t_acc,
-                                                  *(svals[c] for c in R.METRIC_COLUMNS)))))
-            print(f"cell[{cell}] teacher acc {t_acc:.4f} student acc {svals['accuracy']:.4f}")
+        for k, (run, teacher, _) in enumerate(plan):
+            arch = args.student_arch if teacher else args.teacher_arch
+            ev = _emit_run(run, fits.pop(k)(), arch, train_desc, eval_ds, eval_desc, args.t_eval,
+                           args.bins, teacher_ckpt_src=teacher and teacher / "checkpoint",
+                           run_id=f"{'cell' if teacher else 'teacher'}-{run.name}").metrics["eval"]
+            print(f"{run.relative_to(out).as_posix()} eval accuracy {ev['accuracy']:.4f}")
+            for j, (_, needs, cfg) in enumerate(plan):
+                if needs == run:
+                    fits[j] = (pool.submit(_fit_cell, cfg, run / "checkpoint").result if pool
+                               else functools.partial(_train, "student", cfg, train_ds,
+                                                      args.student_arch, run / "checkpoint"))
     finally:
         if pool:
             pool.shutdown(cancel_futures=True)
-
-    agg = out / "matrix_metrics.csv"
-    with open(agg, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(MATRIX_COLUMNS)
-        for row in rows:
-            w.writerow([v if isinstance(v, str) else R.format_float(v) for v in row.values()])
-    _write_trends(out, teacher_eval, rows)
-    print(f"matrix complete: {len(rows)} cells -> {agg}")
+    _write_tables(out, plan)
+    print(f"matrix complete: {cells} cells -> {out / 'matrix_metrics.csv'}")
     return 0
 
 
-def _write_trends(out: Path, teacher_eval: dict[str, dict], rows) -> None:
-    """Directional comparison against the reference full-scale findings (reported, not asserted)."""
-    sep = {strat: float(ev["separability"]) for strat, ev in teacher_eval.items()}
-    disc = {strat: float(ev["discrimination"]) for strat, ev in teacher_eval.items()}
-    student_acc = {row["cell"]: row["accuracy"] for row in rows}
+def _write_tables(out: Path, plan) -> None:
+    """Build matrix_metrics.csv and trends.txt from the plan's manifests alone.  The
+    trends compare directionally against the reference full-scale findings (reported,
+    not asserted)."""
+    ev = {run: R.read_manifest(run / "manifest.json", verify=False).metrics["eval"]
+          for run, _, _ in plan}
+    rows = [(run.name, *run.name.split("-", 1), R.format_float(ev[teacher]["accuracy"]),
+             *(R.format_float(ev[run][c]) for c in R.METRIC_COLUMNS))
+            for run, teacher, _ in plan if teacher]
+    with open(out / "matrix_metrics.csv", "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([MATRIX_COLUMNS, *rows])
     lines = []
     for strat in ("mixup", "cutmix"):
-        lines.append(f"separability[{strat}]={sep[strat]!r} vs baseline={sep['none']!r} "
-                     f"higher={sep[strat] > sep['none']}")
-        lines.append(f"discrimination[{strat}]={disc[strat]!r} vs baseline={disc['none']!r} "
-                     f"higher={disc[strat] > disc['none']}")
-        lines.append(f"student_accuracy[{strat}-teacher-aug]={student_acc[f'{strat}-teacher-aug']!r} "
-                     f"vs baseline-student={student_acc['none-teacher-aug']!r} "
-                     f"beats_baseline={student_acc[f'{strat}-teacher-aug'] > student_acc['none-teacher-aug']}")
+        for metric in ("separability", "discrimination"):
+            got, base = (ev[out / "teachers" / s][metric] for s in (strat, "none"))
+            lines.append(f"{metric}[{strat}]={got!r} vs baseline={base!r} higher={got > base}")
+        got, base = (ev[out / "cells" / f"{s}-teacher-aug"]["accuracy"] for s in (strat, "none"))
+        lines.append(f"student_accuracy[{strat}-teacher-aug]={got!r} "
+                     f"vs baseline-student={base!r} beats_baseline={got > base}")
     (out / "trends.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     for line in lines:
         print("trend:", line)

@@ -216,7 +216,6 @@ class DiscriminationReport:
     discrimination: float
     dim: int
     zero_norm_count: int = 0
-    pair_mean: bool = False
 
     def recompute_discrimination(self) -> float:
         """Re-derive D from the stored cohesion/adhesion parts."""
@@ -229,14 +228,12 @@ def _assemble_d(cohesion: np.ndarray, adhesion: dict[tuple[int, int], float], di
     return (mean_c - mean_a) / math.sqrt(dim)
 
 
-def class_discrimination(dump: EvalDump, standardize: bool = True,
-                         pair_mean: bool = False) -> DiscriminationReport:
+def class_discrimination(dump: EvalDump, standardize: bool = True) -> DiscriminationReport:
     """Embedding-space cohesion/adhesion report under cosine similarity.
 
     Embeddings are standardized per dimension first (disable with
     standardize=False).  Cohesion for a class divides the upper-triangle sum
-    of intra-class cosines by N_c*(N_c - 1) — half the unordered-pair mean;
-    pass pair_mean=True for the twice-as-large pair-average convention.
+    of intra-class cosines by N_c*(N_c - 1) — half the unordered-pair mean.
     Adhesion for a class pair is the mean over all cross pairs.
     D = (mean cohesion - mean adhesion) / sqrt(d).
 
@@ -268,8 +265,6 @@ def class_discrimination(dump: EvalDump, standardize: bool = True,
     dots = sums @ sums.T
     n = np.array([idx.size for idx in groups], dtype=np.float64)
     cohesion = (np.diag(dots) - sq_norms) / 2.0 / (n * (n - 1))
-    if pair_mean:
-        cohesion *= 2.0
     c = dump.n_classes
     adhesion = {(i, j): float(dots[i, j] / (n[i] * n[j]))
                 for i in range(c) for j in range(i + 1, c)}
@@ -279,7 +274,6 @@ def class_discrimination(dump: EvalDump, standardize: bool = True,
         discrimination=_assemble_d(cohesion, adhesion, d),
         dim=d,
         zero_norm_count=int(np.count_nonzero(norms == 0.0)),
-        pair_mean=pair_mean,
     )
 
 

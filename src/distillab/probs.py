@@ -45,27 +45,6 @@ def softmax_t(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def entropy(p: np.ndarray) -> float:
-    """Shannon entropy in nats, with 0 * log 0 treated as 0."""
-    p = np.asarray(p, dtype=np.float64)
-    logs = np.log(np.maximum(p, PROB_EPS))
-    return float(-np.sum(np.where(p > 0, p * logs, 0.0)))
-
-
-def cross_entropy(pred: np.ndarray, target: np.ndarray) -> float:
-    """-sum(target * log pred) for a single pair of C-vectors.
-
-    `target` must be a valid distribution; `pred` is only clamped, so slightly
-    unnormalized predictions are tolerated.
-    """
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape:
-        raise ValueError(f"length mismatch: pred {pred.shape} vs target {target.shape}")
-    check_prob_vector(target, "target")
-    return float(-np.sum(target * np.log(np.maximum(pred, PROB_EPS))))
-
-
 def kl_div(p: np.ndarray, q: np.ndarray) -> float:
     """sum(p * log(p / q)) for two valid distributions of equal length."""
     p = np.asarray(p, dtype=np.float64)

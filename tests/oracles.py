@@ -21,6 +21,11 @@ def kl_scalar(p, q) -> float:
     return total
 
 
+def entropy_scalar(p) -> float:
+    """Shannon entropy in nats, with 0 * log 0 taken as 0."""
+    return -sum(pi * math.log(pi) for pi in p if pi > 0)
+
+
 def softmax_scalar(z, t=1.0):
     m = max(x / t for x in z)
     e = [math.exp(zi / t - m) for zi in z]

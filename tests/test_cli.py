@@ -1,4 +1,6 @@
 import argparse
+import csv
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -13,7 +15,7 @@ import pytest
 
 from distillab import cli
 from distillab.cli import _dataset_desc, build_parser, dataset_from_desc, main
-from distillab.data import load_dataset, resolve_dataset
+from distillab.data import load_dataset, resolve_dataset, save_dataset
 from distillab.runstore import (load_array, load_checkpoint, load_eval_dump, read_manifest,
                                 read_matrix_csv, read_metrics_csv, save_array, sha256_file)
 
@@ -406,9 +408,12 @@ def grid_data(tmp_path_factory):
     return data
 
 
+def _mini_grid_argv(data, out, *extra):
+    return ["matrix", "--seed", "5", "--dataset", str(data), "--out", str(out), *MINI_GRID, *extra]
+
+
 def _mini_grid(data, out, *extra):
-    return main(["matrix", "--seed", "5", "--dataset", str(data), "--out", str(out),
-                 *MINI_GRID, *extra])
+    return main(_mini_grid_argv(data, out, *extra))
 
 
 def test_matrix_mini_grid_end_to_end(grid_data, tmp_path, capsys):
@@ -424,6 +429,50 @@ def test_matrix_mini_grid_end_to_end(grid_data, tmp_path, capsys):
     assert m.role == "student"
     assert m.config["train"]["strategy"]["kind"] == "mixup"
     assert m.dataset["train"]["kind"] == "split"
+
+
+@pytest.mark.parametrize("human", [True, False], ids=["human-labels", "no-human-labels"])
+def test_grid_tables_are_a_function_of_the_manifests(grid_data, tmp_path, capsys, human):
+    data = grid_data
+    if not human:  # every human_kld is nan, and must come back as nan from manifest JSON
+        data = tmp_path / "data"
+        save_dataset(dataclasses.replace(load_dataset(grid_data), human_probs=None), data)
+    out = tmp_path / "grid"
+    assert _mini_grid(data, out) == 0
+    trends = [line for line in capsys.readouterr().out.splitlines() if line.startswith("trend:")]
+    tables = {name: (out / name).read_bytes() for name in ("matrix_metrics.csv", "trends.txt")}
+    # leave only the 20 manifests
+    for name in tables:
+        (out / name).unlink()
+    for path in list(out.glob("*/*/*")):
+        if path.name != "manifest.json":
+            shutil.rmtree(path)
+    assert [path.name for path in out.rglob("*") if path.is_file()] == ["manifest.json"] * 20
+    cli._write_tables(out, cli._grid_plan(build_parser().parse_args(_mini_grid_argv(data, out))))
+    assert {name: (out / name).read_bytes() for name in tables} == tables
+    assert [line for line in capsys.readouterr().out.splitlines() if line.startswith("trend:")] \
+        == trends
+    with open(out / "matrix_metrics.csv", newline="", encoding="utf-8") as fh:
+        human_kld = [row["human_kld"] for row in csv.DictReader(fh)]
+    assert len(human_kld) == 15 and all((v == "nan") is not human for v in human_kld)
+
+
+def test_grid_plan_layout(tmp_path):
+    plan = cli._grid_plan(build_parser().parse_args(["matrix", "--seed", "0", "--out", str(tmp_path)]))
+    strategies = ("none", "standard", "cutout", "mixup", "cutmix")
+    arms = ("teacher-aug", "student-aug", "both")
+    cells = [(strat, arm) for strat in strategies for arm in arms]
+    assert [run.relative_to(tmp_path).as_posix() for run, _, _ in plan] == \
+        [f"teachers/{strat}" for strat in strategies] + [f"cells/{s}-{a}" for s, a in cells]
+    assert [teacher for _, teacher, _ in plan[:5]] == [None] * 5
+    assert [teacher.relative_to(tmp_path).as_posix() for _, teacher, _ in plan[5:]] == \
+        [f"teachers/{'none' if arm == 'student-aug' else strat}" for strat, arm in cells]
+    assert [cfg.strategy.kind for _, _, cfg in plan] == \
+        list(strategies) + ["none" if arm == "teacher-aug" else strat for strat, arm in cells]
+    seeds = np.random.SeedSequence(0).generate_state(22)
+    assert [cfg.seed for _, _, cfg in plan] == [int(seeds[2 + j]) for j in range(20)]
+    assert [cfg.epochs for _, _, cfg in plan] == [15] * 20
+    assert [cfg.lr for _, _, cfg in plan] == [0.08] * 5 + [0.02] * 15
 
 
 def _grid_on_cpus(monkeypatch, cpus, data, out, *extra, threads=1):

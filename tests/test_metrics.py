@@ -235,13 +235,6 @@ def test_discrimination_axis_aligned_hand_case():
     assert rep.zero_norm_count == 0
 
 
-def test_discrimination_pair_mean_doubles_cohesion():
-    half = class_discrimination(_axis_dump(), standardize=False)
-    full = class_discrimination(_axis_dump(), standardize=False, pair_mean=True)
-    assert np.allclose(full.cohesion, 2.0 * half.cohesion)
-    assert full.discrimination == pytest.approx(1.0 / math.sqrt(2.0))
-
-
 def test_discrimination_zero_norm_rows_counted_and_neutral():
     emb = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
     probs = np.full((5, 2), 0.5)
@@ -279,15 +272,13 @@ def test_discrimination_matches_pair_oracle():
     dumps = [_random_dump(rng, n_max=80, d_max=12, with_human=False) for _ in range(8)]
     for d in dumps + _extreme_geometry_dumps(rng):
         for standardize in (False, True):
-            for pair_mean in (False, True):
-                rep = class_discrimination(d, standardize=standardize, pair_mean=pair_mean)
-                coh, adh, disc = discrimination_pairs(
-                    d.embeddings, d.true_labels, d.n_classes,
-                    standardize=standardize, pair_mean=pair_mean)
-                assert np.allclose(rep.cohesion, coh, atol=1e-9)
-                for key, val in adh.items():
-                    assert rep.adhesion[key] == pytest.approx(val, abs=1e-9)
-                assert rep.discrimination == pytest.approx(disc, rel=1e-8, abs=1e-10)
+            rep = class_discrimination(d, standardize=standardize)
+            coh, adh, disc = discrimination_pairs(d.embeddings, d.true_labels, d.n_classes,
+                                                  standardize=standardize)
+            assert np.allclose(rep.cohesion, coh, atol=1e-9)
+            for key, val in adh.items():
+                assert rep.adhesion[key] == pytest.approx(val, abs=1e-9)
+            assert rep.discrimination == pytest.approx(disc, rel=1e-8, abs=1e-10)
 
 
 def _reference_dumps(rng):
