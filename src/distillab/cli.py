@@ -15,6 +15,7 @@ import functools
 import os
 import shutil
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from .augment import STRATEGY_KINDS, AugmentStrategy
 from .distill import TrainConfig, TrainedModel, evaluate_model, train_student, train_teacher
 from .errors import FormatError, IntegrityError
 from .gradcheck import run_all
-from .nn import ARCHITECTURES, Network
+from .nn import ARCHITECTURES
 
 # arm -> (teacher augmented, student augmented)
 ARMS = {"teacher-aug": (True, False), "student-aug": (False, True), "both": (True, True)}
@@ -83,38 +84,62 @@ def dataset_from_desc(desc: dict) -> D.Dataset:
     return ds
 
 
-def _evaluate_into(out: Path, model: TrainedModel | Network, ds: D.Dataset, t_eval: float,
-                   n_bins: int) -> tuple[dict[str, Path], dict]:
-    """Evaluate, save the dump, write every report; returns (name -> file, summary metrics)."""
-    dump = evaluate_model(model, ds, t_eval=t_eval)
-    files = {f"dump/{p.name}": p for p in R.save_eval_dump(dump, out / "dump")}
+def _write_reports(out: Path, dump: M.EvalDump, n_bins: int) -> tuple[dict[str, Path], dict]:
+    """Write every report of one dump; returns (name -> file, summary metrics)."""
     written = R.emit_report(dump, out / "reports", reports="all", n_bins=n_bins)
-    files.update({f"reports/{name}": p for name, p in written.items()})
-    return files, M.summary_metrics(dump, n_bins=n_bins)
+    return ({f"reports/{name}": p for name, p in written.items()},
+            M.summary_metrics(dump, n_bins=n_bins))
 
 
-def _emit_run(out: Path, model: TrainedModel, arch: str, train_desc: dict,
-              eval_ds: D.Dataset | None, eval_desc: dict | None, t_eval: float,
-              n_bins: int, teacher_ckpt_src: Path | None = None,
-              run_id: str | None = None) -> R.RunManifest:
-    """Write checkpoint, optional dump+reports, and the manifest for one run; returns
-    the manifest."""
+@dataclass
+class _FitRecord:
+    """What `_write_fit` hands to `_seal`: the fit's record, without its parameters,
+    which are on disk, so a grid worker sends back about a kilobyte."""
+
+    role: str
+    config: TrainConfig
+    history: list[dict]
+    files: list[str]  # paths under the run directory; the manifest names them alike
+
+
+def _write_fit(out: Path, model: TrainedModel, eval_ds: D.Dataset | None, t_eval: float,
+               teacher_ckpt_src: Path | None = None, checkpointed=None) -> _FitRecord:
+    """Write what the fit determines: checkpoint/, a student's teacher/ copy and, given
+    an eval set, dump/.  A manifest left in `out` by an earlier run goes first, so the
+    directory is complete again only once `_seal` writes the new one.  `checkpointed()`
+    runs as soon as the checkpoint and teacher copy are on disk, before evaluation."""
     out.mkdir(parents=True, exist_ok=True)
-    files = {f"checkpoint/{p.name}": p for p in R.save_checkpoint(model.net, out / "checkpoint")}
+    (out / "manifest.json").unlink(missing_ok=True)
+    files = [f"checkpoint/{p.name}" for p in R.save_checkpoint(model.net, out / "checkpoint")]
     if teacher_ckpt_src is not None:
         tdir = out / "teacher"
         if tdir.exists():
             shutil.rmtree(tdir)
         shutil.copytree(teacher_ckpt_src, tdir)
-        files.update({f"teacher/{p.name}": p for p in sorted(tdir.iterdir())})
-    metrics: dict = {"final_train": model.history[-1] if model.history else {}}
+        files += [f"teacher/{p.name}" for p in sorted(tdir.iterdir())]
+    if checkpointed is not None:
+        checkpointed()
     if eval_ds is not None:
-        eval_files, metrics["eval"] = _evaluate_into(out, model, eval_ds, t_eval, n_bins)
-        files.update(eval_files)
+        dump = evaluate_model(model, eval_ds, t_eval=t_eval)
+        files += [f"dump/{p.name}" for p in R.save_eval_dump(dump, out / "dump")]
+    return _FitRecord(model.role, model.config, model.history, files)
+
+
+def _seal(out: Path, fit: _FitRecord, arch: str, train_desc: dict, eval_desc: dict | None,
+          t_eval: float, n_bins: int, run_id: str | None = None) -> R.RunManifest:
+    """Finish a run directory that `_write_fit` wrote: the reports of its dump (read
+    back from disk) when it has an eval set, then manifest.json, last.  The manifest
+    hashes every file from disk and is the run's seal: a directory without one is not
+    a complete run.  Returns the manifest."""
+    files = {name: out / name for name in fit.files}
+    metrics: dict = {"final_train": fit.history[-1] if fit.history else {}}
+    if eval_desc is not None:
+        reports, metrics["eval"] = _write_reports(out, R.load_eval_dump(out / "dump"), n_bins)
+        files.update(reports)
     manifest = R.RunManifest(
-        run_id=run_id or f"{model.role}-{model.config.strategy.kind}-seed{model.config.seed}",
-        role=model.role,
-        config={"train": model.config.to_dict(), "arch": arch, "t_eval": t_eval,
+        run_id=run_id or f"{fit.role}-{fit.config.strategy.kind}-seed{fit.config.seed}",
+        role=fit.role,
+        config={"train": fit.config.to_dict(), "arch": arch, "t_eval": t_eval,
                 "n_bins": n_bins},
         dataset={"train": train_desc, "eval": eval_desc},
         metrics=metrics,
@@ -123,6 +148,15 @@ def _emit_run(out: Path, model: TrainedModel, arch: str, train_desc: dict,
         manifest.add_file(name, p, out)
     R.write_manifest(manifest, out / "manifest.json")
     return manifest
+
+
+def _emit_run(out: Path, model: TrainedModel, arch: str, train_desc: dict,
+              eval_ds: D.Dataset | None, eval_desc: dict | None, t_eval: float,
+              n_bins: int, teacher_ckpt_src: Path | None = None,
+              run_id: str | None = None) -> R.RunManifest:
+    """Write one run directory in one process; returns its manifest."""
+    fit = _write_fit(out, model, eval_ds, t_eval, teacher_ckpt_src)
+    return _seal(out, fit, arch, train_desc, eval_desc, t_eval, n_bins, run_id)
 
 
 def _resolve_teacher(path: Path) -> Path:
@@ -144,13 +178,16 @@ def _cmd_synth(args) -> int:
     return 0
 
 
+def _load_teacher(ckpt: Path) -> TrainedModel:
+    return TrainedModel(net=R.load_checkpoint(ckpt), role="teacher", config=TrainConfig(),
+                        history=[])
+
+
 def _train(role: str, cfg: TrainConfig, ds: D.Dataset, arch: str,
            teacher_ckpt: Path | None) -> TrainedModel:
     if role == "teacher":
         return train_teacher(cfg, ds, arch=arch)
-    teacher = TrainedModel(net=R.load_checkpoint(teacher_ckpt), role="teacher",
-                           config=TrainConfig(), history=[])
-    return train_student(cfg, teacher, ds, arch=arch)
+    return train_student(cfg, _load_teacher(teacher_ckpt), ds, arch=arch)
 
 
 # command -> (role, summary line, default arch, help)
@@ -233,9 +270,9 @@ def _cmd_evaluate(args, parser: argparse.ArgumentParser) -> int:
         parser.error("--dataset is required with --checkpoint")
     net = R.load_checkpoint(_resolve_teacher(Path(args.checkpoint)))
     ds = D.resolve_dataset(args.dataset)
-    _, vals = _evaluate_into(Path(args.out), net, ds,
-                             T_EVAL if args.t_eval is None else args.t_eval,
-                             N_BINS if args.bins is None else args.bins)
+    dump = evaluate_model(net, ds, t_eval=T_EVAL if args.t_eval is None else args.t_eval)
+    R.save_eval_dump(dump, Path(args.out) / "dump")
+    _, vals = _write_reports(Path(args.out), dump, N_BINS if args.bins is None else args.bins)
     print(f"evaluated {ds.n_samples} samples: accuracy {vals['accuracy']}")
     return 0
 
@@ -263,20 +300,47 @@ def _cmd_gradcheck(args) -> int:
 MATRIX_COLUMNS = ("cell", "strategy", "arm", "teacher_accuracy") + R.METRIC_COLUMNS
 
 
-# (train set, student architecture) of the grid, set in each worker process
-_cell_fit: tuple[D.Dataset, str] | None = None
+class _CellFits:
+    """Fits grid cells and writes what each fit determines, all in one process.  For the
+    one grid it serves, it loads each teacher checkpoint once and computes each teacher's
+    train-set logit table once, whichever of its cells need them."""
+
+    def __init__(self, train_ds: D.Dataset, eval_ds: D.Dataset, arch: str, t_eval: float):
+        self.train_ds, self.eval_ds, self.arch, self.t_eval = train_ds, eval_ds, arch, t_eval
+        self.teachers: dict[Path, tuple[TrainedModel, dict]] = {}  # checkpoint -> (model, tables)
+
+    def __call__(self, run: Path, cfg: TrainConfig, teacher_ckpt: Path) -> _FitRecord:
+        if teacher_ckpt not in self.teachers:
+            self.teachers[teacher_ckpt] = (_load_teacher(teacher_ckpt), {})
+        teacher, tables = self.teachers[teacher_ckpt]
+        model = train_student(cfg, teacher, self.train_ds, arch=self.arch, logit_tables=tables)
+        return _write_fit(run, model, self.eval_ds, self.t_eval, teacher_ckpt_src=teacher_ckpt)
 
 
-def _init_cell_fits(fit: tuple[D.Dataset, str]) -> None:
-    global _cell_fit
-    _cell_fit = fit
+# the grid's _CellFits in a worker process, set by the pool's initializer
+_cell_fits: _CellFits | None = None
 
 
-def _fit_cell(cfg: TrainConfig, teacher_ckpt: Path) -> TrainedModel:
-    """Fit one grid student in a worker against its teacher's checkpoint: the bytes
-    that its run directory's `teacher/` copy holds and that a replay reads."""
-    train_ds, arch = _cell_fit
-    return _train("student", cfg, train_ds, arch, teacher_ckpt)
+def _init_cell_fits(fits: _CellFits) -> None:
+    global _cell_fits
+    _cell_fits = fits
+
+
+def _fit_cell(run: Path, cfg: TrainConfig, teacher_ckpt: Path) -> _FitRecord:
+    """Fit one grid student in a worker against its teacher's checkpoint (the bytes that
+    its run directory's `teacher/` copy holds and that a replay reads) and write it."""
+    return _cell_fits(run, cfg, teacher_ckpt)
+
+
+def _unwrite(run: Path, fit: _FitRecord) -> None:
+    """Delete the files a fit wrote into `run`, then the directories that left empty."""
+    for name in fit.files:
+        (run / name).unlink(missing_ok=True)
+    for d in sorted({(run / name).parent for name in fit.files}, reverse=True) + [run]:
+        try:
+            d.rmdir()
+        except OSError:  # not empty: it holds files this fit did not write
+            pass
 
 
 def _os_threads() -> int:
@@ -288,12 +352,13 @@ def _os_threads() -> int:
         return 0
 
 
-def _cell_pool(n_cells: int, fit: tuple[D.Dataset, str]):
+def _cell_pool(n_cells: int, fits: _CellFits):
     """A fork pool with one worker per usable CPU beyond this process, which trains the
-    teachers and writes, or None to fit every cell here.  Forking needs a single-threaded
+    teachers and seals every run, or None to fit every cell here.  Each worker fits and
+    writes its cells through its own copy of `fits`.  Forking needs a single-threaded
     process: a multi-threaded BLAS already spreads each fit over the CPUs, its spinning
     threads starve the workers (a 1-epoch grid ran 2-4x slower), and a forked
-    multi-threaded process may deadlock.  Fork hands each worker the train set once."""
+    multi-threaded process may deadlock.  Fork hands each worker the data sets once."""
     jobs = min(len(os.sched_getaffinity(0)) - 1, n_cells) if _os_threads() == 1 else 0
     if jobs < 1:
         return None
@@ -301,7 +366,7 @@ def _cell_pool(n_cells: int, fit: tuple[D.Dataset, str]):
     from concurrent.futures import ProcessPoolExecutor
 
     return ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_init_cell_fits, initargs=(fit,))
+                               initializer=_init_cell_fits, initargs=(fits,))
 
 
 def _grid_plan(args) -> list[tuple[Path, Path | None, TrainConfig]]:
@@ -341,26 +406,46 @@ def _cmd_matrix(args) -> int:
                               "seed": split_seed, "index": i, "digest": ds.digest()}
                              for i, ds in enumerate(splits))
 
-    # Students fit in worker processes, each submitted once its teacher's checkpoint is
-    # written; this process trains the teachers and alone writes, in plan order.
+    # Each student fits in a worker process, submitted once its teacher's checkpoint is
+    # on disk, and the worker writes its checkpoint/, teacher/ and dump/.  This process
+    # trains and writes the teachers and seals every run in plan order: reports, then
+    # the manifest.  A file creation costs this process's kernel time, so the workers
+    # create most of them.
     plan = _grid_plan(args)
     cells = len(plan) - len(STRATEGY_KINDS)
-    pool = _cell_pool(cells, (train_ds, args.student_arch))
-    # plan index -> a call that returns the run's trained model
-    fits = {k: functools.partial(train_teacher, cfg, train_ds, arch=args.teacher_arch)
-            for k, (_, teacher, cfg) in enumerate(plan) if teacher is None}
+    fitter = _CellFits(train_ds, eval_ds, args.student_arch, args.t_eval)
+    pool = _cell_pool(cells, fitter)
+    # plan index of a cell -> its pool future, or a call that fits and writes it here
+    fits = {}
+
+    def submit(teacher_run: Path) -> None:
+        for j, (run, needs, cfg) in enumerate(plan):
+            if needs == teacher_run:
+                cell = (run, cfg, teacher_run / "checkpoint")
+                fits[j] = (pool.submit(_fit_cell, *cell) if pool
+                           else functools.partial(fitter, *cell))
+
     try:
-        for k, (run, teacher, _) in enumerate(plan):
+        for k, (run, teacher, cfg) in enumerate(plan):
+            if teacher is None:
+                fit = _write_fit(run, train_teacher(cfg, train_ds, arch=args.teacher_arch),
+                                 eval_ds, args.t_eval, checkpointed=functools.partial(submit, run))
+            else:
+                job = fits.pop(k)
+                fit = job.result() if pool else job()
             arch = args.student_arch if teacher else args.teacher_arch
-            ev = _emit_run(run, fits.pop(k)(), arch, train_desc, eval_ds, eval_desc, args.t_eval,
-                           args.bins, teacher_ckpt_src=teacher and teacher / "checkpoint",
-                           run_id=f"{'cell' if teacher else 'teacher'}-{run.name}").metrics["eval"]
+            ev = _seal(run, fit, arch, train_desc, eval_desc, args.t_eval, args.bins,
+                       run_id=f"{'cell' if teacher else 'teacher'}-{run.name}").metrics["eval"]
             print(f"{run.relative_to(out).as_posix()} eval accuracy {ev['accuracy']:.4f}")
-            for j, (_, needs, cfg) in enumerate(plan):
-                if needs == run:
-                    fits[j] = (pool.submit(_fit_cell, cfg, run / "checkpoint").result if pool
-                               else functools.partial(_train, "student", cfg, train_ds,
-                                                      args.student_arch, run / "checkpoint"))
+    except BaseException:
+        if pool:
+            # Workers run ahead of the seals.  Take back what they wrote past the failure,
+            # so a failed grid leaves the runs it would have left fitting in one process.
+            pool.shutdown(cancel_futures=True)
+            for j, future in fits.items():
+                if not future.cancelled() and future.exception() is None:
+                    _unwrite(plan[j][0], future.result())
+        raise
     finally:
         if pool:
             pool.shutdown(cancel_futures=True)

@@ -126,7 +126,7 @@ def train_teacher(cfg: TrainConfig, data: Dataset, arch: str = "teacher-cnn") ->
 
 
 def train_student(cfg: TrainConfig, teacher: TrainedModel, data: Dataset,
-                  arch: str = "student-mlp") -> TrainedModel:
+                  arch: str = "student-mlp", logit_tables: dict | None = None) -> TrainedModel:
     """Distill `teacher` into a fresh student under the blended objective.
 
     The teacher scores the same post-augmentation batch the student sees, and
@@ -136,7 +136,9 @@ def train_student(cfg: TrainConfig, teacher: TrainedModel, data: Dataset,
     its rows of that logit table (the tests check it equals a forward of the
     batch, bitwise, at the grid's shapes); an augmented student forwards the
     teacher once per batch.  The teacher's convolutions build their im2col
-    columns directly in GEMM layout.
+    columns directly in GEMM layout.  `logit_tables`, a dict the caller keeps
+    for one (teacher, data) pair, holds those tables by batch size, so the
+    clean fits against one teacher compute each table once.
     """
     if teacher.net.n_outputs != data.n_classes:
         raise ValueError(f"teacher has {teacher.net.n_outputs} outputs, "
@@ -146,7 +148,8 @@ def train_student(cfg: TrainConfig, teacher: TrainedModel, data: Dataset,
     before = teacher.net.params_digest()
     init_rng, shuffle_rng, aug_rng = _spawn_rngs(cfg.seed, 3)
     net = build_network(arch, data.images.shape[1:], data.n_classes, init_rng)
-    history = _fit(net, cfg, data, teacher=teacher.net, shuffle_rng=shuffle_rng, aug_rng=aug_rng)
+    history = _fit(net, cfg, data, teacher=teacher.net, shuffle_rng=shuffle_rng, aug_rng=aug_rng,
+                   logit_tables={} if logit_tables is None else logit_tables)
     if teacher.net.params_digest() != before:
         raise RuntimeError("teacher parameters changed during distillation")
     return TrainedModel(net=net, role="student", config=cfg, history=history)
@@ -159,13 +162,16 @@ def _logit_table(net: Network, images: np.ndarray, batch_size: int) -> np.ndarra
 
 
 def _fit(net: Network, cfg: TrainConfig, data: Dataset, teacher: Network | None,
-         shuffle_rng, aug_rng) -> list[dict]:
+         shuffle_rng, aug_rng, logit_tables: dict | None = None) -> list[dict]:
     one_hot = data.one_hot(dtype=np.float32)
     fill = dataset_fill_value(data.images)
     # a clean-batch student's teacher logits are a fixed function of the sample
     table = None
     if teacher is not None and cfg.strategy.kind == "none" and cfg.epochs:
-        table = _logit_table(teacher, data.images, cfg.batch_size)
+        table = logit_tables.get(cfg.batch_size)
+        if table is None:
+            table = logit_tables[cfg.batch_size] = _logit_table(teacher, data.images,
+                                                                cfg.batch_size)
     history = []
     for epoch in range(cfg.epochs):
         losses = []

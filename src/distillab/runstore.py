@@ -89,8 +89,12 @@ class RunManifest:
     files: dict = field(default_factory=dict)  # name -> {"path": rel, "sha256": hex}
 
     def add_file(self, name: str, path: str | Path, base_dir: str | Path) -> None:
-        """Register a file reference with its hash, stored relative to base_dir."""
-        rel = Path(path).resolve().relative_to(Path(base_dir).resolve())
+        """Register a file reference with its hash, stored relative to base_dir.  The
+        path is compared as written, without resolving links: it must start with
+        base_dir and hold no `..` after it."""
+        rel = Path(path).relative_to(base_dir)
+        if ".." in rel.parts:
+            raise ValueError(f"{path} is not under {base_dir}")
         self.files[name] = {"path": str(rel), "sha256": sha256_file(path)}
 
 

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import pickle
 import shutil
 import struct
 import subprocess
@@ -15,7 +16,8 @@ import pytest
 
 from distillab import cli
 from distillab.cli import _dataset_desc, build_parser, dataset_from_desc, main
-from distillab.data import load_dataset, resolve_dataset, save_dataset
+from distillab.data import load_dataset, make_synthetic, resolve_dataset, save_dataset
+from distillab.distill import TrainConfig
 from distillab.runstore import (load_array, load_checkpoint, load_eval_dump, read_manifest,
                                 read_matrix_csv, read_metrics_csv, save_array, sha256_file)
 
@@ -512,6 +514,23 @@ def test_grid_bytes_do_not_depend_on_the_worker_count(grid_data, tmp_path, monke
     assert trees[1] == trees[2] == trees[3]
 
 
+def test_a_grid_loads_each_teacher_and_its_logit_table_once(grid_data, tmp_path, monkeypatch):
+    from distillab import distill, runstore
+
+    loads, tables = [], []
+    load_checkpoint, logit_table = runstore.load_checkpoint, distill._logit_table
+    monkeypatch.setattr(runstore, "load_checkpoint",
+                        lambda path: loads.append(path) or load_checkpoint(path))
+    monkeypatch.setattr(distill, "_logit_table",
+                        lambda *args: tables.append(args) or logit_table(*args))
+    rc, _ = _grid_on_cpus(monkeypatch, 1, grid_data, tmp_path / "out")
+    assert rc == 0
+    # 5 teachers; the none teacher's 3 clean students and each teacher-aug cell of
+    # the 4 others read 5 tables
+    assert sorted(path.parent.name for path in loads) == sorted(cli.STRATEGY_KINDS)
+    assert len(tables) == 5
+
+
 def test_a_multi_threaded_process_fits_the_grid_itself(grid_data, tmp_path, monkeypatch):
     # a multi-threaded BLAS already spreads each fit over the CPUs
     rc, forked = _grid_on_cpus(monkeypatch, 2, grid_data, tmp_path / "out", threads=2)
@@ -533,25 +552,98 @@ def test_the_thread_probe_counts_the_threads_of_this_process():
 
 def test_a_cell_failing_in_a_worker_fails_the_grid_as_in_process(grid_data, tmp_path,
                                                                  monkeypatch, capsys):
-    seen = {}
-    for cpus in (1, 2):
-        out = tmp_path / str(cpus)
-        rc, forked = _grid_on_cpus(monkeypatch, cpus, grid_data, out, "--student-lr", "1e30")
-        assert rc == 1 and len(forked) == cpus - 1
-        captured = capsys.readouterr()
-        errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
-        seen[cpus] = (captured.out, errors, _tree(out))
-    assert seen[1] == seen[2]
-    _, errors, tree = seen[1]
-    assert errors == ["error: RuntimeError: loss diverged (non-finite logits) at epoch 0, batch 1"]
-    # the teachers are written, and no cell is
-    assert tree and all(path.parts[0] == "teachers" for path in tree)
+    plan = cli._grid_plan(build_parser().parse_args(_mini_grid_argv(grid_data, tmp_path)))
+    # standard-both.  The none teacher's cells, cutout-student-aug among them, are
+    # submitted before it, so one worker has written cells later in plan order by the
+    # time the grid fails on it.
+    failing = 10
+    train_student = cli.train_student
+
+    def fail_one_cell(cfg, *args, **kwargs):
+        if cfg.seed == plan[failing][2].seed:
+            raise RuntimeError("cell failed")
+        return train_student(cfg, *args, **kwargs)
+
+    cases = {"every cell": (("--student-lr", "1e30"), None,
+                            "loss diverged (non-finite logits) at epoch 0, batch 1", 5),
+             "a middle cell": ((), fail_one_cell, "cell failed", failing)}
+    for case, (extra, patch, error, sealed) in cases.items():
+        seen = {}
+        for cpus in (1, 2):
+            out = tmp_path / case.replace(" ", "-") / str(cpus)
+            if patch:
+                monkeypatch.setattr(cli, "train_student", patch)
+            rc, forked = _grid_on_cpus(monkeypatch, cpus, grid_data, out, *extra)
+            assert rc == 1 and len(forked) == cpus - 1
+            captured = capsys.readouterr()
+            errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+            seen[cpus] = (captured.out, errors, _tree(out))
+        assert seen[1] == seen[2], case
+        _, errors, tree = seen[1]
+        assert errors == [f"error: RuntimeError: {error}"]
+        # the runs before the failing one in plan order are sealed and verify; no other
+        # run has a file
+        runs = [run.relative_to(tmp_path).parts for run, _, _ in plan[:sealed]]
+        assert sorted({path.parts[:2] for path in tree}) == sorted(runs)
+        for run in runs:
+            read_manifest(out.joinpath(*run, "manifest.json"), verify=True)
+
+
+def test_a_run_written_again_loses_its_old_manifest_first(work, tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    shutil.copytree(work["student"], out)
+
+    def crash(*args, **kwargs):
+        raise OSError("crashed before the seal")
+
+    monkeypatch.setattr(cli, "_seal", crash)
+    assert main(["distill", "--seed", "3", "--dataset", str(work["data"]),
+                 "--teacher", str(work["teacher"]), "--out", str(out),
+                 "--arch", "student-mlp", "--epochs", "1", "--batch-size", "8"]) == 1
+    assert (out / "checkpoint" / "network.json").exists()
+    assert not (out / "manifest.json").exists()
+
+
+def test_manifest_paths_do_not_depend_on_how_out_is_spelled(work, tmp_path, monkeypatch):
+    (tmp_path / "real").mkdir()
+    (tmp_path / "link").symlink_to(tmp_path / "real")
+    monkeypatch.chdir(tmp_path)
+    for out in ("relative-run", str(tmp_path / "link" / "run")):
+        assert main(["distill", "--seed", "2", "--dataset", str(work["data"]),
+                     "--teacher", str(work["teacher"]), "--out", out,
+                     "--eval-dataset", str(work["data"]), "--arch", "student-mlp",
+                     "--epochs", "2", "--batch-size", "8", "--temperature", "4"]) == 0
+        assert (tmp_path / out / "manifest.json").read_bytes() == \
+            (work["student"] / "manifest.json").read_bytes()
+
+
+def test_a_cell_fit_hands_back_no_parameters(tmp_path, monkeypatch):
+    # the grid's shapes: 4 classes of 1x12x12 images
+    ds = make_synthetic(seed=4, n_classes=4, per_class=16, img_side=12)
+    save_dataset(ds, tmp_path / "data")
+    assert main(["train-teacher", "--seed", "1", "--dataset", str(tmp_path / "data"),
+                 "--out", str(tmp_path / "teacher"), "--arch", "student-mlp",
+                 "--epochs", "1"]) == 0
+    monkeypatch.setattr(cli, "_cell_fits", cli._CellFits(ds, ds, "student-mlp", 1.0))
+    fit = cli._fit_cell(tmp_path / "cell", TrainConfig(epochs=1),
+                        tmp_path / "teacher" / "checkpoint")
+    params = sum(path.stat().st_size
+                 for path in (tmp_path / "cell" / "checkpoint").glob("param-*.arr"))
+    assert params > 28_000
+    blob = pickle.dumps(fit)
+    assert b"numpy" not in blob  # no ndarray, and no numpy scalar either
+    assert len(blob) < params / 20
 
 
 def test_module_entry_point_runs():
+    # the subprocess imports the distillab this process imported, with or without
+    # PYTHONPATH set outside
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     proc = subprocess.run([sys.executable, "-m", "distillab.cli", "gradcheck",
                            "--seed", "1", "--instances", "1"],
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0
     assert "ok" in proc.stdout
 

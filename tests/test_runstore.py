@@ -136,6 +136,13 @@ def test_manifest_round_trip_with_verification(tmp_path):
     assert old == m
 
 
+def test_manifest_refuses_a_file_outside_its_base(tmp_path):
+    m, f = _manifest(tmp_path)
+    for outside in (f, tmp_path / "run" / ".." / "arrays" / "weights.arr"):
+        with pytest.raises(ValueError):
+            m.add_file("weights", outside, tmp_path / "run")
+
+
 def test_manifest_is_sorted_key_json(tmp_path):
     m, _ = _manifest(tmp_path)
     path = tmp_path / "manifest.json"
