@@ -93,41 +93,61 @@ def _write_reports(out: Path, dump: M.EvalDump, n_bins: int) -> tuple[dict[str, 
 
 @dataclass
 class _FitRecord:
-    """What `_write_fit` hands to `_seal`: the fit's record, without its parameters,
+    """What a `_Fitter` call hands to `_seal`: the fit's record, without its parameters,
     which are on disk, so a grid worker sends back about a kilobyte."""
 
     role: str
+    arch: str
     config: TrainConfig
     history: list[dict]
     files: list[str]  # paths under the run directory; the manifest names them alike
 
 
-def _write_fit(out: Path, model: TrainedModel, eval_ds: D.Dataset | None, t_eval: float,
-               teacher_ckpt_src: Path | None = None, checkpointed=None) -> _FitRecord:
-    """Write what the fit determines: checkpoint/, a student's teacher/ copy and, given
-    an eval set, dump/.  A manifest left in `out` by an earlier run goes first, so the
-    directory is complete again only once `_seal` writes the new one.  `checkpointed()`
-    runs as soon as the checkpoint and teacher copy are on disk, before evaluation."""
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "manifest.json").unlink(missing_ok=True)
-    files = [f"checkpoint/{p.name}" for p in R.save_checkpoint(model.net, out / "checkpoint")]
-    if teacher_ckpt_src is not None:
-        tdir = out / "teacher"
-        if tdir.exists():
-            shutil.rmtree(tdir)
-        shutil.copytree(teacher_ckpt_src, tdir)
-        files += [f"teacher/{p.name}" for p in sorted(tdir.iterdir())]
-    if checkpointed is not None:
-        checkpointed()
-    if eval_ds is not None:
-        dump = evaluate_model(model, eval_ds, t_eval=t_eval)
-        files += [f"dump/{p.name}" for p in R.save_eval_dump(dump, out / "dump")]
-    return _FitRecord(model.role, model.config, model.history, files)
+class _Fitter:
+    """Fits runs on one train set and writes what each fit determines.  Every run of
+    every command is fitted here.  It loads each teacher checkpoint once and computes
+    each teacher's train-set logit table once, whichever of its students need them."""
+
+    def __init__(self, train_ds: D.Dataset, eval_ds: D.Dataset | None, t_eval: float):
+        self.train_ds, self.eval_ds, self.t_eval = train_ds, eval_ds, t_eval
+        self.teachers: dict[Path, tuple[TrainedModel, dict]] = {}  # checkpoint -> (model, tables)
+
+    def __call__(self, out: Path, cfg: TrainConfig, arch: str, teacher_ckpt: Path | None = None,
+                 checkpointed=None) -> _FitRecord:
+        """Fit a teacher, or a student of the teacher at `teacher_ckpt`, and write
+        checkpoint/, a student's teacher/ copy and, given an eval set, dump/.  A manifest
+        left in `out` by an earlier run goes first, so the directory is complete again
+        only once `_seal` writes the new one.  `checkpointed()` runs as soon as the
+        checkpoint and teacher copy are on disk, before evaluation."""
+        if teacher_ckpt is None:
+            model = train_teacher(cfg, self.train_ds, arch=arch)
+        else:
+            if teacher_ckpt not in self.teachers:
+                teacher = TrainedModel(net=R.load_checkpoint(teacher_ckpt), role="teacher",
+                                       config=TrainConfig(), history=[])
+                self.teachers[teacher_ckpt] = (teacher, {})
+            teacher, tables = self.teachers[teacher_ckpt]
+            model = train_student(cfg, teacher, self.train_ds, arch=arch, logit_tables=tables)
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "manifest.json").unlink(missing_ok=True)
+        files = [f"checkpoint/{p.name}" for p in R.save_checkpoint(model.net, out / "checkpoint")]
+        if teacher_ckpt is not None:
+            tdir = out / "teacher"
+            if tdir.exists():
+                shutil.rmtree(tdir)
+            shutil.copytree(teacher_ckpt, tdir)
+            files += [f"teacher/{p.name}" for p in sorted(tdir.iterdir())]
+        if checkpointed is not None:
+            checkpointed()
+        if self.eval_ds is not None:
+            dump = evaluate_model(model, self.eval_ds, t_eval=self.t_eval)
+            files += [f"dump/{p.name}" for p in R.save_eval_dump(dump, out / "dump")]
+        return _FitRecord(model.role, arch, model.config, model.history, files)
 
 
-def _seal(out: Path, fit: _FitRecord, arch: str, train_desc: dict, eval_desc: dict | None,
+def _seal(out: Path, fit: _FitRecord, train_desc: dict, eval_desc: dict | None,
           t_eval: float, n_bins: int, run_id: str | None = None) -> R.RunManifest:
-    """Finish a run directory that `_write_fit` wrote: the reports of its dump (read
+    """Finish a run directory that a `_Fitter` wrote: the reports of its dump (read
     back from disk) when it has an eval set, then manifest.json, last.  The manifest
     hashes every file from disk and is the run's seal: a directory without one is not
     a complete run.  Returns the manifest."""
@@ -139,7 +159,7 @@ def _seal(out: Path, fit: _FitRecord, arch: str, train_desc: dict, eval_desc: di
     manifest = R.RunManifest(
         run_id=run_id or f"{fit.role}-{fit.config.strategy.kind}-seed{fit.config.seed}",
         role=fit.role,
-        config={"train": fit.config.to_dict(), "arch": arch, "t_eval": t_eval,
+        config={"train": fit.config.to_dict(), "arch": fit.arch, "t_eval": t_eval,
                 "n_bins": n_bins},
         dataset={"train": train_desc, "eval": eval_desc},
         metrics=metrics,
@@ -148,15 +168,6 @@ def _seal(out: Path, fit: _FitRecord, arch: str, train_desc: dict, eval_desc: di
         manifest.add_file(name, p, out)
     R.write_manifest(manifest, out / "manifest.json")
     return manifest
-
-
-def _emit_run(out: Path, model: TrainedModel, arch: str, train_desc: dict,
-              eval_ds: D.Dataset | None, eval_desc: dict | None, t_eval: float,
-              n_bins: int, teacher_ckpt_src: Path | None = None,
-              run_id: str | None = None) -> R.RunManifest:
-    """Write one run directory in one process; returns its manifest."""
-    fit = _write_fit(out, model, eval_ds, t_eval, teacher_ckpt_src)
-    return _seal(out, fit, arch, train_desc, eval_desc, t_eval, n_bins, run_id)
 
 
 def _resolve_teacher(path: Path) -> Path:
@@ -176,18 +187,6 @@ def _cmd_synth(args) -> int:
     D.save_dataset(ds, args.out)
     print(f"wrote {ds.n_samples} samples, {ds.n_classes} classes -> {args.out}")
     return 0
-
-
-def _load_teacher(ckpt: Path) -> TrainedModel:
-    return TrainedModel(net=R.load_checkpoint(ckpt), role="teacher", config=TrainConfig(),
-                        history=[])
-
-
-def _train(role: str, cfg: TrainConfig, ds: D.Dataset, arch: str,
-           teacher_ckpt: Path | None) -> TrainedModel:
-    if role == "teacher":
-        return train_teacher(cfg, ds, arch=arch)
-    return train_student(cfg, _load_teacher(teacher_ckpt), ds, arch=arch)
 
 
 # command -> (role, summary line, default arch, help)
@@ -210,10 +209,10 @@ def _cmd_train(args) -> int:
     ds = D.resolve_dataset(args.dataset)
     ckpt = _resolve_teacher(Path(args.teacher)) if role == "student" else None
     eval_ds = D.resolve_dataset(args.eval_dataset) if args.eval_dataset else None
-    model = _train(role, cfg, ds, args.arch, ckpt)
-    metrics = _emit_run(Path(args.out), model, args.arch, _dataset_desc(args.dataset, ds),
-                        eval_ds, _dataset_desc(args.eval_dataset, eval_ds) if eval_ds else None,
-                        args.t_eval, args.bins, teacher_ckpt_src=ckpt).metrics
+    fit = _Fitter(ds, eval_ds, args.t_eval)(Path(args.out), cfg, args.arch, ckpt)
+    metrics = _seal(Path(args.out), fit, _dataset_desc(args.dataset, ds),
+                    _dataset_desc(args.eval_dataset, eval_ds) if eval_ds else None,
+                    args.t_eval, args.bins).metrics
     acc = metrics.get("eval", {}).get("accuracy", metrics["final_train"].get("accuracy"))
     print(f"{done}: accuracy {acc}")
     return 0
@@ -246,10 +245,10 @@ def _rerun_from_manifest(manifest_path: Path, out: Path) -> int:
     train_ds = build("dataset.train", dataset_from_desc, m.dataset["train"])
     eval_ds = build("dataset.eval", dataset_from_desc, m.dataset["eval"])
     teacher = manifest_path.parent / "teacher" if m.role == "student" else None
-    model = _train(m.role, cfg, train_ds, m.config["arch"], teacher)
-    rerun = _emit_run(out, model, m.config["arch"], m.dataset["train"], eval_ds, m.dataset["eval"],
-                      m.config.get("t_eval", T_EVAL), m.config.get("n_bins", N_BINS),
-                      teacher_ckpt_src=teacher, run_id=m.run_id)
+    t_eval = m.config.get("t_eval", T_EVAL)
+    fit = _Fitter(train_ds, eval_ds, t_eval)(out, cfg, m.config["arch"], teacher)
+    rerun = _seal(out, fit, m.dataset["train"], m.dataset["eval"], t_eval,
+                  m.config.get("n_bins", N_BINS), run_id=m.run_id)
     for name, ref in rerun.files.items():
         if m.files.get(name, {}).get("sha256") != ref["sha256"]:
             print(f"error: {name} differs from manifest", file=sys.stderr)
@@ -300,47 +299,19 @@ def _cmd_gradcheck(args) -> int:
 MATRIX_COLUMNS = ("cell", "strategy", "arm", "teacher_accuracy") + R.METRIC_COLUMNS
 
 
-class _CellFits:
-    """Fits grid cells and writes what each fit determines, all in one process.  For the
-    one grid it serves, it loads each teacher checkpoint once and computes each teacher's
-    train-set logit table once, whichever of its cells need them."""
-
-    def __init__(self, train_ds: D.Dataset, eval_ds: D.Dataset, arch: str, t_eval: float):
-        self.train_ds, self.eval_ds, self.arch, self.t_eval = train_ds, eval_ds, arch, t_eval
-        self.teachers: dict[Path, tuple[TrainedModel, dict]] = {}  # checkpoint -> (model, tables)
-
-    def __call__(self, run: Path, cfg: TrainConfig, teacher_ckpt: Path) -> _FitRecord:
-        if teacher_ckpt not in self.teachers:
-            self.teachers[teacher_ckpt] = (_load_teacher(teacher_ckpt), {})
-        teacher, tables = self.teachers[teacher_ckpt]
-        model = train_student(cfg, teacher, self.train_ds, arch=self.arch, logit_tables=tables)
-        return _write_fit(run, model, self.eval_ds, self.t_eval, teacher_ckpt_src=teacher_ckpt)
+# the grid's _Fitter in a worker process, set by the pool's initializer
+_cell_fitter: _Fitter | None = None
 
 
-# the grid's _CellFits in a worker process, set by the pool's initializer
-_cell_fits: _CellFits | None = None
+def _init_cell_fitter(fitter: _Fitter) -> None:
+    global _cell_fitter
+    _cell_fitter = fitter
 
 
-def _init_cell_fits(fits: _CellFits) -> None:
-    global _cell_fits
-    _cell_fits = fits
-
-
-def _fit_cell(run: Path, cfg: TrainConfig, teacher_ckpt: Path) -> _FitRecord:
+def _fit_cell(run: Path, cfg: TrainConfig, arch: str, teacher_ckpt: Path) -> _FitRecord:
     """Fit one grid student in a worker against its teacher's checkpoint (the bytes that
     its run directory's `teacher/` copy holds and that a replay reads) and write it."""
-    return _cell_fits(run, cfg, teacher_ckpt)
-
-
-def _unwrite(run: Path, fit: _FitRecord) -> None:
-    """Delete the files a fit wrote into `run`, then the directories that left empty."""
-    for name in fit.files:
-        (run / name).unlink(missing_ok=True)
-    for d in sorted({(run / name).parent for name in fit.files}, reverse=True) + [run]:
-        try:
-            d.rmdir()
-        except OSError:  # not empty: it holds files this fit did not write
-            pass
+    return _cell_fitter(run, cfg, arch, teacher_ckpt)
 
 
 def _os_threads() -> int:
@@ -352,10 +323,10 @@ def _os_threads() -> int:
         return 0
 
 
-def _cell_pool(n_cells: int, fits: _CellFits):
+def _cell_pool(n_cells: int, fitter: _Fitter):
     """A fork pool with one worker per usable CPU beyond this process, which trains the
     teachers and seals every run, or None to fit every cell here.  Each worker fits and
-    writes its cells through its own copy of `fits`.  Forking needs a single-threaded
+    writes its cells through its own copy of `fitter`.  Forking needs a single-threaded
     process: a multi-threaded BLAS already spreads each fit over the CPUs, its spinning
     threads starve the workers (a 1-epoch grid ran 2-4x slower), and a forked
     multi-threaded process may deadlock.  Fork hands each worker the data sets once."""
@@ -366,7 +337,7 @@ def _cell_pool(n_cells: int, fits: _CellFits):
     from concurrent.futures import ProcessPoolExecutor
 
     return ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_init_cell_fits, initargs=(fits,))
+                               initializer=_init_cell_fitter, initargs=(fitter,))
 
 
 def _grid_plan(args) -> list[tuple[Path, Path | None, TrainConfig]]:
@@ -413,7 +384,10 @@ def _cmd_matrix(args) -> int:
     # create most of them.
     plan = _grid_plan(args)
     cells = len(plan) - len(STRATEGY_KINDS)
-    fitter = _CellFits(train_ds, eval_ds, args.student_arch, args.t_eval)
+    fitter = _Fitter(train_ds, eval_ds, args.t_eval)
+    # the tables are the grid's seal: none stands beside runs of another grid
+    for name in ("matrix_metrics.csv", "trends.txt"):
+        (out / name).unlink(missing_ok=True)
     pool = _cell_pool(cells, fitter)
     # plan index of a cell -> its pool future, or a call that fits and writes it here
     fits = {}
@@ -421,34 +395,32 @@ def _cmd_matrix(args) -> int:
     def submit(teacher_run: Path) -> None:
         for j, (run, needs, cfg) in enumerate(plan):
             if needs == teacher_run:
-                cell = (run, cfg, teacher_run / "checkpoint")
+                cell = (run, cfg, args.student_arch, teacher_run / "checkpoint")
                 fits[j] = (pool.submit(_fit_cell, *cell) if pool
                            else functools.partial(fitter, *cell))
 
+    sealed = 0
     try:
-        for k, (run, teacher, cfg) in enumerate(plan):
+        for run, teacher, cfg in plan:
             if teacher is None:
-                fit = _write_fit(run, train_teacher(cfg, train_ds, arch=args.teacher_arch),
-                                 eval_ds, args.t_eval, checkpointed=functools.partial(submit, run))
+                fit = fitter(run, cfg, args.teacher_arch,
+                             checkpointed=functools.partial(submit, run))
             else:
-                job = fits.pop(k)
+                job = fits.pop(sealed)
                 fit = job.result() if pool else job()
-            arch = args.student_arch if teacher else args.teacher_arch
-            ev = _seal(run, fit, arch, train_desc, eval_desc, args.t_eval, args.bins,
+            ev = _seal(run, fit, train_desc, eval_desc, args.t_eval, args.bins,
                        run_id=f"{'cell' if teacher else 'teacher'}-{run.name}").metrics["eval"]
+            sealed += 1
             print(f"{run.relative_to(out).as_posix()} eval accuracy {ev['accuracy']:.4f}")
-    except BaseException:
-        if pool:
-            # Workers run ahead of the seals.  Take back what they wrote past the failure,
-            # so a failed grid leaves the runs it would have left fitting in one process.
-            pool.shutdown(cancel_futures=True)
-            for j, future in fits.items():
-                if not future.cancelled() and future.exception() is None:
-                    _unwrite(plan[j][0], future.result())
-        raise
     finally:
         if pool:
             pool.shutdown(cancel_futures=True)
+        # Past a failure, the runs after the last seal hold what workers wrote ahead of
+        # it, or an earlier grid's runs: remove them, so a failed grid leaves the same
+        # files for any worker count and every run in it is of this grid.
+        for run, _, _ in plan[sealed:]:
+            if run.exists():
+                shutil.rmtree(run)
     _write_tables(out, plan)
     print(f"matrix complete: {cells} cells -> {out / 'matrix_metrics.csv'}")
     return 0

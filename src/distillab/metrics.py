@@ -228,12 +228,12 @@ def _assemble_d(cohesion: np.ndarray, adhesion: dict[tuple[int, int], float], di
     return (mean_c - mean_a) / math.sqrt(dim)
 
 
-def class_discrimination(dump: EvalDump, standardize: bool = True) -> DiscriminationReport:
+def class_discrimination(dump: EvalDump) -> DiscriminationReport:
     """Embedding-space cohesion/adhesion report under cosine similarity.
 
-    Embeddings are standardized per dimension first (disable with
-    standardize=False).  Cohesion for a class divides the upper-triangle sum
-    of intra-class cosines by N_c*(N_c - 1) — half the unordered-pair mean.
+    Embeddings are standardized per dimension first.  Cohesion for a class
+    divides the upper-triangle sum of intra-class cosines by N_c*(N_c - 1) —
+    half the unordered-pair mean.
     Adhesion for a class pair is the mean over all cross pairs.
     D = (mean cohesion - mean adhesion) / sqrt(d).
 
@@ -251,8 +251,7 @@ def class_discrimination(dump: EvalDump, standardize: bool = True) -> Discrimina
     for c, idx in enumerate(groups):
         if idx.size < 2:
             raise ValueError(f"class {c} has {idx.size} samples; cohesion needs at least 2")
-    emb = standardize_embeddings(dump.embeddings) if standardize \
-        else np.array(dump.embeddings, dtype=np.float64)
+    emb = standardize_embeddings(dump.embeddings)
     d = emb.shape[1]
     norms = np.linalg.norm(emb, axis=1)[:, None]
     unit = _divide_or_zero(emb, norms, norms != 0.0)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -60,7 +61,7 @@ def load_array(path: str | Path) -> np.ndarray:
         raise FormatError(f"{path}: shape truncated at offset {len(raw)} (need {shape_end} bytes)")
     shape = struct.unpack_from(f"<{ndim}Q", raw, 20)
     dt = np.dtype(_DTYPE_CODES[code])
-    expected = int(np.prod(shape, dtype=np.int64)) * dt.itemsize if ndim else dt.itemsize
+    expected = math.prod(shape) * dt.itemsize  # Python ints: no shape overflows
     actual = len(raw) - shape_end
     if actual != expected:
         raise FormatError(
@@ -186,16 +187,11 @@ def save_checkpoint(net, dir_path: str | Path) -> list[Path]:
     """Write network architecture + parameters; returns the files written."""
     d = Path(dir_path)
     d.mkdir(parents=True, exist_ok=True)
-    written = []
     spec_path = d / "network.json"
     spec_path.write_text(json.dumps(net.spec_dict(), sort_keys=True, indent=2) + "\n",
                          encoding="utf-8")
-    written.append(spec_path)
-    for key, _, _, arr in net.param_items():
-        p = d / f"param-{key}.arr"
-        save_array(arr, p)
-        written.append(p)
-    return written
+    return [spec_path, *save_arrays(d, {f"param-{key}": arr
+                                        for key, _, _, arr in net.param_items()})]
 
 
 def load_checkpoint(dir_path: str | Path):

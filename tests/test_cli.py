@@ -550,13 +550,8 @@ def test_the_thread_probe_counts_the_threads_of_this_process():
         thread.join(timeout=10)
 
 
-def test_a_cell_failing_in_a_worker_fails_the_grid_as_in_process(grid_data, tmp_path,
-                                                                 monkeypatch, capsys):
-    plan = cli._grid_plan(build_parser().parse_args(_mini_grid_argv(grid_data, tmp_path)))
-    # standard-both.  The none teacher's cells, cutout-student-aug among them, are
-    # submitted before it, so one worker has written cells later in plan order by the
-    # time the grid fails on it.
-    failing = 10
+def _failing_cell(plan, failing):
+    """A `train_student` that raises for the cell at plan index `failing`."""
     train_student = cli.train_student
 
     def fail_one_cell(cfg, *args, **kwargs):
@@ -564,9 +559,19 @@ def test_a_cell_failing_in_a_worker_fails_the_grid_as_in_process(grid_data, tmp_
             raise RuntimeError("cell failed")
         return train_student(cfg, *args, **kwargs)
 
+    return fail_one_cell
+
+
+def test_a_cell_failing_in_a_worker_fails_the_grid_as_in_process(grid_data, tmp_path,
+                                                                 monkeypatch, capsys):
+    plan = cli._grid_plan(build_parser().parse_args(_mini_grid_argv(grid_data, tmp_path)))
+    # standard-both.  The none teacher's cells, cutout-student-aug among them, are
+    # submitted before it, so one worker has written cells later in plan order by the
+    # time the grid fails on it.
+    failing = 10
     cases = {"every cell": (("--student-lr", "1e30"), None,
                             "loss diverged (non-finite logits) at epoch 0, batch 1", 5),
-             "a middle cell": ((), fail_one_cell, "cell failed", failing)}
+             "a middle cell": ((), _failing_cell(plan, failing), "cell failed", failing)}
     for case, (extra, patch, error, sealed) in cases.items():
         seen = {}
         for cpus in (1, 2):
@@ -587,6 +592,32 @@ def test_a_cell_failing_in_a_worker_fails_the_grid_as_in_process(grid_data, tmp_
         assert sorted({path.parts[:2] for path in tree}) == sorted(runs)
         for run in runs:
             read_manifest(out.joinpath(*run, "manifest.json"), verify=True)
+
+
+def test_a_failed_grid_run_again_leaves_no_run_of_the_earlier_grid(grid_data, tmp_path,
+                                                                    monkeypatch, capsys):
+    old = tmp_path / "old"
+    assert _grid_on_cpus(monkeypatch, 1, grid_data, old, "--seed", "6")[0] == 0
+    capsys.readouterr()
+    out = tmp_path / "new"
+    plan = cli._grid_plan(build_parser().parse_args(_mini_grid_argv(grid_data, out)))
+    failing = 10
+    seen = {}
+    for cpus in (1, 2):
+        shutil.copytree(old, out)
+        monkeypatch.setattr(cli, "train_student", _failing_cell(plan, failing))
+        rc, forked = _grid_on_cpus(monkeypatch, cpus, grid_data, out)
+        assert rc == 1 and len(forked) == cpus - 1
+        seen[cpus] = (capsys.readouterr().out, _tree(out))
+        shutil.move(out, tmp_path / str(cpus))
+    assert seen[1] == seen[2]
+    # only the runs this grid sealed; no table, and no run left from the earlier grid
+    tree = seen[1][1]
+    runs = [run.relative_to(out).parts for run, _, _ in plan[:failing]]
+    assert sorted({path.parts[:2] for path in tree}) == sorted(runs)
+    for run, _, cfg in plan[:failing]:
+        m = read_manifest(tmp_path / "1" / run.relative_to(out) / "manifest.json", verify=True)
+        assert m.config["train"]["seed"] == cfg.seed
 
 
 def test_a_run_written_again_loses_its_old_manifest_first(work, tmp_path, monkeypatch):
@@ -624,8 +655,8 @@ def test_a_cell_fit_hands_back_no_parameters(tmp_path, monkeypatch):
     assert main(["train-teacher", "--seed", "1", "--dataset", str(tmp_path / "data"),
                  "--out", str(tmp_path / "teacher"), "--arch", "student-mlp",
                  "--epochs", "1"]) == 0
-    monkeypatch.setattr(cli, "_cell_fits", cli._CellFits(ds, ds, "student-mlp", 1.0))
-    fit = cli._fit_cell(tmp_path / "cell", TrainConfig(epochs=1),
+    monkeypatch.setattr(cli, "_cell_fitter", cli._Fitter(ds, ds, 1.0))
+    fit = cli._fit_cell(tmp_path / "cell", TrainConfig(epochs=1), "student-mlp",
                         tmp_path / "teacher" / "checkpoint")
     params = sum(path.stat().st_size
                  for path in (tmp_path / "cell" / "checkpoint").glob("param-*.arr"))

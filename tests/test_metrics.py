@@ -221,25 +221,28 @@ def test_standardize_needs_two_samples():
 # --- discrimination ---------------------------------------------------------
 
 def _axis_dump():
-    emb = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+    # every column has mean 0 and population std 1: standardizing leaves it as it is
+    emb = np.array([[1.0, -1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, 1.0]])
     probs = np.array([[0.9, 0.1], [0.9, 0.1], [0.1, 0.9], [0.1, 0.9]])
     return _dump(probs, [0, 0, 1, 1], emb=emb)
 
 
 def test_discrimination_axis_aligned_hand_case():
-    rep = class_discrimination(_axis_dump(), standardize=False)
+    rep = class_discrimination(_axis_dump())
+    # each class: one pair at cosine 1 over 2*1; every cross pair at cosine -1
     assert np.allclose(rep.cohesion, [0.5, 0.5])
-    assert rep.adhesion == {(0, 1): 0.0}
-    assert rep.discrimination == pytest.approx(0.5 / math.sqrt(2.0))
+    assert rep.adhesion == pytest.approx({(0, 1): -1.0})
+    assert rep.discrimination == pytest.approx(1.5 / math.sqrt(2.0))
     assert rep.dim == 2
     assert rep.zero_norm_count == 0
 
 
 def test_discrimination_zero_norm_rows_counted_and_neutral():
-    emb = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+    # row 2 equals the column means (0.5, 0.5), so it is zero once standardized
+    emb = np.array([[1.0, 0.0], [1.0, 0.0], [0.5, 0.5], [0.0, 1.0], [0.0, 1.0]])
     probs = np.full((5, 2), 0.5)
     d = _dump(probs, [0, 0, 0, 1, 1], emb=emb)
-    rep = class_discrimination(d, standardize=False)
+    rep = class_discrimination(d)
     assert rep.zero_norm_count == 1
     # class 0 pairs: (a,b)=1, (a,zero)=0, (b,zero)=0 -> upper sum 1 over 3*2
     assert rep.cohesion[0] == pytest.approx(1.0 / 6.0)
@@ -271,19 +274,17 @@ def test_discrimination_matches_pair_oracle():
     rng = np.random.default_rng(8)
     dumps = [_random_dump(rng, n_max=80, d_max=12, with_human=False) for _ in range(8)]
     for d in dumps + _extreme_geometry_dumps(rng):
-        for standardize in (False, True):
-            rep = class_discrimination(d, standardize=standardize)
-            coh, adh, disc = discrimination_pairs(d.embeddings, d.true_labels, d.n_classes,
-                                                  standardize=standardize)
-            assert np.allclose(rep.cohesion, coh, atol=1e-9)
-            for key, val in adh.items():
-                assert rep.adhesion[key] == pytest.approx(val, abs=1e-9)
-            assert rep.discrimination == pytest.approx(disc, rel=1e-8, abs=1e-10)
+        rep = class_discrimination(d)
+        coh, adh, disc = discrimination_pairs(d.embeddings, d.true_labels, d.n_classes)
+        assert np.allclose(rep.cohesion, coh, atol=1e-9)
+        for key, val in adh.items():
+            assert rep.adhesion[key] == pytest.approx(val, abs=1e-9)
+        assert rep.discrimination == pytest.approx(disc, rel=1e-8, abs=1e-10)
 
 
 def _reference_dumps(rng):
-    """Random dumps, each with a zero-variance dimension and, before or after
-    standardization, a zero-norm row; float32 embeddings as a network emits them."""
+    """Random dumps, each with a zero-variance dimension and a zero row, every other
+    one a row that is zero once standardized; float32 embeddings as a network emits them."""
     dumps = []
     for i in range(20):
         probs, emb, labels, _, _ = random_dump_arrays(rng, with_human=False)
@@ -305,27 +306,25 @@ def _reference_dumps(rng):
 
 def test_discrimination_matches_gather_reference_bitwise():
     rng = np.random.default_rng(21)
-    zero_rows = {True: 0, False: 0}
+    zero_rows = 0
     for d in _reference_dumps(rng):
         std = standardize_embeddings(d.embeddings)
         assert std.tobytes() == standardize_reference(d.embeddings).tobytes()
         assert not std[:, -1].any()
-        for standardize in (True, False):
-            rep = class_discrimination(d, standardize=standardize)
-            coh, adh, disc, zeros = discrimination_reference(
-                d.embeddings, d.true_labels, d.n_classes, standardize=standardize)
-            assert rep.cohesion.tobytes() == coh.tobytes()
-            assert list(rep.adhesion) == list(adh)
-            assert [v.hex() for v in rep.adhesion.values()] == [v.hex() for v in adh.values()]
-            assert rep.discrimination.hex() == disc.hex()
-            assert rep.zero_norm_count == zeros
-            zero_rows[standardize] += zeros
-    assert zero_rows[True] >= 10 and zero_rows[False] >= 10
+        rep = class_discrimination(d)
+        coh, adh, disc, zeros = discrimination_reference(d.embeddings, d.true_labels,
+                                                         d.n_classes)
+        assert rep.cohesion.tobytes() == coh.tobytes()
+        assert list(rep.adhesion) == list(adh)
+        assert [v.hex() for v in rep.adhesion.values()] == [v.hex() for v in adh.values()]
+        assert rep.discrimination.hex() == disc.hex()
+        assert rep.zero_norm_count == zeros
+        zero_rows += zeros
+    assert zero_rows >= 10
     # the caller's embeddings are left as they were
     emb = np.arange(12.0).reshape(6, 2)
     d = _dump(np.full((6, 2), 0.5), [0, 0, 0, 1, 1, 1], emb=emb)
-    for standardize in (True, False):
-        class_discrimination(d, standardize=standardize)
+    class_discrimination(d)
     assert np.array_equal(d.embeddings, np.arange(12.0).reshape(6, 2))
 
 

@@ -104,6 +104,15 @@ def test_array_payload_size_mismatch(tmp_path):
         load_array(p)
 
 
+def test_array_shape_too_large_for_int64(tmp_path):
+    # 2**62 * 4 elements of 4 bytes wraps to 0 in int64, the size of an empty payload
+    head = ARRAY_MAGIC + struct.pack("<III", 1, 1, 2) + struct.pack("<2Q", 2**62, 4)
+    p = _write(tmp_path, head)
+    with pytest.raises(FormatError,
+                       match=rf"bad\.arr: payload at offset 36 has 0 bytes, expected {2**66}$"):
+        load_array(p)
+
+
 # --- manifests --------------------------------------------------------------
 
 def _manifest(tmp_path):
