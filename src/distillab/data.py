@@ -69,11 +69,11 @@ class Dataset:
     def digest(self) -> str:
         """Content hash over every field, for manifests."""
         h = hashlib.sha256()
-        h.update(np.ascontiguousarray(self.images).tobytes())
-        h.update(np.ascontiguousarray(self.labels).tobytes())
+        h.update(np.ascontiguousarray(self.images))  # hashed in place, not copied
+        h.update(np.ascontiguousarray(self.labels))
         h.update(json.dumps(self.class_names).encode())
         if self.human_probs is not None:
-            h.update(np.ascontiguousarray(self.human_probs).tobytes())
+            h.update(np.ascontiguousarray(self.human_probs))
         return h.hexdigest()
 
 
@@ -102,7 +102,8 @@ def load_cifar10_bin(dir_path: str | Path) -> Dataset:
         all_labels.append(labels.astype(np.int64))
         all_images.append(rec[:, 1:].reshape(-1, 3, 32, 32))
         base += rec.shape[0]
-    images = np.concatenate(all_images).astype(np.float32) / 255.0
+    images = np.concatenate(all_images, dtype=np.float32)
+    images /= 255.0
     return Dataset(images=images, labels=np.concatenate(all_labels),
                    class_names=list(CIFAR10_CLASSES))
 
@@ -135,8 +136,9 @@ def load_mnist_idx(images_path: str | Path, labels_path: str | Path) -> Dataset:
     bad = np.flatnonzero(labels > 9)
     if bad.size:
         raise FormatError(f"{labels_path}: label {labels[bad[0]]} > 9 at record {int(bad[0])}")
-    images = np.frombuffer(img_raw, dtype=np.uint8, offset=img_off).reshape(n_img, 1, rows, cols)
-    return Dataset(images=images.astype(np.float32) / 255.0, labels=labels.astype(np.int64),
+    images = np.frombuffer(img_raw, dtype=np.uint8, offset=img_off).astype(np.float32)
+    images /= 255.0
+    return Dataset(images=images.reshape(n_img, 1, rows, cols), labels=labels.astype(np.int64),
                    class_names=[str(i) for i in range(10)])
 
 
@@ -193,15 +195,27 @@ def make_synthetic(seed: int, n_classes: int = 4, per_class: int = 500,
     templates = 0.15 + 0.7 * (templates - templates.min(axis=(1, 2, 3), keepdims=True)) / span
     n = n_classes * per_class
     labels = np.repeat(np.arange(n_classes), per_class)
-    noise = rng.normal(0.0, 0.35 * difficulty, size=(n, channels, img_side, img_side))
-    images = np.clip(contrast * (templates[labels] + noise) + brightness, 0.0, 1.0)
+    # one float64 stack, transformed in place: the noise draw becomes the images
+    images = rng.normal(0.0, 0.35 * difficulty, size=(n, channels, img_side, img_side))
+    by_class = images.reshape(n_classes, per_class, -1)  # a view: no [N, d] template copy
+    by_class += templates.reshape(n_classes, 1, -1)
+    images *= contrast
+    images += brightness
+    np.clip(images, 0.0, 1.0, out=images)
     flat = images.reshape(n, -1)
-    tflat = templates.reshape(n_classes, -1)
-    # negative mean-squared distance to each template -> soft "human" labels
-    d2 = ((flat[:, None, :] - tflat[None, :, :]) ** 2).mean(axis=2)
+    # negative mean-squared distance to each template -> soft "human" labels,
+    # one class at a time through one [N, d] buffer
+    d2 = np.empty((n, n_classes))
+    diff = np.empty_like(flat)
+    for k, t in enumerate(templates.reshape(n_classes, -1)):
+        np.subtract(flat, t, out=diff)
+        np.square(diff, out=diff)
+        d2[:, k] = diff.mean(axis=1)
+    del by_class, diff, flat  # so the cast below frees the float64 stack
     human = softmax_t(-d2, temperature=human_temp)
     perm = rng.permutation(n)
-    return Dataset(images=images[perm].astype(np.float32), labels=labels[perm],
+    images = images.astype(np.float32)
+    return Dataset(images=images[perm], labels=labels[perm],
                    class_names=[f"class-{i}" for i in range(n_classes)],
                    human_probs=human[perm])
 

@@ -13,6 +13,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -41,33 +42,42 @@ def save_array(arr: np.ndarray, path: str | Path) -> None:
         fh.write(ARRAY_MAGIC)
         fh.write(struct.pack("<III", ARRAY_VERSION, code, arr.ndim))
         fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        fh.write(np.ascontiguousarray(arr, dtype=dt).tobytes())
+        fh.write(np.ascontiguousarray(arr, dtype=dt).reshape(-1).view(np.uint8))  # no copy
 
 
 def load_array(path: str | Path) -> np.ndarray:
-    """Read a container file back; errors carry the byte offset of the defect."""
-    raw = Path(path).read_bytes()
-    if len(raw) < 8 or raw[:8] != ARRAY_MAGIC:
-        raise FormatError(f"{path}: bad magic at offset 0 (expected {ARRAY_MAGIC!r})")
-    if len(raw) < 20:
-        raise FormatError(f"{path}: header truncated at offset {len(raw)} (need 20 bytes)")
-    version, code, ndim = struct.unpack_from("<III", raw, 8)
-    if version != ARRAY_VERSION:
-        raise FormatError(f"{path}: unsupported version {version} at offset 8")
-    if code not in _DTYPE_CODES:
-        raise FormatError(f"{path}: unknown dtype code {code} at offset 12")
-    shape_end = 20 + 8 * ndim
-    if len(raw) < shape_end:
-        raise FormatError(f"{path}: shape truncated at offset {len(raw)} (need {shape_end} bytes)")
-    shape = struct.unpack_from(f"<{ndim}Q", raw, 20)
-    dt = np.dtype(_DTYPE_CODES[code])
-    expected = math.prod(shape) * dt.itemsize  # Python ints: no shape overflows
-    actual = len(raw) - shape_end
-    if actual != expected:
-        raise FormatError(
-            f"{path}: payload at offset {shape_end} has {actual} bytes, expected {expected}")
-    arr = np.frombuffer(raw[shape_end:], dtype=dt).reshape(shape)
-    return arr.copy()  # writable, native layout
+    """Read a container file back; errors carry the byte offset of the defect.
+
+    The header is checked against the file's size before the payload is read,
+    once, straight into the returned array."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(20)
+        if len(head) < 8 or head[:8] != ARRAY_MAGIC:
+            raise FormatError(f"{path}: bad magic at offset 0 (expected {ARRAY_MAGIC!r})")
+        if size < 20:
+            raise FormatError(f"{path}: header truncated at offset {size} (need 20 bytes)")
+        version, code, ndim = struct.unpack_from("<III", head, 8)
+        if version != ARRAY_VERSION:
+            raise FormatError(f"{path}: unsupported version {version} at offset 8")
+        if code not in _DTYPE_CODES:
+            raise FormatError(f"{path}: unknown dtype code {code} at offset 12")
+        shape_end = 20 + 8 * ndim
+        if size < shape_end:
+            raise FormatError(f"{path}: shape truncated at offset {size} (need {shape_end} bytes)")
+        shape = struct.unpack(f"<{ndim}Q", fh.read(8 * ndim))
+        dt = np.dtype(_DTYPE_CODES[code])
+        expected = math.prod(shape) * dt.itemsize  # Python ints: no shape overflows
+        actual = size - shape_end
+        if actual != expected:
+            raise FormatError(
+                f"{path}: payload at offset {shape_end} has {actual} bytes, expected {expected}")
+        arr = np.empty(shape, dtype=dt)  # writable, native layout
+        got = fh.readinto(arr.reshape(-1).view(np.uint8))
+    if got != expected:
+        raise FormatError(f"{path}: payload at offset {shape_end} ended after {got} bytes, "
+                          f"expected {expected}")
+    return arr
 
 
 def sha256_file(path: str | Path) -> str:

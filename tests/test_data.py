@@ -40,6 +40,8 @@ def test_cifar_round_trip_values(tmp_path):
     assert ds.images[0, 0, 0, 0] == np.float32(0 / 255)   # first pixel byte of record 0
     assert ds.images[1, 0, 0, 0] == np.float32(1 / 255)   # pattern shifts by record index
     assert ds.images.min() >= 0.0 and ds.images.max() <= 1.0
+    pixels = np.frombuffer(_cifar_records(3, 9), np.uint8).reshape(2, 3073)[:, 1:]
+    assert ds.images.tobytes() == (pixels.astype(np.float32) / 255.0).tobytes()
 
 
 def test_cifar_concatenates_sorted_batches(tmp_path):
@@ -85,6 +87,8 @@ def test_mnist_round_trip(tmp_path):
     assert ds.labels.tolist() == [0, 9]
     assert ds.class_names == [str(i) for i in range(10)]
     assert ds.images[0, 0, 0, 1] == np.float32(1 / 255)
+    pixels = np.frombuffer(_idx_images(2, 4, 5), np.uint8, offset=16)
+    assert ds.images.tobytes() == (pixels.astype(np.float32) / 255.0).tobytes()
 
 
 def test_mnist_header_truncated(tmp_path):
@@ -232,6 +236,44 @@ def test_synthetic_shift_knobs_move_pixels_not_labels():
 def test_synthetic_rejects_single_class():
     with pytest.raises(ValueError):
         make_synthetic(seed=0, n_classes=1)
+
+
+# every pixel, label and human probability of these sets is pinned: C = 2, 4 and 10,
+# one and three channels, difficulty 0, shifted contrast and brightness, d above 128
+SYNTH_DIGESTS = [
+    (dict(seed=0),
+     "2dd4e01b1e63a94ffe96493b81a181a2b5b3f588eba1904487d0857447c51e85"),
+    (dict(seed=3, n_classes=2, per_class=40, img_side=8, difficulty=0.0, channels=1),
+     "59730f423693765e927a9123ff38aa4ffab44b7b36c8f88015e5623909314010"),
+    (dict(seed=5, n_classes=4, per_class=30, img_side=12, difficulty=1.0, channels=3,
+          contrast=0.7, brightness=0.2),
+     "de0b33980b262ff05109b912985d680c94417de0738708e3367e8f49d080abe5"),
+    (dict(seed=7, n_classes=10, per_class=12, img_side=32, difficulty=0.5, channels=3,
+          contrast=1.3, brightness=-0.1),
+     "7ae9df360e9e0ae9ae20043b22dce888bdd9301962a5500aca74a0f5a9a14fa3"),
+    (dict(seed=11, n_classes=10, per_class=20, img_side=6, difficulty=2.5, channels=1,
+          human_temp=0.2),
+     "30a60c9a08afc97e2cea37d5983c5876697f6ef5d3e4b8984321613d6e2a1d29"),
+]
+
+
+@pytest.mark.parametrize("kwargs,digest", SYNTH_DIGESTS,
+                         ids=["default", "c2-flat", "c4-rgb-shifted", "c10-rgb32", "c10-hard"])
+def test_synthetic_digests_are_pinned(kwargs, digest):
+    assert make_synthetic(**kwargs).digest() == digest
+
+
+def test_synthetic_peaks_at_a_few_image_stacks(traced_peak):
+    make_synthetic(seed=0, n_classes=2, per_class=2, img_side=4)  # first-call allocations
+    stack = 10 * 200 * 12 * 12 * 8  # the float64 image stack
+    # an [N, C, d] distance temporary alone would be 10 stacks
+    assert traced_peak(lambda: make_synthetic(seed=0, n_classes=10, per_class=200)) < 3 * stack
+
+
+def test_dataset_digest_hashes_without_copying(traced_peak):
+    ds = make_synthetic(seed=0, n_classes=10, per_class=200)
+    ds.digest()
+    assert traced_peak(ds.digest) < 0.5 * ds.images.nbytes
 
 
 # --- splitting --------------------------------------------------------------

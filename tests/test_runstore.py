@@ -113,6 +113,25 @@ def test_array_shape_too_large_for_int64(tmp_path):
         load_array(p)
 
 
+def _big_array_file(tmp_path):
+    arr = np.random.default_rng(0).normal(size=(500, 1000))  # 4 MB
+    p = tmp_path / "big.arr"
+    save_array(arr, p)
+    load_array(p)  # first-call allocations
+    return arr, p
+
+
+def test_save_array_writes_without_a_copy(tmp_path, traced_peak):
+    arr, p = _big_array_file(tmp_path)
+    assert traced_peak(lambda: save_array(arr, p)) < 0.5 * arr.nbytes
+    assert load_array(p).tobytes() == arr.tobytes()
+
+
+def test_load_array_reads_the_payload_once(tmp_path, traced_peak):
+    arr, p = _big_array_file(tmp_path)
+    assert traced_peak(lambda: load_array(p)) < 1.5 * arr.nbytes
+
+
 # --- manifests --------------------------------------------------------------
 
 def _manifest(tmp_path):
