@@ -24,6 +24,7 @@ from .runstore import load_array, load_arrays, save_arrays
 CIFAR10_CLASSES = ["airplane", "automobile", "bird", "cat", "deer",
                    "dog", "frog", "horse", "ship", "truck"]
 _CIFAR_RECORD = 3073  # 1 label byte + 3 * 32 * 32 pixel bytes
+_SYNTH_BLOCK_FLOATS = 1 << 15  # float64 values in one make_synthetic block: 256 KiB
 
 
 @dataclass
@@ -194,27 +195,33 @@ def make_synthetic(seed: int, n_classes: int = 4, per_class: int = 500,
     span = templates.max(axis=(1, 2, 3), keepdims=True) - templates.min(axis=(1, 2, 3), keepdims=True)
     templates = 0.15 + 0.7 * (templates - templates.min(axis=(1, 2, 3), keepdims=True)) / span
     n = n_classes * per_class
+    dim = channels * img_side * img_side
     labels = np.repeat(np.arange(n_classes), per_class)
-    # one float64 stack, transformed in place: the noise draw becomes the images
-    images = rng.normal(0.0, 0.35 * difficulty, size=(n, channels, img_side, img_side))
-    by_class = images.reshape(n_classes, per_class, -1)  # a view: no [N, d] template copy
-    by_class += templates.reshape(n_classes, 1, -1)
-    images *= contrast
-    images += brightness
-    np.clip(images, 0.0, 1.0, out=images)
-    flat = images.reshape(n, -1)
-    # negative mean-squared distance to each template -> soft "human" labels,
-    # one class at a time through one [N, d] buffer
+    flat_templates = templates.reshape(n_classes, dim)
+    images = np.empty((n, channels, img_side, img_side), dtype=np.float32)
+    flat_images = images.reshape(n, dim)
+    # negative mean-squared distance to each template -> soft "human" labels
     d2 = np.empty((n, n_classes))
-    diff = np.empty_like(flat)
-    for k, t in enumerate(templates.reshape(n_classes, -1)):
-        np.subtract(flat, t, out=diff)
-        np.square(diff, out=diff)
-        d2[:, k] = diff.mean(axis=1)
-    del by_class, diff, flat  # so the cast below frees the float64 stack
+    # One block of rows at a time, so the float64 scratch is O(block) and not O(N).
+    # The noise stream is drawn in the same order as one [N, d] draw, and each row
+    # keeps its arithmetic and its length-d mean, so no byte depends on the block size.
+    rows = max(1, _SYNTH_BLOCK_FLOATS // dim)
+    diff = np.empty((rows, dim))
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        block = rng.normal(0.0, 0.35 * difficulty, size=(stop - start, dim))
+        block += flat_templates[labels[start:stop]]
+        block *= contrast
+        block += brightness
+        np.clip(block, 0.0, 1.0, out=block)
+        scratch = diff[:stop - start]
+        for k, t in enumerate(flat_templates):
+            np.subtract(block, t, out=scratch)
+            np.square(scratch, out=scratch)
+            d2[start:stop, k] = scratch.mean(axis=1)
+        flat_images[start:stop] = block
     human = softmax_t(-d2, temperature=human_temp)
     perm = rng.permutation(n)
-    images = images.astype(np.float32)
     return Dataset(images=images[perm], labels=labels[perm],
                    class_names=[f"class-{i}" for i in range(n_classes)],
                    human_probs=human[perm])

@@ -13,7 +13,7 @@ so a (seed, config) pair fixes the trained parameters bitwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -49,7 +49,7 @@ class TrainConfig:
             raise ValueError(f"distill_weight must be in [0, 1], got {self.distill_weight}")
 
     def to_dict(self) -> dict:
-        d = asdict(self)
+        d = {f.name: getattr(self, f.name) for f in fields(self)}  # no `asdict` deep copy
         d["strategy"] = self.strategy.to_dict()
         return d
 

@@ -12,7 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .probs import check_prob_rows, kl_div, kl_div_rows
+from .probs import check_prob_rows, kl_div_rows
+# unused here: perfbench's tracer tests read `metrics.kl_div` beside `probs.kl_div`
+from .probs import kl_div  # noqa: F401
 
 
 @dataclass
@@ -133,15 +135,20 @@ def ece(dump: EvalDump, n_bins: int = 15) -> ReliabilityReport:
     # first j with edges[j] >= conf, minus one: conf lands in (edges[m], edges[m+1]]
     idx = np.searchsorted(edges, conf, side="left") - 1
     idx = np.clip(idx, 0, n_bins - 1)
+    # a stable sort by bin keeps each bin's samples in dump order, as a mask would
+    order = np.argsort(idx, kind="stable")
+    conf, correct = conf[order], correct[order]
+    counts = np.bincount(idx, minlength=n_bins).tolist()
     bins = []
-    for m in range(n_bins):
-        mask = idx == m
-        count = int(mask.sum())
+    start = 0
+    for m, count in enumerate(counts):
         if count:
+            rows = slice(start, start + count)
             bins.append(BinStat(float(edges[m]), float(edges[m + 1]), count,
-                                float(conf[mask].mean()), float(correct[mask].mean())))
+                                float(conf[rows].mean()), float(correct[rows].mean())))
         else:
             bins.append(BinStat(float(edges[m]), float(edges[m + 1]), 0, 0.0, 0.0))
+        start += count
     value = _ece_from_bins(bins, dump.n_samples)
     return ReliabilityReport(bins=bins, ece=value, n_samples=dump.n_samples)
 
@@ -166,8 +173,17 @@ def class_means(dump: EvalDump, rows: np.ndarray) -> np.ndarray:
 
 
 def kl_matrix(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Matrix of KL(p_i || q_j) over the rows of two [C, K] distribution tables."""
-    return np.array([[kl_div(pi, qj) for qj in q] for pi in p], dtype=np.float64)
+    """Matrix of KL(p_i || q_j) over the rows of two [C, K] distribution tables.
+
+    One broadcast over [C, 1, K] x [1, C, K]: each cell sums its own length-K
+    row, as `probs.kl_div` does for one pair."""
+    p = np.asarray(p, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
+    check_prob_rows(p, "p")
+    check_prob_rows(q, "q")
+    if p.shape[1] != q.shape[1]:
+        raise ValueError(f"length mismatch: p {p.shape} vs q {q.shape}")
+    return kl_div_rows(p[:, None, :], q[None, :, :])
 
 
 def class_separability(dump: EvalDump) -> float:

@@ -10,12 +10,13 @@ the shortest decimal that parses back to the identical double.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -110,7 +111,9 @@ class RunManifest:
 
 
 def write_manifest(m: RunManifest, path: str | Path) -> None:
-    text = json.dumps(asdict(m), sort_keys=True, indent=2) + "\n"
+    # the fields as they are: `asdict` would deep-copy every nested dict first
+    text = json.dumps({f.name: getattr(m, f.name) for f in fields(m)},
+                      sort_keys=True, indent=2) + "\n"
     Path(path).write_text(text, encoding="utf-8")
 
 
@@ -247,20 +250,23 @@ def format_float(v) -> str:
 METRIC_COLUMNS = ("accuracy", "human_kld", "ece", "precision", "recall", "f1",
                   "separability", "cohesion", "adhesion", "discrimination")
 
-# name -> (file name, the dump's C x C matrix, diagonal masked); the lambdas look each
-# metric up when called, so a patched or traced `metrics` function is the one used.
-# A masked report is its unmasked twin with the diagonal cells written empty.
+# name -> (file name, the dump's C x C matrix, diagonal masked).  `means(field)` is the
+# class-mean table of the dump's "probs" or "human_probs", built once per emit_report
+# call.  The lambdas look each metric up when called, so a patched or traced `metrics`
+# function is the one used.  A masked report is its unmasked twin with the diagonal
+# cells written empty.
 MATRIX_REPORTS = {
     "confusion": ("confusion_matrix.csv",
-                  lambda d: M.confusion_metrics(d)["confusion_matrix"], False),
-    "confidence": ("confidence_matrix.csv", lambda d: M.class_means(d, d.probs), False),
+                  lambda d, means: M.confusion_metrics(d)["confusion_matrix"], False),
+    "confidence": ("confidence_matrix.csv", lambda d, means: means("probs"), False),
     "confidence_masked": ("confidence_matrix_masked.csv",
-                          lambda d: M.class_means(d, d.probs), True),
-    "kld_matrix": ("kld_matrix.csv", lambda d: M.kld_confusion_matrix(d), False),
+                          lambda d, means: means("probs"), True),
+    "kld_matrix": ("kld_matrix.csv",
+                   lambda d, means: M.kl_matrix(means("human_probs"), means("probs")), False),
     "human_confidence": ("human_confidence_matrix.csv",
-                         lambda d: M.class_means(d, d.human_probs), False),
+                         lambda d, means: means("human_probs"), False),
     "human_confidence_masked": ("human_confidence_matrix_masked.csv",
-                                lambda d: M.class_means(d, d.human_probs), True),
+                                lambda d, means: means("human_probs"), True),
 }
 HUMAN_REPORTS = frozenset({"kld_matrix", "human_confidence", "human_confidence_masked"})
 ALL_REPORTS = ("metrics", "reliability") + tuple(MATRIX_REPORTS)
@@ -353,12 +359,13 @@ def emit_report(dump: M.EvalDump, out_dir: str | Path, reports="all",
         blocked = [r for r in selected if r in HUMAN_REPORTS and dump.human_probs is None]
         if blocked:
             raise ValueError(f"dump has no human_probs; cannot emit {sorted(blocked)}")
+    means = functools.cache(lambda attr: M.class_means(dump, getattr(dump, attr)))
     written: dict[str, Path] = {}
     for name in selected:
         if name in MATRIX_REPORTS:
             file_name, matrix_of, masked = MATRIX_REPORTS[name]
             p = d / file_name
-            mat = matrix_of(dump)
+            mat = matrix_of(dump, means)
             write_matrix_csv(p, mat, mask_diagonal=masked)
             if name == "kld_matrix":
                 written["kld_matrix_scale"] = _write_scale_csv(d / "kld_matrix_scale.csv", mat)

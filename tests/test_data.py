@@ -1,11 +1,12 @@
+import inspect
 import struct
 
 import numpy as np
 import pytest
 
-from distillab.data import (CIFAR10_CLASSES, Dataset, attach_human_labels, load_cifar10_bin,
-                            load_dataset, load_mnist_idx, make_synthetic, resolve_dataset,
-                            save_dataset, split)
+from distillab.data import (_SYNTH_BLOCK_FLOATS, CIFAR10_CLASSES, Dataset, attach_human_labels,
+                            load_cifar10_bin, load_dataset, load_mnist_idx, make_synthetic,
+                            resolve_dataset, save_dataset, split)
 from distillab.errors import FormatError
 from distillab.runstore import save_array
 
@@ -239,7 +240,8 @@ def test_synthetic_rejects_single_class():
 
 
 # every pixel, label and human probability of these sets is pinned: C = 2, 4 and 10,
-# one and three channels, difficulty 0, shifted contrast and brightness, d above 128
+# one and three channels, difficulty 0, shifted contrast and brightness, d above 128,
+# and d above one synthesis block (one row per block)
 SYNTH_DIGESTS = [
     (dict(seed=0),
      "2dd4e01b1e63a94ffe96493b81a181a2b5b3f588eba1904487d0857447c51e85"),
@@ -254,13 +256,30 @@ SYNTH_DIGESTS = [
     (dict(seed=11, n_classes=10, per_class=20, img_side=6, difficulty=2.5, channels=1,
           human_temp=0.2),
      "30a60c9a08afc97e2cea37d5983c5876697f6ef5d3e4b8984321613d6e2a1d29"),
+    (dict(seed=13, n_classes=2, per_class=2, img_side=105, difficulty=0.8, channels=3),
+     "f033585fc493753e1b71781ede699581ed39d982c666bf783eeea89641212b19"),
 ]
 
 
 @pytest.mark.parametrize("kwargs,digest", SYNTH_DIGESTS,
-                         ids=["default", "c2-flat", "c4-rgb-shifted", "c10-rgb32", "c10-hard"])
+                         ids=["default", "c2-flat", "c4-rgb-shifted", "c10-rgb32", "c10-hard",
+                              "c2-rgb105"])
 def test_synthetic_digests_are_pinned(kwargs, digest):
     assert make_synthetic(**kwargs).digest() == digest
+
+
+def test_pinned_synthetic_sets_cover_ragged_blocks_across_classes():
+    """The pins only show that blocking moves no byte if some pinned set has a short
+    last block and a block holding rows of two classes."""
+    def ragged_and_straddling(kw):
+        a = inspect.signature(make_synthetic).bind(**kw)
+        a.apply_defaults()
+        per_class, n = a.arguments["per_class"], a.arguments["n_classes"] * a.arguments["per_class"]
+        rows = max(1, _SYNTH_BLOCK_FLOATS // (a.arguments["channels"] * a.arguments["img_side"] ** 2))
+        straddles = any(s // per_class != (min(s + rows, n) - 1) // per_class
+                        for s in range(0, n, rows))
+        return n % rows != 0 and straddles
+    assert any(ragged_and_straddling(kw) for kw, _ in SYNTH_DIGESTS)
 
 
 def test_synthetic_peaks_at_a_few_image_stacks(traced_peak):
@@ -268,6 +287,14 @@ def test_synthetic_peaks_at_a_few_image_stacks(traced_peak):
     stack = 10 * 200 * 12 * 12 * 8  # the float64 image stack
     # an [N, C, d] distance temporary alone would be 10 stacks
     assert traced_peak(lambda: make_synthetic(seed=0, n_classes=10, per_class=200)) < 3 * stack
+
+
+def test_synthetic_peaks_near_its_float32_images_and_their_permuted_copy(traced_peak):
+    make_synthetic(seed=0, n_classes=2, per_class=2, img_side=4)  # first-call allocations
+    kw = dict(seed=0, n_classes=10, per_class=100, img_side=32, channels=3)
+    images = 10 * 100 * 3 * 32 * 32 * 4  # the float32 result
+    # the result and its permuted copy are 2x; a float64 stack of all rows would add 2x more
+    assert traced_peak(lambda: make_synthetic(**kw)) < 2.5 * images
 
 
 def test_dataset_digest_hashes_without_copying(traced_peak):

@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -29,6 +32,8 @@ def test_config_round_trips_through_dict():
     again = TrainConfig.from_dict(cfg.to_dict())
     assert again == cfg
     assert again.strategy.params["n_holes"] == 2
+    # the same keys, order and values as the dataclass's own deep-copying form
+    assert json.dumps(cfg.to_dict()) == json.dumps(dataclasses.asdict(cfg))
 
 
 def test_config_rejects_bad_values():

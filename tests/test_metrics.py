@@ -7,6 +7,7 @@ import pytest
 from distillab.metrics import (EvalDump, class_discrimination, class_means, class_separability,
                                confusion_metrics, ece, human_kld, kl_matrix,
                                kld_confusion_matrix, standardize_embeddings, summary_metrics)
+from distillab.probs import kl_div
 from distillab.runstore import emit_report
 
 from oracles import (discrimination_pairs, discrimination_reference, ece_rebin, kld_matrix_loops,
@@ -121,6 +122,20 @@ def test_ece_recompute_is_identical():
         d = _random_dump(rng, n_max=150, with_human=False)
         rep = ece(d, n_bins=int(rng.integers(1, 16)))
         assert rep.recompute_ece() == rep.ece
+
+
+def test_ece_bin_means_equal_masked_means_bitwise():
+    rng = np.random.default_rng(4)
+    for _ in range(10):
+        d = _random_dump(rng, n_max=300, with_human=False)
+        n_bins = int(rng.integers(1, 21))
+        conf = d.probs.max(axis=1)
+        correct = (d.probs.argmax(axis=1) == d.true_labels).astype(np.float64)
+        for b in ece(d, n_bins).bins:
+            mask = ((conf > b.lo) | (b.lo == 0.0)) & (conf <= b.hi)
+            assert b.count == int(mask.sum())
+            if b.count:
+                assert (b.conf, b.acc) == (float(conf[mask].mean()), float(correct[mask].mean()))
 
 
 def test_ece_bin_counts_partition_samples():
@@ -398,6 +413,28 @@ def test_kl_matrix_hand_case():
         [math.log(2), math.log(4), math.log(2)],
         [0.0, 0.5 * math.log(2) + 0.5 * math.log(2 / 3), 0.0]], rtol=1e-12, atol=0)
     assert np.all(np.diag(kl_matrix(q, q)) == 0.0)
+
+
+def test_kl_matrix_equals_the_scalar_loop_bitwise():
+    rng = np.random.default_rng(14)
+    for k in (1, 2, 3, 4, 8, 9, 17):
+        p = rng.dirichlet(np.ones(k), size=int(rng.integers(1, 7)))
+        q = rng.dirichlet(np.full(k, 0.3), size=int(rng.integers(1, 7)))
+        p[0] = np.eye(k)[k - 1]  # zeros in p, and a one-hot row
+        want = np.array([[kl_div(pi, qj) for qj in q] for pi in p])
+        assert kl_matrix(p, q).tobytes() == want.tobytes()
+
+
+def test_kl_matrix_names_a_bad_row():
+    good = np.full((3, 2), 0.5)
+    bad = good.copy()
+    bad[2] = [0.9, 0.3]
+    with pytest.raises(ValueError, match="q row 2"):
+        kl_matrix(good, bad)
+    with pytest.raises(ValueError, match="p row 2"):
+        kl_matrix(bad, good)
+    with pytest.raises(ValueError, match="length mismatch"):
+        kl_matrix(good, np.full((3, 3), 1 / 3))
 
 
 def test_confidence_matrix_rows_and_masking(tmp_path):

@@ -1,9 +1,12 @@
+import dataclasses
 import json
 import struct
 
 import numpy as np
 import pytest
 
+from distillab.augment import AugmentStrategy
+from distillab.distill import TrainConfig
 from distillab.errors import FormatError, IntegrityError
 from distillab.metrics import EvalDump, summary_metrics, ece
 from distillab.nn import build_network
@@ -173,10 +176,13 @@ def test_manifest_refuses_a_file_outside_its_base(tmp_path):
 
 def test_manifest_is_sorted_key_json(tmp_path):
     m, _ = _manifest(tmp_path)
+    m.config = {"train": TrainConfig(strategy=AugmentStrategy("mixup", {"beta_alpha": 0.4})).to_dict(),
+                "arch": "student-mlp"}
     path = tmp_path / "manifest.json"
     write_manifest(m, path)
     doc = json.loads(path.read_text())
     assert list(doc) == sorted(doc)
+    assert path.read_text() == json.dumps(dataclasses.asdict(m), sort_keys=True, indent=2) + "\n"
 
 
 def test_manifest_detects_tampered_file(tmp_path):
@@ -380,6 +386,22 @@ def test_emit_report_all_skips_human_reports_when_absent(tmp_path):
     assert "metrics" in written
     back = read_metrics_csv(written["metrics"])
     assert np.isnan(back["human_kld"])
+
+
+def test_emit_report_builds_each_class_mean_table_once(tmp_path, monkeypatch):
+    from distillab import metrics
+
+    calls = []
+    original = metrics.class_means
+
+    def counted(dump, rows):
+        calls.append(rows)
+        return original(dump, rows)
+
+    monkeypatch.setattr(metrics, "class_means", counted)  # looked up when called
+    d = _dump_pair()
+    emit_report(d, tmp_path, reports=[r for r in ALL_REPORTS if r not in ("metrics", "reliability")])
+    assert [id(rows) for rows in calls] == [id(d.probs), id(d.human_probs)]
 
 
 def test_emit_report_explicit_human_request_fails_without_humans(tmp_path):
