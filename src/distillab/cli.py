@@ -91,16 +91,28 @@ def _write_reports(out: Path, dump: M.EvalDump, n_bins: int) -> tuple[dict[str, 
             M.summary_metrics(dump, n_bins=n_bins))
 
 
+# The directories that a run's writers own.  A writer removes them before it writes, so
+# each holds only what this run wrote: the fit's, whose files `_seal` lists from disk,
+# and the reports'.
+_FIT_DIRS = ("checkpoint", "teacher", "dump")
+_RUN_DIRS = _FIT_DIRS + ("reports",)
+
+
+def _clear(out: Path, dirs) -> None:
+    for name in dirs:
+        if (out / name).exists():
+            shutil.rmtree(out / name)
+
+
 @dataclass
 class _FitRecord:
-    """What a `_Fitter` call hands to `_seal`: the fit's record, without its parameters,
-    which are on disk, so a grid worker sends back about a kilobyte."""
+    """What a `_Fitter` call hands to `_seal`: the fit's record, without its parameters
+    and files, which are on disk, so a grid worker sends back about a kilobyte."""
 
     role: str
     arch: str
     config: TrainConfig
     history: list[dict]
-    files: list[str]  # paths under the run directory; the manifest names them alike
 
 
 class _Fitter:
@@ -115,13 +127,20 @@ class _Fitter:
     def __call__(self, out: Path, cfg: TrainConfig, arch: str, teacher_ckpt: Path | None = None,
                  checkpointed=None) -> _FitRecord:
         """Fit a teacher, or a student of the teacher at `teacher_ckpt`, and write
-        checkpoint/, a student's teacher/ copy and, given an eval set, dump/.  A manifest
-        left in `out` by an earlier run goes first, so the directory is complete again
-        only once `_seal` writes the new one.  `checkpointed()` runs as soon as the
-        checkpoint and teacher copy are on disk, before evaluation."""
+        checkpoint/, a student's teacher/ copy and, given an eval set, dump/.  What an
+        earlier run left in `out` goes first: its manifest, so the directory is complete
+        again only once `_seal` writes the new one, then the directories of `_RUN_DIRS`.
+        A teacher checkpoint under one of those is refused before the fit.
+        `checkpointed()` runs as soon as the checkpoint and teacher copy are on disk,
+        before evaluation."""
         if teacher_ckpt is None:
             model = train_teacher(cfg, self.train_ds, arch=arch)
         else:
+            held, root = teacher_ckpt.resolve(), out.resolve()
+            for name in _RUN_DIRS:
+                if held.is_relative_to(root / name):
+                    raise ValueError(f"teacher checkpoint {teacher_ckpt} lies under "
+                                     f"{out / name}, which the run written to {out} clears")
             if teacher_ckpt not in self.teachers:
                 teacher = TrainedModel(net=R.load_checkpoint(teacher_ckpt), role="teacher",
                                        config=TrainConfig(), history=[])
@@ -130,28 +149,27 @@ class _Fitter:
             model = train_student(cfg, teacher, self.train_ds, arch=arch, logit_tables=tables)
         out.mkdir(parents=True, exist_ok=True)
         (out / "manifest.json").unlink(missing_ok=True)
-        files = [f"checkpoint/{p.name}" for p in R.save_checkpoint(model.net, out / "checkpoint")]
+        _clear(out, _RUN_DIRS)
+        R.save_checkpoint(model.net, out / "checkpoint")
         if teacher_ckpt is not None:
-            tdir = out / "teacher"
-            if tdir.exists():
-                shutil.rmtree(tdir)
-            shutil.copytree(teacher_ckpt, tdir)
-            files += [f"teacher/{p.name}" for p in sorted(tdir.iterdir())]
+            shutil.copytree(teacher_ckpt, out / "teacher")
         if checkpointed is not None:
             checkpointed()
         if self.eval_ds is not None:
-            dump = evaluate_model(model, self.eval_ds, t_eval=self.t_eval)
-            files += [f"dump/{p.name}" for p in R.save_eval_dump(dump, out / "dump")]
-        return _FitRecord(model.role, arch, model.config, model.history, files)
+            R.save_eval_dump(evaluate_model(model, self.eval_ds, t_eval=self.t_eval),
+                             out / "dump")
+        return _FitRecord(model.role, arch, model.config, model.history)
 
 
 def _seal(out: Path, fit: _FitRecord, train_desc: dict, eval_desc: dict | None,
           t_eval: float, n_bins: int, run_id: str | None = None) -> R.RunManifest:
     """Finish a run directory that a `_Fitter` wrote: the reports of its dump (read
     back from disk) when it has an eval set, then manifest.json, last.  The manifest
-    hashes every file from disk and is the run's seal: a directory without one is not
-    a complete run.  Returns the manifest."""
-    files = {name: out / name for name in fit.files}
+    lists every file under the fit's directories and every report, hashes each from
+    disk, and is the run's seal: a directory without one is not a complete run.
+    Returns the manifest."""
+    files = {f"{name}/{p.name}": p for name in _FIT_DIRS if (out / name).is_dir()
+             for p in (out / name).iterdir()}
     metrics: dict = {"final_train": fit.history[-1] if fit.history else {}}
     if eval_desc is not None:
         reports, metrics["eval"] = _write_reports(out, R.load_eval_dump(out / "dump"), n_bins)
@@ -270,6 +288,7 @@ def _cmd_evaluate(args, parser: argparse.ArgumentParser) -> int:
     net = R.load_checkpoint(_resolve_teacher(Path(args.checkpoint)))
     ds = D.resolve_dataset(args.dataset)
     dump = evaluate_model(net, ds, t_eval=T_EVAL if args.t_eval is None else args.t_eval)
+    _clear(Path(args.out), ("dump", "reports"))
     R.save_eval_dump(dump, Path(args.out) / "dump")
     _, vals = _write_reports(Path(args.out), dump, N_BINS if args.bins is None else args.bins)
     print(f"evaluated {ds.n_samples} samples: accuracy {vals['accuracy']}")

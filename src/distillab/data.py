@@ -248,13 +248,12 @@ def split(ds: Dataset, fractions: list[float], seed: int) -> list[Dataset]:
     return out
 
 
-def save_dataset(ds: Dataset, dir_path: str | Path) -> list[Path]:
+def save_dataset(ds: Dataset, dir_path: str | Path) -> None:
     """Write a dataset as array containers plus a class-name listing."""
-    written = save_arrays(dir_path, {"images": ds.images, "labels": ds.labels,
-                                     "human_probs": ds.human_probs})
-    meta = Path(dir_path) / "classes.json"
-    meta.write_text(json.dumps(ds.class_names, indent=2) + "\n", encoding="utf-8")
-    return written + [meta]
+    save_arrays(dir_path, {"images": ds.images, "labels": ds.labels,
+                           "human_probs": ds.human_probs})
+    (Path(dir_path) / "classes.json").write_text(json.dumps(ds.class_names, indent=2) + "\n",
+                                                 encoding="utf-8")
 
 
 def load_dataset(dir_path: str | Path) -> Dataset:

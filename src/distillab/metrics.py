@@ -292,13 +292,6 @@ def class_discrimination(dump: EvalDump) -> DiscriminationReport:
     )
 
 
-def kld_confusion_matrix(dump: EvalDump) -> np.ndarray:
-    """CxC matrix of KL(mean human distribution of class i || mean model distribution of class j)."""
-    if dump.human_probs is None:
-        raise ValueError("dump has no human_probs; KLD matrix unavailable")
-    return kl_matrix(class_means(dump, dump.human_probs), class_means(dump, dump.probs))
-
-
 def summary_metrics(dump: EvalDump, n_bins: int = 15) -> dict[str, float]:
     """Flat scalar battery for one dump: the table-style column set.
 

@@ -18,6 +18,7 @@ import os
 import struct
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -158,17 +159,13 @@ def read_manifest(path: str | Path, verify: bool = True) -> RunManifest:
 # evaluation dumps are stored this way; checkpoints add a shape check on load.
 
 
-def save_arrays(dir_path: str | Path, arrays: dict) -> list[Path]:
-    """Write each non-None array of `arrays` as `<name>.arr`; returns the files written."""
+def save_arrays(dir_path: str | Path, arrays: dict) -> None:
+    """Write each non-None array of `arrays` as `<name>.arr`."""
     d = Path(dir_path)
     d.mkdir(parents=True, exist_ok=True)
-    written = []
     for name, arr in arrays.items():
         if arr is not None:
-            p = d / f"{name}.arr"
-            save_array(arr, p)
-            written.append(p)
-    return written
+            save_array(arr, d / f"{name}.arr")
 
 
 def load_arrays(dir_path: str | Path, names, optional=()) -> dict:
@@ -179,10 +176,10 @@ def load_arrays(dir_path: str | Path, names, optional=()) -> dict:
             for name in (*names, *optional)}
 
 
-def save_eval_dump(dump: M.EvalDump, dir_path: str | Path) -> list[Path]:
-    return save_arrays(dir_path, {"probs": dump.probs, "embeddings": dump.embeddings,
-                                  "labels": dump.true_labels.astype(np.int64),
-                                  "human_probs": dump.human_probs})
+def save_eval_dump(dump: M.EvalDump, dir_path: str | Path) -> None:
+    save_arrays(dir_path, {"probs": dump.probs, "embeddings": dump.embeddings,
+                           "labels": dump.true_labels.astype(np.int64),
+                           "human_probs": dump.human_probs})
 
 
 def load_eval_dump(dir_path: str | Path) -> M.EvalDump:
@@ -196,15 +193,13 @@ def load_eval_dump(dir_path: str | Path) -> M.EvalDump:
 # container per parameter.
 
 
-def save_checkpoint(net, dir_path: str | Path) -> list[Path]:
-    """Write network architecture + parameters; returns the files written."""
+def save_checkpoint(net, dir_path: str | Path) -> None:
+    """Write network architecture + parameters."""
     d = Path(dir_path)
     d.mkdir(parents=True, exist_ok=True)
-    spec_path = d / "network.json"
-    spec_path.write_text(json.dumps(net.spec_dict(), sort_keys=True, indent=2) + "\n",
-                         encoding="utf-8")
-    return [spec_path, *save_arrays(d, {f"param-{key}": arr
-                                        for key, _, _, arr in net.param_items()})]
+    (d / "network.json").write_text(json.dumps(net.spec_dict(), sort_keys=True, indent=2) + "\n",
+                                    encoding="utf-8")
+    save_arrays(d, {f"param-{key}": arr for key, _, _, arr in net.param_items()})
 
 
 def load_checkpoint(dir_path: str | Path):
@@ -250,40 +245,45 @@ def format_float(v) -> str:
 METRIC_COLUMNS = ("accuracy", "human_kld", "ece", "precision", "recall", "f1",
                   "separability", "cohesion", "adhesion", "discrimination")
 
-# name -> (file name, the dump's C x C matrix, diagonal masked).  `means(field)` is the
-# class-mean table of the dump's "probs" or "human_probs", built once per emit_report
-# call.  The lambdas look each metric up when called, so a patched or traced `metrics`
-# function is the one used.  A masked report is its unmasked twin with the diagonal
-# cells written empty.
-MATRIX_REPORTS = {
-    "confusion": ("confusion_matrix.csv",
-                  lambda d, means: M.confusion_metrics(d)["confusion_matrix"], False),
-    "confidence": ("confidence_matrix.csv", lambda d, means: means("probs"), False),
-    "confidence_masked": ("confidence_matrix_masked.csv",
-                          lambda d, means: means("probs"), True),
-    "kld_matrix": ("kld_matrix.csv",
-                   lambda d, means: M.kl_matrix(means("human_probs"), means("probs")), False),
-    "human_confidence": ("human_confidence_matrix.csv",
-                         lambda d, means: means("human_probs"), False),
-    "human_confidence_masked": ("human_confidence_matrix_masked.csv",
-                                lambda d, means: means("human_probs"), True),
-}
-HUMAN_REPORTS = frozenset({"kld_matrix", "human_confidence", "human_confidence_masked"})
-ALL_REPORTS = ("metrics", "reliability") + tuple(MATRIX_REPORTS)
 
-
-def write_matrix_csv(path: str | Path, mat: np.ndarray, mask_diagonal: bool = False) -> None:
+def _matrix_rows(mat: np.ndarray, mask_diagonal: bool = False) -> list[list[str]]:
     """Square matrix as headerless CSV rows; masked diagonal cells are empty."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        for i, row in enumerate(np.asarray(mat)):
-            out = []
-            for j, v in enumerate(row):
-                if mask_diagonal and i == j:
-                    out.append("")
-                else:
-                    out.append(format_float(v))
-            w.writerow(out)
+    return [["" if mask_diagonal and i == j else format_float(v) for j, v in enumerate(row)]
+            for i, row in enumerate(np.asarray(mat))]
+
+
+def _metrics_rows(d: M.EvalDump, n_bins: int, tables) -> list:
+    vals = M.summary_metrics(d, n_bins=n_bins)
+    return [METRIC_COLUMNS, [format_float(vals[c]) for c in METRIC_COLUMNS]]
+
+
+def _reliability_rows(d: M.EvalDump, n_bins: int, tables) -> list:
+    return [("bin_lo", "bin_hi", "count", "conf", "acc")] + [
+        (format_float(b.lo), format_float(b.hi), str(b.count), format_float(b.conf),
+         format_float(b.acc)) for b in M.ece(d, n_bins).bins]
+
+
+# name -> (file name, needs human labels, rows(dump, n_bins, tables)), in the order that
+# "all" writes them.  `tables.means(field)` is the class-mean table of the dump's "probs"
+# or "human_probs" and `tables.kld()` the KL matrix of the two, each built once per
+# emit_report call.  `metrics` functions are looked up when called, so a patched or
+# traced one is the one used.  A masked report is its unmasked twin with the diagonal
+# cells empty.
+REPORTS = {
+    "metrics": ("metrics.csv", False, _metrics_rows),
+    "reliability": ("reliability.csv", False, _reliability_rows),
+    "confusion": ("confusion_matrix.csv", False, lambda d, n_bins, t: _matrix_rows(
+        M.confusion_metrics(d)["confusion_matrix"])),
+    "confidence": ("confidence_matrix.csv", False,
+                   lambda d, n_bins, t: _matrix_rows(t.means("probs"))),
+    "confidence_masked": ("confidence_matrix_masked.csv", False,
+                          lambda d, n_bins, t: _matrix_rows(t.means("probs"), True)),
+    "kld_matrix": ("kld_matrix.csv", True, lambda d, n_bins, t: _matrix_rows(t.kld())),
+    "human_confidence": ("human_confidence_matrix.csv", True,
+                         lambda d, n_bins, t: _matrix_rows(t.means("human_probs"))),
+    "human_confidence_masked": ("human_confidence_matrix_masked.csv", True,
+                                lambda d, n_bins, t: _matrix_rows(t.means("human_probs"), True)),
+}
 
 
 def read_matrix_csv(path: str | Path) -> np.ndarray:
@@ -314,28 +314,10 @@ def read_reliability_csv(path: str | Path) -> M.ReliabilityReport:
     return report
 
 
-def _write_rows(path: Path, rows) -> None:
+def _write_csv(path: Path, rows) -> Path:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows(rows)
-
-
-def _write_metrics_csv(path: Path, dump: M.EvalDump, n_bins: int) -> None:
-    vals = M.summary_metrics(dump, n_bins=n_bins)
-    _write_rows(path, [METRIC_COLUMNS, [format_float(vals[c]) for c in METRIC_COLUMNS]])
-
-
-def _write_reliability_csv(path: Path, dump: M.EvalDump, n_bins: int) -> None:
-    _write_rows(path, [("bin_lo", "bin_hi", "count", "conf", "acc")] + [
-        (format_float(b.lo), format_float(b.hi), str(b.count), format_float(b.conf),
-         format_float(b.acc)) for b in M.ece(dump, n_bins).bins])
-
-
-def _write_scale_csv(path: Path, mat: np.ndarray) -> Path:
-    _write_rows(path, [("vmin", "vmax"), (format_float(mat.min()), format_float(mat.max()))])
     return path
-
-
-_TABLE_WRITERS = {"metrics": _write_metrics_csv, "reliability": _write_reliability_csv}
 
 
 def emit_report(dump: M.EvalDump, out_dir: str | Path, reports="all",
@@ -344,33 +326,34 @@ def emit_report(dump: M.EvalDump, out_dir: str | Path, reports="all",
 
     reports may be "all" (everything computable from the dump's fields) or an
     explicit iterable of report names; explicitly requesting a human-label
-    report on a dump without human_probs is an error.
+    report on a dump without human_probs is an error.  kld_matrix comes with
+    kld_matrix_scale.csv, the matrix's minimum and maximum.
     """
     d = Path(out_dir)
     d.mkdir(parents=True, exist_ok=True)
     if reports == "all":
-        selected = [r for r in ALL_REPORTS
-                    if dump.human_probs is not None or r not in HUMAN_REPORTS]
+        selected = [r for r, (_, human, _) in REPORTS.items()
+                    if dump.human_probs is not None or not human]
     else:
         selected = list(reports)
-        unknown = set(selected) - set(ALL_REPORTS)
+        unknown = set(selected) - set(REPORTS)
         if unknown:
             raise ValueError(f"unknown report names {sorted(unknown)}")
-        blocked = [r for r in selected if r in HUMAN_REPORTS and dump.human_probs is None]
+        blocked = [r for r in selected if REPORTS[r][1] and dump.human_probs is None]
         if blocked:
             raise ValueError(f"dump has no human_probs; cannot emit {sorted(blocked)}")
-    means = functools.cache(lambda attr: M.class_means(dump, getattr(dump, attr)))
+    # two caches: a cache whose function called the cache itself would be a reference
+    # cycle, which keeps the dump alive until the garbage collector runs
+    means = functools.cache(lambda field: M.class_means(dump, getattr(dump, field)))
+    tables = SimpleNamespace(means=means, kld=functools.cache(
+        lambda: M.kl_matrix(means("human_probs"), means("probs"))))
     written: dict[str, Path] = {}
     for name in selected:
-        if name in MATRIX_REPORTS:
-            file_name, matrix_of, masked = MATRIX_REPORTS[name]
-            p = d / file_name
-            mat = matrix_of(dump, means)
-            write_matrix_csv(p, mat, mask_diagonal=masked)
-            if name == "kld_matrix":
-                written["kld_matrix_scale"] = _write_scale_csv(d / "kld_matrix_scale.csv", mat)
-        else:
-            p = d / f"{name}.csv"
-            _TABLE_WRITERS[name](p, dump, n_bins)
-        written[name] = p
+        file_name, _, rows = REPORTS[name]
+        written[name] = _write_csv(d / file_name, rows(dump, n_bins, tables))
+        if name == "kld_matrix":
+            mat = tables.kld()
+            written["kld_matrix_scale"] = _write_csv(
+                d / "kld_matrix_scale.csv",
+                [("vmin", "vmax"), (format_float(mat.min()), format_float(mat.max()))])
     return written

@@ -21,7 +21,7 @@ from distillab.distill import kd_loss
 from distillab.errors import FormatError
 from distillab.gradcheck import run_all
 from distillab.metrics import (EvalDump, class_discrimination, class_means, class_separability,
-                               confusion_metrics, ece, kld_confusion_matrix, summary_metrics)
+                               confusion_metrics, ece, kl_matrix, summary_metrics)
 from distillab.runstore import (load_array, load_eval_dump, read_manifest, read_matrix_csv,
                                 read_metrics_csv, read_reliability_csv, save_array)
 
@@ -92,8 +92,8 @@ def test_2_metric_oracle_equivalence(announce):
         worst = max(worst, max(abs(rep.adhesion[k] - v) for k, v in adh.items()))
         worst = max(worst, abs(rep.discrimination - disc))
 
-        dev = float(np.max(np.abs(kld_confusion_matrix(dump)
-                                  - kld_matrix_loops(probs, human, labels, c))))
+        kld = kl_matrix(class_means(dump, human), class_means(dump, probs))
+        dev = float(np.max(np.abs(kld - kld_matrix_loops(probs, human, labels, c))))
         worst = max(worst, dev)
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-6 and elapsed < 60.0
@@ -217,7 +217,8 @@ def _verify_run_dir(run_dir):
     pairs = (
         ("confusion_matrix.csv", confusion_metrics(dump)["confusion_matrix"].astype(float)),
         ("confidence_matrix.csv", class_means(dump, dump.probs)),
-        ("kld_matrix.csv", kld_confusion_matrix(dump)),
+        ("kld_matrix.csv", kl_matrix(class_means(dump, dump.human_probs),
+                                     class_means(dump, dump.probs))),
         ("human_confidence_matrix.csv", class_means(dump, dump.human_probs)),
     )
     for name, want in pairs:

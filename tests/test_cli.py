@@ -2,6 +2,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import multiprocessing
 import os
 import pickle
@@ -10,6 +11,7 @@ import struct
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -646,6 +648,95 @@ def test_manifest_paths_do_not_depend_on_how_out_is_spelled(work, tmp_path, monk
                      "--epochs", "2", "--batch-size", "8", "--temperature", "4"]) == 0
         assert (tmp_path / out / "manifest.json").read_bytes() == \
             (work["student"] / "manifest.json").read_bytes()
+
+
+@pytest.mark.parametrize("teacher", ["", "teacher"], ids=["run", "teacher-copy"])
+def test_a_student_cannot_be_written_over_its_teacher(work, tmp_path, capsys, teacher):
+    # the run directory itself resolves to its checkpoint/; a student run's teacher/
+    # is a checkpoint too, and each lies under a directory the new run would clear
+    run = tmp_path / "run"
+    shutil.copytree(work["student"], run)
+    before = _tree(run)
+    assert main(["distill", "--seed", "3", "--dataset", str(work["data"]),
+                 "--teacher", str(run / teacher), "--out", str(run),
+                 "--arch", "student-mlp", "--epochs", "1", "--batch-size", "8"]) == 1
+    err = capsys.readouterr().err
+    assert f"teacher checkpoint {run / (teacher or 'checkpoint')} lies under" in err
+    assert f"the run written to {run} clears" in err
+    assert _tree(run) == before
+
+
+HUMAN_REPORT_FILES = {"kld_matrix.csv", "kld_matrix_scale.csv", "human_confidence_matrix.csv",
+                      "human_confidence_matrix_masked.csv"}
+
+
+def _drop_human_labels(data):
+    """Save the dataset at `data` again, without its human label distributions."""
+    ds = load_dataset(data)
+    shutil.rmtree(data)
+    save_dataset(dataclasses.replace(ds, human_probs=None), data)
+
+
+def _run_files(run):
+    """Every file under the four directories that a run's writers own."""
+    return sorted(p.relative_to(run).as_posix()
+                  for name in ("checkpoint", "teacher", "dump", "reports")
+                  if (run / name).is_dir() for p in (run / name).iterdir())
+
+
+def test_a_run_written_again_holds_only_the_new_run(work, tmp_path, capsys):
+    evalset = tmp_path / "eval"
+    shutil.copytree(work["data"], evalset)
+    argv = ["train-teacher", "--seed", "1", "--dataset", str(work["data"]),
+            "--eval-dataset", str(evalset), "--arch", "student-mlp", "--epochs", "1",
+            "--batch-size", "8"]
+    out, fresh = tmp_path / "run", tmp_path / "fresh"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert (out / "dump" / "human_probs.arr").exists()
+    assert HUMAN_REPORT_FILES <= {p.name for p in (out / "reports").iterdir()}
+    _drop_human_labels(evalset)
+    assert main([*argv, "--out", str(out)]) == 0
+    assert main([*argv, "--out", str(fresh)]) == 0
+
+    m = read_manifest(out / "manifest.json", verify=True)
+    assert math.isnan(m.metrics["eval"]["human_kld"])
+    assert not (out / "dump" / "human_probs.arr").exists()
+    assert not HUMAN_REPORT_FILES & {p.name for p in (out / "reports").iterdir()}
+    assert not HUMAN_REPORT_FILES & {Path(ref["path"]).name for ref in m.files.values()}
+    assert _run_files(out) == sorted(ref["path"] for ref in m.files.values())
+    assert (out / "manifest.json").read_bytes() == (fresh / "manifest.json").read_bytes()
+    assert main(["evaluate", "--from-manifest", str(out / "manifest.json"),
+                 "--out", str(tmp_path / "rerun")]) == 0
+    assert "reproduced" in capsys.readouterr().out
+
+
+def test_evaluate_written_again_holds_only_the_new_dump(work, tmp_path):
+    evalset = tmp_path / "eval"
+    shutil.copytree(work["data"], evalset)
+    out = tmp_path / "eval-out"
+    argv = ["evaluate", "--checkpoint", str(work["teacher"]), "--dataset", str(evalset),
+            "--out", str(out)]
+    assert main(argv) == 0
+    assert (out / "reports" / "kld_matrix.csv").exists()
+    _drop_human_labels(evalset)
+    assert main(argv) == 0
+    assert not (out / "dump" / "human_probs.arr").exists()
+    assert not HUMAN_REPORT_FILES & {p.name for p in (out / "reports").iterdir()}
+    assert main(["report", "--dump", str(out / "dump"), "--out", str(tmp_path / "report")]) == 0
+    assert not HUMAN_REPORT_FILES & {p.name for p in (tmp_path / "report").iterdir()}
+
+
+def test_a_run_written_again_with_another_arch_keeps_no_old_parameter(work, tmp_path):
+    out = tmp_path / "run"
+    for arch in ("student-cnn", "student-mlp"):
+        assert main(["train-teacher", "--seed", "1", "--dataset", str(work["data"]),
+                     "--out", str(out), "--arch", arch, "--epochs", "1",
+                     "--batch-size", "8"]) == 0
+    net = load_checkpoint(out / "checkpoint")
+    assert sorted(p.name for p in (out / "checkpoint").glob("param-*")) == \
+        sorted(f"param-{key}.arr" for key, _, _, _ in net.param_items())
+    m = read_manifest(out / "manifest.json", verify=True)
+    assert _run_files(out) == sorted(ref["path"] for ref in m.files.values())
 
 
 def test_a_cell_fit_hands_back_no_parameters(tmp_path, monkeypatch):

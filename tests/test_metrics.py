@@ -6,9 +6,9 @@ import pytest
 
 from distillab.metrics import (EvalDump, class_discrimination, class_means, class_separability,
                                confusion_metrics, ece, human_kld, kl_matrix,
-                               kld_confusion_matrix, standardize_embeddings, summary_metrics)
+                               standardize_embeddings, summary_metrics)
 from distillab.probs import kl_div
-from distillab.runstore import emit_report
+from distillab.runstore import emit_report, read_matrix_csv
 
 from oracles import (discrimination_pairs, discrimination_reference, ece_rebin, kld_matrix_loops,
                      kl_scalar, random_dump_arrays, separability_pairs, standardize_pop,
@@ -386,21 +386,25 @@ def test_metrics_invariant_under_sample_permutation():
 
 # --- matrices and summary ---------------------------------------------------
 
-def test_kld_confusion_matrix_matches_loop_oracle():
+def _kld_report(d, out):
+    return read_matrix_csv(emit_report(d, out, reports=["kld_matrix"])["kld_matrix"])
+
+
+def test_kld_confusion_matrix_matches_loop_oracle(tmp_path):
     rng = np.random.default_rng(11)
     for _ in range(8):
         d = _random_dump(rng, n_max=90)
-        got = kld_confusion_matrix(d)
+        got = _kld_report(d, tmp_path)
         want = kld_matrix_loops(d.probs, d.human_probs, d.true_labels, d.n_classes)
         assert np.allclose(got, want, atol=1e-10)
         assert got.shape == (d.n_classes, d.n_classes)
 
 
-def test_kld_confusion_matrix_zero_diagonal_when_model_echoes_humans():
+def test_kld_confusion_matrix_zero_diagonal_when_model_echoes_humans(tmp_path):
     rng = np.random.default_rng(12)
     h = rng.dirichlet(np.ones(3), size=9)
     d = _dump(h, np.repeat([0, 1, 2], 3), human=h.copy())
-    got = kld_confusion_matrix(d)
+    got = _kld_report(d, tmp_path)
     assert np.allclose(np.diag(got), 0.0, atol=1e-12)
 
 

@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import json
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -8,14 +10,13 @@ import pytest
 from distillab.augment import AugmentStrategy
 from distillab.distill import TrainConfig
 from distillab.errors import FormatError, IntegrityError
-from distillab.metrics import EvalDump, summary_metrics, ece
+from distillab.metrics import EvalDump, class_means, ece, kl_matrix, summary_metrics
 from distillab.nn import build_network
-from distillab.runstore import (ALL_REPORTS, ARRAY_MAGIC, RunManifest, emit_report,
-                                format_float, load_array, load_arrays, load_checkpoint,
-                                load_eval_dump, read_manifest, read_matrix_csv, read_metrics_csv,
+from distillab.runstore import (ARRAY_MAGIC, REPORTS, RunManifest, emit_report, format_float,
+                                load_array, load_arrays, load_checkpoint, load_eval_dump,
+                                read_manifest, read_matrix_csv, read_metrics_csv,
                                 read_reliability_csv, save_array, save_arrays, save_checkpoint,
-                                save_eval_dump, sha256_file, write_manifest,
-                                write_matrix_csv)
+                                save_eval_dump, sha256_file, write_manifest)
 
 from oracles import random_dump_arrays
 
@@ -257,8 +258,8 @@ def test_checkpoint_missing_spec_or_param(tmp_path):
         load_checkpoint(tmp_path)
     rng = np.random.default_rng(2)
     net = build_network("student-mlp", (1, 6, 6), 3, rng)
-    files = save_checkpoint(net, tmp_path / "c")
-    param = [p for p in files if p.name.startswith("param-")][0]
+    save_checkpoint(net, tmp_path / "c")
+    param = sorted((tmp_path / "c").glob("param-*.arr"))[0]
     param.unlink()
     with pytest.raises(FormatError, match="missing parameter"):
         load_checkpoint(tmp_path / "c")
@@ -267,8 +268,8 @@ def test_checkpoint_missing_spec_or_param(tmp_path):
 def test_checkpoint_shape_mismatch(tmp_path):
     rng = np.random.default_rng(3)
     net = build_network("student-mlp", (1, 6, 6), 3, rng)
-    files = save_checkpoint(net, tmp_path / "c")
-    param = [p for p in files if p.name.startswith("param-")][0]
+    save_checkpoint(net, tmp_path / "c")
+    param = sorted((tmp_path / "c").glob("param-*.arr"))[0]
     save_array(np.zeros((2, 2), dtype=np.float32), param)
     with pytest.raises(FormatError, match="does not match architecture"):
         load_checkpoint(tmp_path / "c")
@@ -321,8 +322,8 @@ def test_eval_dump_round_trip_without_humans(tmp_path):
 
 def test_array_directory_skips_none_and_reads_optional_as_none(tmp_path):
     a = np.arange(3, dtype=np.int64)
-    written = save_arrays(tmp_path / "d", {"a": a, "b": None})
-    assert written == [tmp_path / "d" / "a.arr"]
+    save_arrays(tmp_path / "d", {"a": a, "b": None})
+    assert [p.name for p in (tmp_path / "d").iterdir()] == ["a.arr"]
     back = load_arrays(tmp_path / "d", ("a",), optional=("b",))
     assert back["b"] is None and np.array_equal(back["a"], a)
     with pytest.raises(FileNotFoundError):
@@ -341,22 +342,23 @@ def test_format_float_round_trips_exactly():
 
 
 def test_matrix_csv_round_trip_bitwise(tmp_path):
-    rng = np.random.default_rng(6)
-    mat = rng.normal(size=(4, 4))
-    p = tmp_path / "m.csv"
-    write_matrix_csv(p, mat)
-    assert np.array_equal(read_matrix_csv(p), mat)
+    d = _dump_pair()
+    written = emit_report(d, tmp_path, reports=["confidence", "kld_matrix"])
+    means = class_means(d, d.probs)
+    assert np.array_equal(read_matrix_csv(written["confidence"]), means)
+    assert np.array_equal(read_matrix_csv(written["kld_matrix"]),
+                          kl_matrix(class_means(d, d.human_probs), means))
 
 
 def test_matrix_csv_masked_diagonal_is_empty_then_nan(tmp_path):
-    mat = np.arange(9, dtype=np.float64).reshape(3, 3)
-    p = tmp_path / "m.csv"
-    write_matrix_csv(p, mat, mask_diagonal=True)
-    text = p.read_text()
+    d = _dump_pair()
+    mat = class_means(d, d.human_probs)
+    written = emit_report(d, tmp_path, reports=["human_confidence_masked"])
+    text = written["human_confidence_masked"].read_text()
     assert text.splitlines()[0].startswith(",")  # masked cell is truly empty
-    back = read_matrix_csv(p)
+    back = read_matrix_csv(written["human_confidence_masked"])
     assert np.all(np.isnan(np.diag(back)))
-    off = ~np.eye(3, dtype=bool)
+    off = ~np.eye(d.n_classes, dtype=bool)
     assert np.array_equal(back[off], mat[off])
 
 
@@ -365,7 +367,7 @@ def test_matrix_csv_masked_diagonal_is_empty_then_nan(tmp_path):
 def test_emit_report_all_with_humans(tmp_path):
     d = _dump_pair()
     written = emit_report(d, tmp_path)
-    assert set(ALL_REPORTS) <= set(written)
+    assert set(REPORTS) <= set(written)
     assert "kld_matrix_scale" in written
     # the dump already holds the embeddings; reports are CSV only
     assert sorted(p.suffix for p in tmp_path.iterdir()) == [".csv"] * len(written)
@@ -400,8 +402,23 @@ def test_emit_report_builds_each_class_mean_table_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(metrics, "class_means", counted)  # looked up when called
     d = _dump_pair()
-    emit_report(d, tmp_path, reports=[r for r in ALL_REPORTS if r not in ("metrics", "reliability")])
+    emit_report(d, tmp_path, reports=[r for r in REPORTS if r not in ("metrics", "reliability")])
     assert [id(rows) for rows in calls] == [id(d.probs), id(d.human_probs)]
+
+
+def test_emit_report_frees_its_dump_without_the_garbage_collector(tmp_path):
+    # a memo that holds a reference cycle would keep the dump until a collection
+    d = _dump_pair()
+    ref = weakref.ref(d)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        emit_report(d, tmp_path)
+        del d
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_emit_report_explicit_human_request_fails_without_humans(tmp_path):
