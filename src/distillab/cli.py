@@ -15,7 +15,6 @@ import functools
 import os
 import shutil
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -60,11 +59,12 @@ def _add_eval_flags(p: argparse.ArgumentParser, t_eval=T_EVAL, bins=N_BINS) -> N
     p.add_argument("--bins", type=int, default=bins)
 
 
-def _dataset_desc(spec: str, ds: D.Dataset) -> dict:
-    """Record a path dataset with each of its paths made absolute, so a replay
-    from any working directory reads the same files."""
+def _path_dataset(spec: str) -> tuple[D.Dataset, dict]:
+    """Load a path dataset with its descriptor, which records each of its paths made
+    absolute, so a replay from any working directory reads the same files."""
+    ds = D.resolve_dataset(spec)
     spec = ",".join(str(Path(part).resolve()) for part in spec.split(",", 1))
-    return {"kind": "path", "spec": spec, "digest": ds.digest()}
+    return ds, {"kind": "path", "spec": spec, "digest": ds.digest()}
 
 
 def dataset_from_desc(desc: dict) -> D.Dataset:
@@ -99,40 +99,37 @@ _RUN_DIRS = _FIT_DIRS + ("reports",)
 
 
 def _clear(out: Path, dirs) -> None:
+    """Remove the manifest of an earlier run in `out`, so the directory is complete
+    again only once a new one is written, then its directories `dirs`."""
+    (out / "manifest.json").unlink(missing_ok=True)
     for name in dirs:
         if (out / name).exists():
             shutil.rmtree(out / name)
 
 
-@dataclass
-class _FitRecord:
-    """What a `_Fitter` call hands to `_seal`: the fit's record, without its parameters
-    and files, which are on disk, so a grid worker sends back about a kilobyte."""
-
-    role: str
-    arch: str
-    config: TrainConfig
-    history: list[dict]
-
-
 class _Fitter:
     """Fits runs on one train set and writes what each fit determines.  Every run of
     every command is fitted here.  It loads each teacher checkpoint once and computes
-    each teacher's train-set logit table once, whichever of its students need them."""
+    each teacher's train-set logit table once, whichever of its students need them.
+    Each data set comes with its manifest descriptor; the eval set may be None."""
 
-    def __init__(self, train_ds: D.Dataset, eval_ds: D.Dataset | None, t_eval: float):
-        self.train_ds, self.eval_ds, self.t_eval = train_ds, eval_ds, t_eval
+    def __init__(self, train: tuple[D.Dataset, dict], evalset: tuple[D.Dataset, dict] | None,
+                 t_eval: float, n_bins: int):
+        self.train_ds, self.train_desc = train
+        self.eval_ds, self.eval_desc = evalset or (None, None)
+        self.t_eval, self.n_bins = t_eval, n_bins
         self.teachers: dict[Path, tuple[TrainedModel, dict]] = {}  # checkpoint -> (model, tables)
 
     def __call__(self, out: Path, cfg: TrainConfig, arch: str, teacher_ckpt: Path | None = None,
-                 checkpointed=None) -> _FitRecord:
+                 run_id: str | None = None, checkpointed=None) -> R.RunManifest:
         """Fit a teacher, or a student of the teacher at `teacher_ckpt`, and write
-        checkpoint/, a student's teacher/ copy and, given an eval set, dump/.  What an
-        earlier run left in `out` goes first: its manifest, so the directory is complete
-        again only once `_seal` writes the new one, then the directories of `_RUN_DIRS`.
-        A teacher checkpoint under one of those is refused before the fit.
+        checkpoint/, a student's teacher/ copy and, given an eval set, dump/, once
+        `_clear` has removed what an earlier run left in `out`.  A teacher checkpoint
+        under one of the cleared directories is refused before the fit.
         `checkpointed()` runs as soon as the checkpoint and teacher copy are on disk,
-        before evaluation."""
+        before evaluation.  Returns the run's manifest for `_seal`, without its
+        parameters and files, which are on disk, so a grid worker sends back about a
+        kilobyte."""
         if teacher_ckpt is None:
             model = train_teacher(cfg, self.train_ds, arch=arch)
         else:
@@ -148,7 +145,6 @@ class _Fitter:
             teacher, tables = self.teachers[teacher_ckpt]
             model = train_student(cfg, teacher, self.train_ds, arch=arch, logit_tables=tables)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "manifest.json").unlink(missing_ok=True)
         _clear(out, _RUN_DIRS)
         R.save_checkpoint(model.net, out / "checkpoint")
         if teacher_ckpt is not None:
@@ -158,30 +154,27 @@ class _Fitter:
         if self.eval_ds is not None:
             R.save_eval_dump(evaluate_model(model, self.eval_ds, t_eval=self.t_eval),
                              out / "dump")
-        return _FitRecord(model.role, arch, model.config, model.history)
+        return R.RunManifest(
+            run_id=run_id or f"{model.role}-{model.config.strategy.kind}-seed{model.config.seed}",
+            role=model.role,
+            config={"train": model.config.to_dict(), "arch": arch, "t_eval": self.t_eval,
+                    "n_bins": self.n_bins},
+            dataset={"train": self.train_desc, "eval": self.eval_desc},
+            metrics={"final_train": model.history[-1] if model.history else {}})
 
 
-def _seal(out: Path, fit: _FitRecord, train_desc: dict, eval_desc: dict | None,
-          t_eval: float, n_bins: int, run_id: str | None = None) -> R.RunManifest:
-    """Finish a run directory that a `_Fitter` wrote: the reports of its dump (read
-    back from disk) when it has an eval set, then manifest.json, last.  The manifest
-    lists every file under the fit's directories and every report, hashes each from
-    disk, and is the run's seal: a directory without one is not a complete run.
-    Returns the manifest."""
+def _seal(out: Path, manifest: R.RunManifest) -> R.RunManifest:
+    """Finish a run directory that a `_Fitter` wrote, given the manifest the fit
+    returned: the reports of its dump (read back from disk) when it has an eval set,
+    then manifest.json, last.  The manifest lists every file under the fit's
+    directories and every report, hashes each from disk, and is the run's seal: a
+    directory without one is not a complete run.  Returns the manifest."""
     files = {f"{name}/{p.name}": p for name in _FIT_DIRS if (out / name).is_dir()
              for p in (out / name).iterdir()}
-    metrics: dict = {"final_train": fit.history[-1] if fit.history else {}}
-    if eval_desc is not None:
-        reports, metrics["eval"] = _write_reports(out, R.load_eval_dump(out / "dump"), n_bins)
+    if manifest.dataset["eval"] is not None:
+        reports, manifest.metrics["eval"] = _write_reports(
+            out, R.load_eval_dump(out / "dump"), manifest.config["n_bins"])
         files.update(reports)
-    manifest = R.RunManifest(
-        run_id=run_id or f"{fit.role}-{fit.config.strategy.kind}-seed{fit.config.seed}",
-        role=fit.role,
-        config={"train": fit.config.to_dict(), "arch": fit.arch, "t_eval": t_eval,
-                "n_bins": n_bins},
-        dataset={"train": train_desc, "eval": eval_desc},
-        metrics=metrics,
-    )
     for name, p in files.items():
         manifest.add_file(name, p, out)
     R.write_manifest(manifest, out / "manifest.json")
@@ -224,13 +217,11 @@ def _cmd_train(args) -> int:
     role, done, _, _ = _TRAIN_COMMANDS[args.command]
     cfg = TrainConfig(seed=args.seed, strategy=_strategy_from_args(args),
                       **{k: getattr(args, k) for k in _config_flags(role)})
-    ds = D.resolve_dataset(args.dataset)
+    train = _path_dataset(args.dataset)
     ckpt = _resolve_teacher(Path(args.teacher)) if role == "student" else None
-    eval_ds = D.resolve_dataset(args.eval_dataset) if args.eval_dataset else None
-    fit = _Fitter(ds, eval_ds, args.t_eval)(Path(args.out), cfg, args.arch, ckpt)
-    metrics = _seal(Path(args.out), fit, _dataset_desc(args.dataset, ds),
-                    _dataset_desc(args.eval_dataset, eval_ds) if eval_ds else None,
-                    args.t_eval, args.bins).metrics
+    evalset = _path_dataset(args.eval_dataset) if args.eval_dataset else None
+    fitter = _Fitter(train, evalset, args.t_eval, args.bins)
+    metrics = _seal(Path(args.out), fitter(Path(args.out), cfg, args.arch, ckpt)).metrics
     acc = metrics.get("eval", {}).get("accuracy", metrics["final_train"].get("accuracy"))
     print(f"{done}: accuracy {acc}")
     return 0
@@ -263,10 +254,9 @@ def _rerun_from_manifest(manifest_path: Path, out: Path) -> int:
     train_ds = build("dataset.train", dataset_from_desc, m.dataset["train"])
     eval_ds = build("dataset.eval", dataset_from_desc, m.dataset["eval"])
     teacher = manifest_path.parent / "teacher" if m.role == "student" else None
-    t_eval = m.config.get("t_eval", T_EVAL)
-    fit = _Fitter(train_ds, eval_ds, t_eval)(out, cfg, m.config["arch"], teacher)
-    rerun = _seal(out, fit, m.dataset["train"], m.dataset["eval"], t_eval,
-                  m.config.get("n_bins", N_BINS), run_id=m.run_id)
+    fitter = _Fitter((train_ds, m.dataset["train"]), (eval_ds, m.dataset["eval"]),
+                     m.config.get("t_eval", T_EVAL), m.config.get("n_bins", N_BINS))
+    rerun = _seal(out, fitter(out, cfg, m.config["arch"], teacher, run_id=m.run_id))
     for name, ref in rerun.files.items():
         if m.files.get(name, {}).get("sha256") != ref["sha256"]:
             print(f"error: {name} differs from manifest", file=sys.stderr)
@@ -327,10 +317,11 @@ def _init_cell_fitter(fitter: _Fitter) -> None:
     _cell_fitter = fitter
 
 
-def _fit_cell(run: Path, cfg: TrainConfig, arch: str, teacher_ckpt: Path) -> _FitRecord:
+def _fit_cell(run: Path, cfg: TrainConfig, arch: str, teacher_ckpt: Path,
+              run_id: str) -> R.RunManifest:
     """Fit one grid student in a worker against its teacher's checkpoint (the bytes that
     its run directory's `teacher/` copy holds and that a replay reads) and write it."""
-    return _cell_fitter(run, cfg, arch, teacher_ckpt)
+    return _cell_fitter(run, cfg, arch, teacher_ckpt, run_id)
 
 
 def _os_threads() -> int:
@@ -378,9 +369,9 @@ def _grid_plan(args) -> list[tuple[Path, Path | None, TrainConfig]]:
             for j, (run, teacher, strat, flags) in enumerate(runs)]
 
 
-def _cmd_matrix(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _grid_datasets(args) -> list[tuple[D.Dataset, dict]]:
+    """The grid's train and eval sets, each with its descriptor: a 2:1 split, seeded by
+    generate_state(22)[1], of --dataset or of a synthetic set seeded by [0]."""
     seeds = np.random.SeedSequence(args.seed).generate_state(22)
     synth_params = {"seed": int(seeds[0]), "n_classes": 4, "per_class": 750,
                     "img_side": 12, "difficulty": args.difficulty, "channels": 1}
@@ -388,13 +379,16 @@ def _cmd_matrix(args) -> int:
         full = D.make_synthetic(**synth_params)
         full_desc = {"kind": "synthetic", "params": synth_params, "digest": full.digest()}
     else:
-        full = D.resolve_dataset(args.dataset)
-        full_desc = _dataset_desc(args.dataset, full)
+        full, full_desc = _path_dataset(args.dataset)
     fractions, split_seed = [2 / 3, 1 / 3], int(seeds[1])
-    train_ds, eval_ds = splits = D.split(full, fractions, split_seed)
-    train_desc, eval_desc = ({"kind": "split", "parent": full_desc, "fractions": fractions,
-                              "seed": split_seed, "index": i, "digest": ds.digest()}
-                             for i, ds in enumerate(splits))
+    return [(ds, {"kind": "split", "parent": full_desc, "fractions": fractions,
+                  "seed": split_seed, "index": i, "digest": ds.digest()})
+            for i, ds in enumerate(D.split(full, fractions, split_seed))]
+
+
+def _cmd_matrix(args) -> int:
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
 
     # Each student fits in a worker process, submitted once its teacher's checkpoint is
     # on disk, and the worker writes its checkpoint/, teacher/ and dump/.  This process
@@ -403,7 +397,7 @@ def _cmd_matrix(args) -> int:
     # create most of them.
     plan = _grid_plan(args)
     cells = len(plan) - len(STRATEGY_KINDS)
-    fitter = _Fitter(train_ds, eval_ds, args.t_eval)
+    fitter = _Fitter(*_grid_datasets(args), args.t_eval, args.bins)
     # the tables are the grid's seal: none stands beside runs of another grid
     for name in ("matrix_metrics.csv", "trends.txt"):
         (out / name).unlink(missing_ok=True)
@@ -414,7 +408,7 @@ def _cmd_matrix(args) -> int:
     def submit(teacher_run: Path) -> None:
         for j, (run, needs, cfg) in enumerate(plan):
             if needs == teacher_run:
-                cell = (run, cfg, args.student_arch, teacher_run / "checkpoint")
+                cell = (run, cfg, args.student_arch, teacher_run / "checkpoint", f"cell-{run.name}")
                 fits[j] = (pool.submit(_fit_cell, *cell) if pool
                            else functools.partial(fitter, *cell))
 
@@ -422,13 +416,12 @@ def _cmd_matrix(args) -> int:
     try:
         for run, teacher, cfg in plan:
             if teacher is None:
-                fit = fitter(run, cfg, args.teacher_arch,
+                fit = fitter(run, cfg, args.teacher_arch, run_id=f"teacher-{run.name}",
                              checkpointed=functools.partial(submit, run))
             else:
                 job = fits.pop(sealed)
                 fit = job.result() if pool else job()
-            ev = _seal(run, fit, train_desc, eval_desc, args.t_eval, args.bins,
-                       run_id=f"{'cell' if teacher else 'teacher'}-{run.name}").metrics["eval"]
+            ev = _seal(run, fit).metrics["eval"]
             sealed += 1
             print(f"{run.relative_to(out).as_posix()} eval accuracy {ev['accuracy']:.4f}")
     finally:

@@ -62,8 +62,8 @@ class Dataset:
     def n_classes(self) -> int:
         return len(self.class_names)
 
-    def one_hot(self, dtype=np.float32) -> np.ndarray:
-        out = np.zeros((self.n_samples, self.n_classes), dtype=dtype)
+    def one_hot(self) -> np.ndarray:
+        out = np.zeros((self.n_samples, self.n_classes), dtype=np.float32)
         out[np.arange(self.n_samples), self.labels] = 1
         return out
 

@@ -163,7 +163,7 @@ def _logit_table(net: Network, images: np.ndarray, batch_size: int) -> np.ndarra
 
 def _fit(net: Network, cfg: TrainConfig, data: Dataset, teacher: Network | None,
          shuffle_rng, aug_rng, logit_tables: dict | None = None) -> list[dict]:
-    one_hot = data.one_hot(dtype=np.float32)
+    one_hot = data.one_hot()
     fill = dataset_fill_value(data.images)
     # a clean-batch student's teacher logits are a fixed function of the sample
     table = None

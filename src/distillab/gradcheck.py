@@ -3,8 +3,8 @@
 Each check builds a small float64 layer instance, probes the output with a
 fixed random linear functional (so the scalar loss is sum(output * probe)),
 and compares the analytic gradients — input and parameters — against
-(f(x+h) - f(x-h)) / 2h elementwise.  kd_loss is checked the same way against
-its returned gradient.
+(f(x+h) - f(x-h)) / 2h elementwise, with h = H.  kd_loss is checked the same
+way against its returned gradient.
 """
 
 from __future__ import annotations
@@ -14,28 +14,30 @@ import numpy as np
 from .distill import kd_loss
 from .nn import Conv2d, Dense, Flatten, MaxPool2d, ReLU
 
+H = 1e-6  # the finite-difference step
+
 
 def relative_error(a: np.ndarray, b: np.ndarray) -> float:
     denom = max(float(np.linalg.norm(a) + np.linalg.norm(b)), 1e-12)
     return float(np.linalg.norm(a - b) / denom)
 
 
-def _numeric_grad(fn, arr: np.ndarray, h: float) -> np.ndarray:
+def _numeric_grad(fn, arr: np.ndarray) -> np.ndarray:
     """Central differences through in-place elementwise perturbation."""
     out = np.empty_like(arr)
     flat = arr.ravel()
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + h
+        flat[i] = orig + H
         fp = fn()
-        flat[i] = orig - h
+        flat[i] = orig - H
         fm = fn()
         flat[i] = orig
-        out.ravel()[i] = (fp - fm) / (2.0 * h)
+        out.ravel()[i] = (fp - fm) / (2.0 * H)
     return out
 
 
-def check_layer(layer, x: np.ndarray, rng: np.random.Generator, h: float = 1e-6) -> float:
+def check_layer(layer, x: np.ndarray, rng: np.random.Generator) -> float:
     """Relative error between analytic and numeric gradients for one instance."""
     layer.name = f"check:{layer.kind}"
     probe = rng.standard_normal(layer.forward(x, record=False).shape)
@@ -46,9 +48,9 @@ def check_layer(layer, x: np.ndarray, rng: np.random.Generator, h: float = 1e-6)
     layer.forward(x, record=True)
     gx = layer.backward(probe.copy())
     analytic = [gx] + [layer.grads()[k] for k in sorted(layer.grads())]
-    numeric = [_numeric_grad(loss, x, h)]
+    numeric = [_numeric_grad(loss, x)]
     for k in sorted(layer.params()):
-        numeric.append(_numeric_grad(loss, layer.params()[k], h))
+        numeric.append(_numeric_grad(loss, layer.params()[k]))
     a = np.concatenate([g.ravel() for g in analytic])
     n = np.concatenate([g.ravel() for g in numeric])
     return relative_error(a, n)
@@ -88,7 +90,7 @@ def _layer_instance(kind: str, rng: np.random.Generator):
     raise ValueError(f"unknown layer kind {kind!r}")
 
 
-def check_kd_loss(rng: np.random.Generator, h: float = 1e-6) -> float:
+def check_kd_loss(rng: np.random.Generator) -> float:
     """One random kd_loss instance: analytic vs numeric student-logit gradient."""
     b = int(rng.integers(1, 5))
     c = int(rng.integers(2, 7))
@@ -98,14 +100,14 @@ def check_kd_loss(rng: np.random.Generator, h: float = 1e-6) -> float:
     tau = float(rng.uniform(0.5, 25.0))
     w = float(rng.uniform(0.0, 1.0))
     _, analytic = kd_loss(s, t, y, tau, w)
-    numeric = _numeric_grad(lambda: kd_loss(s, t, y, tau, w)[0], s, h)
+    numeric = _numeric_grad(lambda: kd_loss(s, t, y, tau, w)[0], s)
     return relative_error(analytic, numeric)
 
 
 LAYER_CHECK_KINDS = ("dense", "conv2d-valid", "conv2d-same", "maxpool2d", "relu", "flatten")
 
 
-def run_all(seed: int, instances: int = 20, h: float = 1e-6) -> dict[str, float]:
+def run_all(seed: int, instances: int = 20) -> dict[str, float]:
     """Max relative error per check kind over `instances` random instances."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     results: dict[str, float] = {}
@@ -113,10 +115,10 @@ def run_all(seed: int, instances: int = 20, h: float = 1e-6) -> dict[str, float]
         worst = 0.0
         for _ in range(instances):
             layer, x = _layer_instance(kind, rng)
-            worst = max(worst, check_layer(layer, x, rng, h))
+            worst = max(worst, check_layer(layer, x, rng))
         results[kind] = worst
     worst = 0.0
     for _ in range(instances):
-        worst = max(worst, check_kd_loss(rng, h))
+        worst = max(worst, check_kd_loss(rng))
     results["kd_loss"] = worst
     return results

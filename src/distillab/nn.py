@@ -34,8 +34,14 @@ def _uniform_init(rng: np.random.Generator | None, shape: tuple[int, ...],
 
 
 class Layer:
+    """One step of a Network.  A subclass declares its record in two tuples:
+    `spec_fields`, the constructor arguments that its spec holds, and
+    `param_names`, its parameters; parameter `p` has its gradient slot in `grad_p`."""
+
     kind = "?"
     name = "?"  # assigned by Network, e.g. "2:conv2d"
+    spec_fields: tuple[str, ...] = ()
+    param_names: tuple[str, ...] = ()
 
     def forward(self, x: np.ndarray, record: bool = True) -> np.ndarray:
         raise NotImplementedError
@@ -49,17 +55,19 @@ class Layer:
         raise NotImplementedError
 
     def params(self) -> dict[str, np.ndarray]:
-        return {}
+        return {p: getattr(self, p) for p in self.param_names}
 
     def grads(self) -> dict[str, np.ndarray]:
-        return {}
+        return {p: getattr(self, "grad_" + p) for p in self.param_names}
 
     def spec(self) -> dict:
-        return {"kind": self.kind}
+        return {"kind": self.kind, **{f: getattr(self, f) for f in self.spec_fields}}
 
 
 class Dense(Layer):
     kind = "dense"
+    spec_fields = ("in_features", "out_features")
+    param_names = ("weight", "bias")
 
     def __init__(self, in_features: int, out_features: int,
                  rng: np.random.Generator | None = None, dtype=np.float32):
@@ -84,16 +92,6 @@ class Dense(Layer):
         self.grad_bias = grad_out.sum(axis=0)
         return grad_out @ self.weight.T if input_grad else None
 
-    def params(self):
-        return {"weight": self.weight, "bias": self.bias}
-
-    def grads(self):
-        return {"weight": self.grad_weight, "bias": self.grad_bias}
-
-    def spec(self):
-        return {"kind": self.kind, "in_features": self.in_features,
-                "out_features": self.out_features}
-
 
 @functools.lru_cache(maxsize=32)
 def _im2col_index(hp: int, wp: int, c: int, k: int) -> np.ndarray:
@@ -112,6 +110,8 @@ class Conv2d(Layer):
     """2-D convolution, stride 1, padding 'valid' or 'same' (zero padding)."""
 
     kind = "conv2d"
+    spec_fields = ("in_channels", "out_channels", "kernel_size", "padding")
+    param_names = ("weight", "bias")
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
                  padding: str = "same", rng: np.random.Generator | None = None,
@@ -193,17 +193,6 @@ class Conv2d(Layer):
                 gxp[:, i:i + oh, j:j + ow] += gcols[..., i, j]
         return gxp[:, lo:lo + h, lo:lo + w].transpose(0, 3, 1, 2)
 
-    def params(self):
-        return {"weight": self.weight, "bias": self.bias}
-
-    def grads(self):
-        return {"weight": self.grad_weight, "bias": self.grad_bias}
-
-    def spec(self):
-        return {"kind": self.kind, "in_channels": self.in_channels,
-                "out_channels": self.out_channels, "kernel_size": self.kernel_size,
-                "padding": self.padding}
-
 
 class MaxPool2d(Layer):
     """Non-overlapping max pooling; spatial dims must divide by the window size.
@@ -218,6 +207,7 @@ class MaxPool2d(Layer):
     """
 
     kind = "maxpool2d"
+    spec_fields = ("size",)
 
     def __init__(self, size: int = 2):
         self.size = size
@@ -261,9 +251,6 @@ class MaxPool2d(Layer):
             np.multiply(g, m, out=view)
         return gx
 
-    def spec(self):
-        return {"kind": self.kind, "size": self.size}
-
 
 class ReLU(Layer):
     kind = "relu"
@@ -296,7 +283,6 @@ class Flatten(Layer):
 
 
 LAYER_KINDS = {cls.kind: cls for cls in (Dense, Conv2d, MaxPool2d, ReLU, Flatten)}
-_TYPED_KINDS = {"dense", "conv2d"}  # layers holding parameters of the network's dtype
 
 
 class Network:
@@ -355,7 +341,7 @@ class Network:
         if not self._forward_done:
             raise RuntimeError("backward called before a recorded forward pass")
         g = np.asarray(grad_logits, dtype=self.dtype)
-        trainable = [i for i, layer in enumerate(self.layers) if layer.params()]
+        trainable = [i for i, layer in enumerate(self.layers) if layer.param_names]
         if not trainable:
             return
         for layer in reversed(self.layers[trainable[0] + 1:]):
@@ -392,7 +378,7 @@ class Network:
             if kind not in LAYER_KINDS:
                 raise ValueError(f"unknown layer kind {kind!r}")
             kwargs = {k: v for k, v in ls.items() if k != "kind"}
-            if kind in _TYPED_KINDS:
+            if LAYER_KINDS[kind].param_names:  # parameters take the network's dtype
                 kwargs["dtype"] = dtype
             layers.append(LAYER_KINDS[kind](**kwargs))
         return cls(layers, spec["embedding_tap"], tuple(spec["input_shape"]), dtype=dtype)

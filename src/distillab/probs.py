@@ -12,8 +12,9 @@ PROB_EPS = 1e-12
 PROB_ATOL = 1e-5
 
 
-def check_prob_vector(v: np.ndarray, name: str = "distribution", atol: float = PROB_ATOL) -> None:
-    """Raise ValueError unless `v` is a 1-D probability vector (entries in [0,1], sum 1)."""
+def check_prob_vector(v: np.ndarray, name: str = "distribution") -> None:
+    """Raise ValueError unless `v` is a 1-D probability vector: entries in [0, 1] and
+    sum 1, each within PROB_ATOL."""
     v = np.asarray(v)
     if v.ndim != 1:
         raise ValueError(f"{name} must be 1-D, got shape {v.shape}")
@@ -21,11 +22,11 @@ def check_prob_vector(v: np.ndarray, name: str = "distribution", atol: float = P
         raise ValueError(f"{name} is empty")
     if not np.all(np.isfinite(v)):
         raise ValueError(f"{name} contains non-finite entries")
-    if v.min() < -atol or v.max() > 1.0 + atol:
+    if v.min() < -PROB_ATOL or v.max() > 1.0 + PROB_ATOL:
         raise ValueError(f"{name} has entries outside [0, 1]")
     s = float(v.sum())
-    if abs(s - 1.0) > atol:
-        raise ValueError(f"{name} sums to {s}, expected 1 within {atol}")
+    if abs(s - 1.0) > PROB_ATOL:
+        raise ValueError(f"{name} sums to {s}, expected 1 within {PROB_ATOL}")
 
 
 def softmax_t(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
@@ -73,7 +74,7 @@ def kl_div_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.sum(_kl_terms(p, q), axis=-1)
 
 
-def check_prob_rows(arr: np.ndarray, name: str = "distributions", atol: float = PROB_ATOL) -> None:
+def check_prob_rows(arr: np.ndarray, name: str = "distributions") -> None:
     """Validate every row of an [N, C] array as a probability vector at once."""
     arr = np.asarray(arr)
     if arr.ndim != 2:
@@ -83,11 +84,12 @@ def check_prob_rows(arr: np.ndarray, name: str = "distributions", atol: float = 
     if not np.all(np.isfinite(arr)):
         bad = int(np.argwhere(~np.all(np.isfinite(arr), axis=1))[0, 0])
         raise ValueError(f"{name} row {bad} contains non-finite entries")
-    if arr.min() < -atol or arr.max() > 1.0 + atol:
-        bad = int(np.argwhere((arr.min(axis=1) < -atol) | (arr.max(axis=1) > 1.0 + atol))[0, 0])
+    if arr.min() < -PROB_ATOL or arr.max() > 1.0 + PROB_ATOL:
+        bad = int(np.argwhere((arr.min(axis=1) < -PROB_ATOL)
+                              | (arr.max(axis=1) > 1.0 + PROB_ATOL))[0, 0])
         raise ValueError(f"{name} row {bad} has entries outside [0, 1]")
     sums = arr.sum(axis=1)
-    off = np.abs(sums - 1.0) > atol
+    off = np.abs(sums - 1.0) > PROB_ATOL
     if np.any(off):
         bad = int(np.argmax(off))
-        raise ValueError(f"{name} row {bad} sums to {sums[bad]}, expected 1 within {atol}")
+        raise ValueError(f"{name} row {bad} sums to {sums[bad]}, expected 1 within {PROB_ATOL}")

@@ -160,11 +160,14 @@ def read_manifest(path: str | Path, verify: bool = True) -> RunManifest:
 
 
 def save_arrays(dir_path: str | Path, arrays: dict) -> None:
-    """Write each non-None array of `arrays` as `<name>.arr`."""
+    """Write each array of `arrays` as `<name>.arr`, and delete `<name>.arr` for each
+    that is None, so no file of an earlier save stands in for it."""
     d = Path(dir_path)
     d.mkdir(parents=True, exist_ok=True)
     for name, arr in arrays.items():
-        if arr is not None:
+        if arr is None:
+            (d / f"{name}.arr").unlink(missing_ok=True)
+        else:
             save_array(arr, d / f"{name}.arr")
 
 

@@ -265,7 +265,7 @@ def test_5_desk_scale_pipeline(matrix_run, announce):
     assert not problems, problems[:8]
 
 
-# --- 6: trend comparison (reported, not asserted) ---------------------------
+# --- 6: trend comparison ----------------------------------------------------
 
 def test_6_augmentation_trend_report(matrix_run, announce):
     out = matrix_run["out"]
@@ -292,6 +292,12 @@ def test_6_augmentation_trend_report(matrix_run, announce):
              "; ".join(parts))
     for v in list(sep.values()) + list(disc.values()) + list(kld.values()):
         assert math.isfinite(v)
+    # the directions the README states: mixup/cutmix teachers are less separable, less
+    # discriminative and closer to the human labels than the `none` teacher, and their
+    # students match or beat its student
+    for s in ("mixup", "cutmix"):
+        assert sep[s] < sep["none"] and disc[s] < disc["none"] and kld[s] < kld["none"], s
+        assert acc[f"{s}-teacher-aug"] >= acc["none-teacher-aug"], s
 
 
 # --- 7: determinism ---------------------------------------------------------

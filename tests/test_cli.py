@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 
 from distillab import cli
-from distillab.cli import _dataset_desc, build_parser, dataset_from_desc, main
-from distillab.data import load_dataset, make_synthetic, resolve_dataset, save_dataset
+from distillab.cli import _path_dataset, build_parser, dataset_from_desc, main
+from distillab.data import load_dataset, resolve_dataset, save_dataset
 from distillab.distill import TrainConfig
 from distillab.runstore import (load_array, load_checkpoint, load_eval_dump, read_manifest,
                                 read_matrix_csv, read_metrics_csv, save_array, sha256_file)
@@ -383,8 +383,8 @@ def test_dataset_descriptor_stores_both_idx_paths_absolute(tmp_path, monkeypatch
     monkeypatch.chdir(tmp_path)
     (tmp_path / "img.idx").write_bytes(struct.pack(">IIII", 0x803, 2, 3, 3) + bytes(range(18)))
     (tmp_path / "lbl.idx").write_bytes(struct.pack(">II", 0x801, 2) + bytes([1, 7]))
-    ds = resolve_dataset("img.idx,lbl.idx")
-    desc = _dataset_desc("img.idx,lbl.idx", ds)
+    ds, desc = _path_dataset("img.idx,lbl.idx")
+    assert ds.digest() == resolve_dataset("img.idx,lbl.idx").digest()
     assert desc["spec"] == f"{tmp_path / 'img.idx'},{tmp_path / 'lbl.idx'}"
     # a descriptor written with relative paths still replays from its own directory
     old = dict(desc, spec="img.idx,lbl.idx")
@@ -673,7 +673,6 @@ HUMAN_REPORT_FILES = {"kld_matrix.csv", "kld_matrix_scale.csv", "human_confidenc
 def _drop_human_labels(data):
     """Save the dataset at `data` again, without its human label distributions."""
     ds = load_dataset(data)
-    shutil.rmtree(data)
     save_dataset(dataclasses.replace(ds, human_probs=None), data)
 
 
@@ -726,6 +725,18 @@ def test_evaluate_written_again_holds_only_the_new_dump(work, tmp_path):
     assert not HUMAN_REPORT_FILES & {p.name for p in (tmp_path / "report").iterdir()}
 
 
+def test_evaluate_into_a_sealed_run_deletes_its_manifest(work, tmp_path):
+    # the new dump and reports would fail the old manifest's hashes
+    out = tmp_path / "run"
+    shutil.copytree(work["teacher"], out)
+    read_manifest(out / "manifest.json", verify=True)
+    assert main(["evaluate", "--checkpoint", str(out), "--dataset", str(work["data"]),
+                 "--out", str(out), "--t-eval", "2"]) == 0
+    assert not (out / "manifest.json").exists()
+    assert (out / "checkpoint" / "network.json").exists()
+    assert (out / "reports" / "metrics.csv").exists()
+
+
 def test_a_run_written_again_with_another_arch_keeps_no_old_parameter(work, tmp_path):
     out = tmp_path / "run"
     for arch in ("student-cnn", "student-mlp"):
@@ -740,15 +751,14 @@ def test_a_run_written_again_with_another_arch_keeps_no_old_parameter(work, tmp_
 
 
 def test_a_cell_fit_hands_back_no_parameters(tmp_path, monkeypatch):
-    # the grid's shapes: 4 classes of 1x12x12 images
-    ds = make_synthetic(seed=4, n_classes=4, per_class=16, img_side=12)
-    save_dataset(ds, tmp_path / "data")
-    assert main(["train-teacher", "--seed", "1", "--dataset", str(tmp_path / "data"),
-                 "--out", str(tmp_path / "teacher"), "--arch", "student-mlp",
-                 "--epochs", "1"]) == 0
-    monkeypatch.setattr(cli, "_cell_fitter", cli._Fitter(ds, ds, 1.0))
+    # the grid's own data sets and their descriptors, so `fit` is what a worker sends
+    args = build_parser().parse_args(["matrix", "--seed", "0", "--out", str(tmp_path)])
+    fitter = cli._Fitter(*cli._grid_datasets(args), args.t_eval, args.bins)
+    fitter(tmp_path / "teacher", TrainConfig(epochs=1), "student-mlp")
+    monkeypatch.setattr(cli, "_cell_fitter", fitter)
     fit = cli._fit_cell(tmp_path / "cell", TrainConfig(epochs=1), "student-mlp",
-                        tmp_path / "teacher" / "checkpoint")
+                        tmp_path / "teacher" / "checkpoint", "cell-none-both")
+    assert fit.dataset["eval"]["kind"] == "split" and fit.run_id == "cell-none-both"
     params = sum(path.stat().st_size
                  for path in (tmp_path / "cell" / "checkpoint").glob("param-*.arr"))
     assert params > 28_000

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import struct
 
@@ -372,6 +373,18 @@ def test_dataset_save_load_without_humans(tmp_path):
     back = load_dataset(tmp_path / "d")
     assert back.human_probs is None
     assert back.digest() == ds.digest()
+
+
+def test_a_dataset_saved_again_without_humans_loads_without_them(tmp_path):
+    ds = make_synthetic(seed=4, n_classes=3, per_class=6, img_side=6)
+    assert ds.human_probs is not None
+    save_dataset(ds, tmp_path / "d")
+    plain = dataclasses.replace(ds, human_probs=None)
+    save_dataset(plain, tmp_path / "d")
+    back = load_dataset(tmp_path / "d")
+    assert back.human_probs is None
+    assert back.digest() == plain.digest()
+    assert not (tmp_path / "d" / "human_probs.arr").exists()
 
 
 def test_load_dataset_missing_images(tmp_path):

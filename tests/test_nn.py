@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tracemalloc
 
@@ -5,9 +6,9 @@ import numpy as np
 import pytest
 
 from distillab.errors import FormatError
-from distillab.nn import (ARCHITECTURES, Conv2d, Dense, Flatten, MaxPool2d, Network, ReLU,
-                          ShapeError, build_network, sgd_step)
-from distillab.runstore import load_checkpoint
+from distillab.nn import (ARCHITECTURES, LAYER_KINDS, Conv2d, Dense, Flatten, MaxPool2d, Network,
+                          ReLU, ShapeError, build_network, sgd_step)
+from distillab.runstore import load_checkpoint, save_checkpoint
 from oracles import (conv2d_im2col_backward_reference, conv2d_im2col_reference,
                      conv2d_valid_loops, maxpool_backward_loops, maxpool_loops)
 
@@ -345,6 +346,48 @@ def test_network_spec_round_trip_preserves_architecture():
     bad["layers"][1] = {"kind": "dropout"}
     with pytest.raises(ValueError, match="unknown layer kind 'dropout'"):
         Network.from_spec(bad)
+
+
+# sha256 of network.json as save_checkpoint writes it, for a [1, 12, 12] input and 4
+# classes: the bytes of the layer specs and the network record, which replays read
+NETWORK_JSON_SHA256 = {
+    "teacher-cnn": "32cedc2c10f547e1fd373384e73d6e12bf1eac9880a6d8ae2e97d1f42da6284c",
+    "student-mlp": "aa804f0714061b7ce67fa3cb14c71cd5202e735b7b5062b70f700961e6da677f",
+    "student-cnn": "2139119584b4e46bf88b5fa444dcd487adb8e15ea2cebafc70c6c581278fa569",
+}
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_network_json_bytes_are_pinned(arch, tmp_path):
+    assert sorted(NETWORK_JSON_SHA256) == sorted(ARCHITECTURES)
+    save_checkpoint(build_network(arch, (1, 12, 12), 4, np.random.default_rng(0)), tmp_path)
+    assert hashlib.sha256((tmp_path / "network.json").read_bytes()).hexdigest() == \
+        NETWORK_JSON_SHA256[arch]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_every_layer_kind_round_trips_through_its_spec(dtype):
+    layers = [Conv2d(2, 3, 3, padding="valid", dtype=dtype), ReLU(), MaxPool2d(3),
+              Conv2d(3, 4, 2, padding="same", dtype=dtype), MaxPool2d(2), Flatten(),
+              Dense(4, 5, dtype=dtype), ReLU(), Dense(5, 2, dtype=dtype)]
+    net = Network(layers, embedding_tap=7, input_shape=(2, 8, 8), dtype=dtype)
+    assert {layer.kind for layer in layers} == set(LAYER_KINDS)
+    spec = net.spec_dict()
+    assert spec["layers"][0] == {"kind": "conv2d", "in_channels": 2, "out_channels": 3,
+                                 "kernel_size": 3, "padding": "valid"}
+    assert spec["layers"][2] == {"kind": "maxpool2d", "size": 3}
+    assert spec["layers"][6] == {"kind": "dense", "in_features": 4, "out_features": 5}
+    assert spec["layers"][1] == spec["layers"][7] == {"kind": "relu"}
+    clone = Network.from_spec(spec)
+    assert clone.spec_dict() == spec
+    assert [type(layer) for layer in clone.layers] == [type(layer) for layer in layers]
+    # parameters and their gradient slots, in the original's order and dtype
+    assert [(key, arr.shape, arr.dtype) for key, _, _, arr in clone.param_items()] == \
+        [(key, arr.shape, arr.dtype) for key, _, _, arr in net.param_items()] == \
+        [(f"{i}.{p}", getattr(layers[i], p).shape, np.dtype(dtype))
+         for i in (0, 3, 6, 8) for p in ("weight", "bias")]
+    for layer in clone.layers:
+        assert list(layer.grads()) == list(layer.params()) == list(layer.param_names)
 
 
 def test_params_digest_changes_with_params():

@@ -330,6 +330,15 @@ def test_array_directory_skips_none_and_reads_optional_as_none(tmp_path):
         load_arrays(tmp_path / "d", ("b",))
 
 
+def test_array_directory_saved_again_deletes_an_array_now_none(tmp_path):
+    a = np.arange(3, dtype=np.int64)
+    save_arrays(tmp_path / "d", {"a": a, "b": a + 1})
+    save_arrays(tmp_path / "d", {"a": a + 2, "b": None})
+    assert [p.name for p in (tmp_path / "d").iterdir()] == ["a.arr"]
+    back = load_arrays(tmp_path / "d", ("a",), optional=("b",))
+    assert back["b"] is None and np.array_equal(back["a"], a + 2)
+
+
 # --- CSV formatting ---------------------------------------------------------
 
 def test_format_float_round_trips_exactly():
