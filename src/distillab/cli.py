@@ -152,7 +152,7 @@ class _Fitter:
         if checkpointed is not None:
             checkpointed()
         if self.eval_ds is not None:
-            R.save_eval_dump(evaluate_model(model, self.eval_ds, t_eval=self.t_eval),
+            R.save_eval_dump(evaluate_model(model.net, self.eval_ds, t_eval=self.t_eval),
                              out / "dump")
         return R.RunManifest(
             run_id=run_id or f"{model.role}-{model.config.strategy.kind}-seed{model.config.seed}",

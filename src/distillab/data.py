@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import FormatError
 from .probs import check_prob_rows, softmax_t
-from .runstore import load_array, load_arrays, save_arrays
+from .runstore import load_arrays, save_arrays
 
 CIFAR10_CLASSES = ["airplane", "automobile", "bird", "cat", "deer",
                    "dog", "frog", "horse", "ship", "truck"]
@@ -143,27 +143,6 @@ def load_mnist_idx(images_path: str | Path, labels_path: str | Path) -> Dataset:
                    class_names=[str(i) for i in range(10)])
 
 
-def attach_human_labels(ds: Dataset, array_path: str | Path) -> Dataset:
-    """Return a copy of `ds` carrying row-normalized human label distributions.
-
-    The file is an array container of shape [N, C]; raw annotator counts are
-    accepted and normalized to sum 1 per row.
-    """
-    arr = load_array(array_path).astype(np.float64)
-    if arr.shape != (ds.n_samples, ds.n_classes):
-        raise ValueError(f"{array_path}: shape {arr.shape}, expected "
-                         f"{(ds.n_samples, ds.n_classes)} for this dataset")
-    if arr.size and arr.min() < 0:
-        bad = int(np.argwhere(arr.min(axis=1) < 0)[0, 0])
-        raise ValueError(f"{array_path}: negative count at row {bad}")
-    sums = arr.sum(axis=1)
-    zero = np.flatnonzero(sums == 0)
-    if zero.size:
-        raise ValueError(f"{array_path}: all-zero row {int(zero[0])} cannot be normalized")
-    return Dataset(images=ds.images, labels=ds.labels, class_names=list(ds.class_names),
-                   human_probs=arr / sums[:, None])
-
-
 def make_synthetic(seed: int, n_classes: int = 4, per_class: int = 500,
                    img_side: int = 12, difficulty: float = 0.5, channels: int = 1,
                    contrast: float = 1.0, brightness: float = 0.0,
@@ -268,8 +247,11 @@ def load_dataset(dir_path: str | Path) -> Dataset:
     if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
         raise FormatError(f"{meta}: class names must be a JSON list of strings")
     a = load_arrays(d, ("images", "labels"), optional=("human_probs",))
-    return Dataset(images=a["images"], labels=a["labels"], class_names=names,
-                   human_probs=a["human_probs"])
+    try:
+        return Dataset(images=a["images"], labels=a["labels"], class_names=names,
+                       human_probs=a["human_probs"])
+    except ValueError as exc:
+        raise FormatError(f"{d}: {exc}") from None
 
 
 def resolve_dataset(spec: str | Path) -> Dataset:

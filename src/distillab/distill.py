@@ -23,6 +23,8 @@ from .metrics import EvalDump
 from .nn import Network, build_network, sgd_step
 from .probs import PROB_EPS, cross_entropy_rows, kl_div_rows, softmax_t
 
+EVAL_BATCH = 256  # rows per forward in evaluate_model
+
 
 @dataclass
 class TrainConfig:
@@ -201,16 +203,14 @@ def _fit(net: Network, cfg: TrainConfig, data: Dataset, teacher: Network | None,
     return history
 
 
-def evaluate_model(model: TrainedModel | Network, data: Dataset, t_eval: float = 1.0,
-                   batch_size: int = 256) -> EvalDump:
-    """Forward the whole dataset (no caching) into an EvalDump."""
-    net = model.net if isinstance(model, TrainedModel) else model
+def evaluate_model(net: Network, data: Dataset, t_eval: float = 1.0) -> EvalDump:
+    """Forward the whole dataset (no caching), EVAL_BATCH rows at a time, into an EvalDump."""
     if data.n_samples and data.n_classes != net.n_outputs:
         raise ValueError(f"dataset has {data.n_classes} classes, model has {net.n_outputs} outputs")
     probs = np.empty((data.n_samples, net.n_outputs), dtype=np.float64)
     embs = np.empty((data.n_samples, net.embedding_dim), dtype=np.float64)
-    for start in range(0, data.n_samples, batch_size):
-        stop = min(start + batch_size, data.n_samples)
+    for start in range(0, data.n_samples, EVAL_BATCH):
+        stop = min(start + EVAL_BATCH, data.n_samples)
         logits, emb = net.forward(data.images[start:stop], record=False)
         probs[start:stop] = softmax_t(logits.astype(np.float64), t_eval)
         embs[start:stop] = emb

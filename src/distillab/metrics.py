@@ -103,19 +103,6 @@ class BinStat:
 class ReliabilityReport:
     bins: list[BinStat]
     ece: float
-    n_samples: int
-
-    def recompute_ece(self) -> float:
-        """Re-derive ECE from the stored bin statistics (same expression)."""
-        return _ece_from_bins(self.bins, self.n_samples)
-
-
-def _ece_from_bins(bins: list[BinStat], n: int) -> float:
-    total = 0.0
-    for b in bins:
-        if b.count:
-            total += (b.count / n) * abs(b.acc - b.conf)
-    return float(total)
 
 
 def ece(dump: EvalDump, n_bins: int = 15) -> ReliabilityReport:
@@ -140,17 +127,19 @@ def ece(dump: EvalDump, n_bins: int = 15) -> ReliabilityReport:
     conf, correct = conf[order], correct[order]
     counts = np.bincount(idx, minlength=n_bins).tolist()
     bins = []
+    total = 0.0  # sum of (count / N) * |acc - conf| over the non-empty bins, in bin order
     start = 0
     for m, count in enumerate(counts):
         if count:
             rows = slice(start, start + count)
-            bins.append(BinStat(float(edges[m]), float(edges[m + 1]), count,
-                                float(conf[rows].mean()), float(correct[rows].mean())))
+            b = BinStat(float(edges[m]), float(edges[m + 1]), count,
+                        float(conf[rows].mean()), float(correct[rows].mean()))
+            total += (count / dump.n_samples) * abs(b.acc - b.conf)
         else:
-            bins.append(BinStat(float(edges[m]), float(edges[m + 1]), 0, 0.0, 0.0))
+            b = BinStat(float(edges[m]), float(edges[m + 1]), 0, 0.0, 0.0)
+        bins.append(b)
         start += count
-    value = _ece_from_bins(bins, dump.n_samples)
-    return ReliabilityReport(bins=bins, ece=value, n_samples=dump.n_samples)
+    return ReliabilityReport(bins=bins, ece=total)
 
 
 def human_kld(dump: EvalDump) -> float:
@@ -230,18 +219,7 @@ class DiscriminationReport:
     cohesion: np.ndarray                    # [C]
     adhesion: dict[tuple[int, int], float]  # (i, j) with i < j
     discrimination: float
-    dim: int
     zero_norm_count: int = 0
-
-    def recompute_discrimination(self) -> float:
-        """Re-derive D from the stored cohesion/adhesion parts."""
-        return _assemble_d(self.cohesion, self.adhesion, self.dim)
-
-
-def _assemble_d(cohesion: np.ndarray, adhesion: dict[tuple[int, int], float], dim: int) -> float:
-    mean_c = float(np.mean(cohesion))
-    mean_a = float(np.mean(list(adhesion.values()))) if adhesion else 0.0
-    return (mean_c - mean_a) / math.sqrt(dim)
 
 
 def class_discrimination(dump: EvalDump) -> DiscriminationReport:
@@ -283,11 +261,11 @@ def class_discrimination(dump: EvalDump) -> DiscriminationReport:
     c = dump.n_classes
     adhesion = {(i, j): float(dots[i, j] / (n[i] * n[j]))
                 for i in range(c) for j in range(i + 1, c)}
+    mean_a = float(np.mean(list(adhesion.values()))) if adhesion else 0.0
     return DiscriminationReport(
         cohesion=cohesion,
         adhesion=adhesion,
-        discrimination=_assemble_d(cohesion, adhesion, d),
-        dim=d,
+        discrimination=(float(np.mean(cohesion)) - mean_a) / math.sqrt(d),
         zero_norm_count=int(np.count_nonzero(norms == 0.0)),
     )
 

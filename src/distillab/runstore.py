@@ -137,6 +137,10 @@ def read_manifest(path: str | Path, verify: bool = True) -> RunManifest:
     for name, ref in doc.get("files", {}).items():
         if not (isinstance(ref, dict) and all(isinstance(ref.get(k), str) for k in ("path", "sha256"))):
             raise FormatError(f"{path}: files entry {name!r} needs string path and sha256")
+        rel = Path(ref["path"])
+        if rel.is_absolute() or ".." in rel.parts:
+            raise FormatError(f"{path}: files entry {name!r} points outside the run directory "
+                              f"({ref['path']!r})")
     # other keys, such as the wall-clock `created` of older manifests, are ignored
     m = RunManifest(run_id=doc["run_id"], role=doc["role"],
                     config=doc["config"], dataset=doc["dataset"],
@@ -187,8 +191,11 @@ def save_eval_dump(dump: M.EvalDump, dir_path: str | Path) -> None:
 
 def load_eval_dump(dir_path: str | Path) -> M.EvalDump:
     a = load_arrays(dir_path, ("probs", "embeddings", "labels"), optional=("human_probs",))
-    return M.EvalDump(probs=a["probs"], embeddings=a["embeddings"], true_labels=a["labels"],
-                      human_probs=a["human_probs"])
+    try:
+        return M.EvalDump(probs=a["probs"], embeddings=a["embeddings"], true_labels=a["labels"],
+                          human_probs=a["human_probs"])
+    except ValueError as exc:
+        raise FormatError(f"{dir_path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -287,34 +294,6 @@ REPORTS = {
     "human_confidence_masked": ("human_confidence_matrix_masked.csv", True,
                                 lambda d, n_bins, t: _matrix_rows(t.means("human_probs"), True)),
 }
-
-
-def read_matrix_csv(path: str | Path) -> np.ndarray:
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = [[float(c) if c else float("nan") for c in row] for row in csv.reader(fh)]
-    return np.asarray(rows, dtype=np.float64)
-
-
-def read_metrics_csv(path: str | Path) -> dict[str, float]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        r = csv.DictReader(fh)
-        row = next(iter(r))
-    return {k: float(v) for k, v in row.items()}
-
-
-def read_reliability_csv(path: str | Path) -> M.ReliabilityReport:
-    bins = []
-    n = 0
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            b = M.BinStat(lo=float(row["bin_lo"]), hi=float(row["bin_hi"]),
-                          count=int(row["count"]), conf=float(row["conf"]),
-                          acc=float(row["acc"]))
-            bins.append(b)
-            n += b.count
-    report = M.ReliabilityReport(bins=bins, ece=0.0, n_samples=n)
-    report.ece = report.recompute_ece()
-    return report
 
 
 def _write_csv(path: Path, rows) -> Path:

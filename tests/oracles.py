@@ -6,6 +6,7 @@ with the package beyond numpy — so agreement is evidence, not tautology.
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
@@ -143,9 +144,25 @@ def discrimination_reference(emb: np.ndarray, labels: np.ndarray, n_classes: int
     cohesion = (np.diag(dots) - sq_norms) / 2.0 / (n * (n - 1))
     adhesion = {(i, j): float(dots[i, j] / (n[i] * n[j]))
                 for i in range(n_classes) for j in range(i + 1, n_classes)}
-    mean_a = float(np.mean(list(adhesion.values()))) if adhesion else 0.0
-    d = (float(np.mean(cohesion)) - mean_a) / math.sqrt(emb.shape[1])
+    d = discrimination_from_parts(cohesion, adhesion, emb.shape[1])
     return cohesion, adhesion, d, int(zero.sum())
+
+
+def discrimination_from_parts(cohesion, adhesion: dict, dim: int) -> float:
+    """D = (mean cohesion - mean adhesion) / sqrt(dim), with numpy's means over the
+    per-class cohesions and the per-pair adhesions."""
+    mean_a = float(np.mean(list(adhesion.values()))) if adhesion else 0.0
+    return (float(np.mean(cohesion)) - mean_a) / math.sqrt(dim)
+
+
+def ece_from_bins(bins, n: int) -> float:
+    """Sum of (count / n) * |acc - conf| over the non-empty (lo, hi, count, conf, acc)
+    bins, in bin order."""
+    total = 0.0
+    for _, _, count, conf, acc in bins:
+        if count:
+            total += (count / n) * abs(acc - conf)
+    return total
 
 
 def kld_matrix_loops(probs: np.ndarray, human: np.ndarray, labels: np.ndarray,
@@ -378,3 +395,27 @@ def random_dump_arrays(rng: np.random.Generator, n_max=500, c_max=10, d_max=64,
     emb = rng.standard_normal((n, d)) * rng.uniform(0.5, 3.0)
     human = rng.dirichlet(np.full(c, 1.3), size=n) if with_human else None
     return probs, emb, labels, human, c
+
+
+# --- CSV reports ---------------------------------------------------------------
+# The package writes its reports and never reads them back; the tests do.
+
+def read_matrix_csv(path) -> np.ndarray:
+    """A headerless matrix; an empty (masked) cell reads as NaN."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = [[float(c) if c else float("nan") for c in row] for row in csv.reader(fh)]
+    return np.asarray(rows, dtype=np.float64)
+
+
+def read_metrics_csv(path) -> dict[str, float]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        row = next(csv.DictReader(fh))
+    return {k: float(v) for k, v in row.items()}
+
+
+def read_reliability_csv(path):
+    """Returns ([(lo, hi, count, conf, acc), ...], ECE re-derived from those bins)."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        bins = [(float(r["bin_lo"]), float(r["bin_hi"]), int(r["count"]), float(r["conf"]),
+                 float(r["acc"])) for r in csv.DictReader(fh)]
+    return bins, ece_from_bins(bins, sum(b[2] for b in bins))

@@ -22,12 +22,11 @@ from distillab.errors import FormatError
 from distillab.gradcheck import run_all
 from distillab.metrics import (EvalDump, class_discrimination, class_means, class_separability,
                                confusion_metrics, ece, kl_matrix, summary_metrics)
-from distillab.runstore import (load_array, load_eval_dump, read_manifest, read_matrix_csv,
-                                read_metrics_csv, read_reliability_csv, save_array)
+from distillab.runstore import load_array, load_eval_dump, read_manifest, save_array
 
-from oracles import (cutmix_one, discrimination_pairs, ece_rebin, kd_loss_scalar,
-                     kld_matrix_loops, mixup_one, random_dump_arrays, separability_pairs,
-                     softmax_scalar)
+from oracles import (cutmix_one, discrimination_pairs, ece_rebin, kld_matrix_loops, mixup_one,
+                     random_dump_arrays, read_matrix_csv, read_metrics_csv, read_reliability_csv,
+                     separability_pairs, softmax_scalar)
 
 
 @pytest.fixture
@@ -208,9 +207,9 @@ def _verify_run_dir(run_dir):
             same = src == v or (isinstance(src, float) and math.isnan(src) and math.isnan(v))
             if not same:
                 problems.append(f"{run_dir.name}: {src_name} {k} {src!r} != {v!r}")
-    rel = read_reliability_csv(run_dir / "reports" / "reliability.csv")
+    bins, rel_ece = read_reliability_csv(run_dir / "reports" / "reliability.csv")
     fresh = ece(dump, m.config["n_bins"])
-    if rel.ece != fresh.ece or [b.count for b in rel.bins] != [b.count for b in fresh.bins]:
+    if rel_ece != fresh.ece or [b[2] for b in bins] != [b.count for b in fresh.bins]:
         problems.append(f"{run_dir.name}: reliability reparse mismatch")
     c = dump.n_classes
     reports = run_dir / "reports"

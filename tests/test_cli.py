@@ -21,7 +21,9 @@ from distillab.cli import _path_dataset, build_parser, dataset_from_desc, main
 from distillab.data import load_dataset, resolve_dataset, save_dataset
 from distillab.distill import TrainConfig
 from distillab.runstore import (load_array, load_checkpoint, load_eval_dump, read_manifest,
-                                read_matrix_csv, read_metrics_csv, save_array, sha256_file)
+                                save_array, sha256_file)
+
+from oracles import read_metrics_csv
 
 
 @pytest.fixture(scope="module")
@@ -352,6 +354,15 @@ def test_report_unknown_name_fails_cleanly(work, tmp_path, capsys):
                  "--out", str(tmp_path / "rep"), "--reports", "heatmap"])
     assert code == 1
     assert "error: ValueError" in capsys.readouterr().err
+
+
+def test_report_on_a_dump_whose_labels_do_not_fit_names_the_dump(work, tmp_path, capsys):
+    dump = tmp_path / "dump"
+    shutil.copytree(work["student"] / "dump", dump)
+    save_array(load_array(dump / "labels.arr")[:-1], dump / "labels.arr")
+    assert main(["report", "--dump", str(dump), "--out", str(tmp_path / "rep")]) == 1
+    err = capsys.readouterr().err
+    assert "error: FormatError" in err and str(dump) in err and "true_labels shape" in err
 
 
 def test_bad_dataset_path_reports_error(tmp_path, capsys):

@@ -5,9 +5,9 @@ import struct
 import numpy as np
 import pytest
 
-from distillab.data import (_SYNTH_BLOCK_FLOATS, CIFAR10_CLASSES, Dataset, attach_human_labels,
-                            load_cifar10_bin, load_dataset, load_mnist_idx, make_synthetic,
-                            resolve_dataset, save_dataset, split)
+from distillab.data import (_SYNTH_BLOCK_FLOATS, CIFAR10_CLASSES, Dataset, load_cifar10_bin,
+                            load_dataset, load_mnist_idx, make_synthetic, resolve_dataset,
+                            save_dataset, split)
 from distillab.errors import FormatError
 from distillab.runstore import save_array
 
@@ -147,46 +147,10 @@ def test_mnist_bad_label_value(tmp_path):
         load_mnist_idx(img, lbl)
 
 
-# --- human labels -----------------------------------------------------------
-
 def _plain_ds(n=4, c=2):
     images = np.linspace(0, 1, n * 4, dtype=np.float32).reshape(n, 1, 2, 2)
     return Dataset(images=images, labels=np.arange(n) % c,
                    class_names=[f"c{i}" for i in range(c)])
-
-
-def test_attach_human_labels_normalizes_counts(tmp_path):
-    ds = _plain_ds()
-    counts = np.array([[3, 1], [0, 5], [2, 2], [1, 0]], dtype=np.float64)
-    p = tmp_path / "votes.arr"
-    save_array(counts, p)
-    out = attach_human_labels(ds, p)
-    assert out.human_probs is not None
-    assert np.allclose(out.human_probs, counts / counts.sum(axis=1, keepdims=True))
-    assert ds.human_probs is None  # original untouched
-
-
-def test_attach_human_labels_shape_mismatch(tmp_path):
-    p = tmp_path / "votes.arr"
-    save_array(np.ones((3, 2)), p)
-    with pytest.raises(ValueError, match="expected"):
-        attach_human_labels(_plain_ds(), p)
-
-
-def test_attach_human_labels_negative_row(tmp_path):
-    counts = np.array([[1.0, 1.0], [1.0, -2.0], [1.0, 1.0], [1.0, 1.0]])
-    p = tmp_path / "votes.arr"
-    save_array(counts, p)
-    with pytest.raises(ValueError, match="row 1"):
-        attach_human_labels(_plain_ds(), p)
-
-
-def test_attach_human_labels_all_zero_row(tmp_path):
-    counts = np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
-    p = tmp_path / "votes.arr"
-    save_array(counts, p)
-    with pytest.raises(ValueError, match="row 2"):
-        attach_human_labels(_plain_ds(), p)
 
 
 # --- synthetic --------------------------------------------------------------
@@ -402,6 +366,19 @@ def test_load_dataset_names_malformed_classes_json(tmp_path, text, why):
     with pytest.raises(FormatError, match=why) as info:
         load_dataset(tmp_path / "d")
     assert str(meta) in str(info.value)
+
+
+@pytest.mark.parametrize("name, arr, why", [
+    ("labels", np.array([0, 1, 4, 1]), r"labels outside \[0, 2\)"),
+    ("labels", np.array([0, 1, 0]), "inconsistent with N=4"),
+    ("human_probs", np.full((4, 4), 0.25), "human_probs shape"),
+])
+def test_load_dataset_arrays_that_do_not_fit_name_the_directory(tmp_path, name, arr, why):
+    save_dataset(_plain_ds(), tmp_path / "d")
+    save_array(arr, tmp_path / "d" / f"{name}.arr")
+    with pytest.raises(FormatError, match=why) as info:
+        load_dataset(tmp_path / "d")
+    assert str(tmp_path / "d") in str(info.value)
 
 
 def test_resolve_dataset_dispatches(tmp_path):

@@ -4,10 +4,11 @@ import json
 import numpy as np
 import pytest
 
+from distillab import distill
 from distillab.augment import AugmentStrategy
 from distillab.data import make_synthetic
-from distillab.distill import (TrainConfig, TrainedModel, _epoch_indices, _logit_table,
-                               evaluate_model, kd_loss, train_student, train_teacher)
+from distillab.distill import (TrainConfig, _epoch_indices, _logit_table, evaluate_model, kd_loss,
+                               train_student, train_teacher)
 from distillab.metrics import confusion_metrics
 
 from oracles import kd_loss_scalar
@@ -142,7 +143,7 @@ def test_kd_loss_validates_inputs():
 def test_teacher_fits_easy_data():
     data = _tiny_data()
     model = train_teacher(_tiny_cfg(epochs=8), data, arch="student-mlp")
-    acc = confusion_metrics(evaluate_model(model, data))["accuracy"]
+    acc = confusion_metrics(evaluate_model(model.net, data))["accuracy"]
     assert acc >= 0.95
 
 
@@ -210,7 +211,7 @@ def test_student_learns_from_teacher_alone():
     teacher = train_teacher(_tiny_cfg(epochs=8), data, arch="student-mlp")
     cfg = _tiny_cfg(epochs=8, lr=0.02, distill_weight=1.0)
     student = train_student(cfg, teacher, data, arch="student-mlp")
-    acc = confusion_metrics(evaluate_model(student, data))["accuracy"]
+    acc = confusion_metrics(evaluate_model(student.net, data))["accuracy"]
     assert acc >= 0.9
 
 
@@ -261,7 +262,7 @@ def test_class_count_mismatch_rejected():
     with pytest.raises(ValueError):
         train_student(_tiny_cfg(epochs=1), teacher, data4, arch="student-mlp")
     with pytest.raises(ValueError):
-        evaluate_model(teacher, data4)
+        evaluate_model(teacher.net, data4)
 
 
 # --- evaluation -------------------------------------------------------------
@@ -269,7 +270,7 @@ def test_class_count_mismatch_rejected():
 def test_evaluate_produces_valid_dump():
     data = _tiny_data()
     model = train_teacher(_tiny_cfg(epochs=2), data, arch="student-mlp")
-    dump = evaluate_model(model, data)
+    dump = evaluate_model(model.net, data)
     assert dump.n_samples == data.n_samples
     assert dump.n_classes == data.n_classes
     assert dump.probs.dtype == np.float64
@@ -281,22 +282,22 @@ def test_evaluate_produces_valid_dump():
 def test_evaluate_temperature_preserves_ranking():
     data = _tiny_data()
     model = train_teacher(_tiny_cfg(epochs=2), data, arch="student-mlp")
-    cold = evaluate_model(model, data, t_eval=1.0)
-    warm = evaluate_model(model, data, t_eval=8.0)
+    cold = evaluate_model(model.net, data, t_eval=1.0)
+    warm = evaluate_model(model.net, data, t_eval=8.0)
     assert np.array_equal(cold.probs.argmax(axis=1), warm.probs.argmax(axis=1))
     # higher temperature flattens every row's top probability
     assert np.all(warm.probs.max(axis=1) <= cold.probs.max(axis=1) + 1e-12)
     assert np.array_equal(cold.embeddings, warm.embeddings)
 
 
-def test_evaluate_batching_is_invisible():
+def test_evaluate_batching_is_invisible(monkeypatch):
     data = _tiny_data()
-    model = train_teacher(_tiny_cfg(epochs=1), data, arch="student-mlp")
+    net = train_teacher(_tiny_cfg(epochs=1), data, arch="student-mlp").net
+    whole = evaluate_model(net, data)  # 90 rows, one batch
     # identical call -> bitwise identical (no hidden state)
-    assert np.array_equal(evaluate_model(model, data, batch_size=7).probs,
-                          evaluate_model(model, data, batch_size=7).probs)
+    assert np.array_equal(evaluate_model(net, data).probs, whole.probs)
     # different batch splits may reorder float accumulation, but only at ulp scale
-    small = evaluate_model(model, data, batch_size=7)
-    big = evaluate_model(model, data, batch_size=1024)
-    assert np.allclose(small.probs, big.probs, atol=1e-6)
-    assert np.array_equal(small.probs.argmax(axis=1), big.probs.argmax(axis=1))
+    monkeypatch.setattr(distill, "EVAL_BATCH", 7)
+    small = evaluate_model(net, data)
+    assert np.allclose(small.probs, whole.probs, atol=1e-6)
+    assert np.array_equal(small.probs.argmax(axis=1), whole.probs.argmax(axis=1))

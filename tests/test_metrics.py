@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -8,11 +9,11 @@ from distillab.metrics import (EvalDump, class_discrimination, class_means, clas
                                confusion_metrics, ece, human_kld, kl_matrix,
                                standardize_embeddings, summary_metrics)
 from distillab.probs import kl_div
-from distillab.runstore import emit_report, read_matrix_csv
+from distillab.runstore import emit_report
 
-from oracles import (discrimination_pairs, discrimination_reference, ece_rebin, kld_matrix_loops,
-                     kl_scalar, random_dump_arrays, separability_pairs, standardize_pop,
-                     standardize_reference)
+from oracles import (discrimination_from_parts, discrimination_pairs, discrimination_reference,
+                     ece_from_bins, ece_rebin, kld_matrix_loops, kl_scalar, random_dump_arrays,
+                     read_matrix_csv, separability_pairs, standardize_pop, standardize_reference)
 
 
 def _dump(probs, labels, emb=None, human=None):
@@ -121,7 +122,7 @@ def test_ece_recompute_is_identical():
     for _ in range(10):
         d = _random_dump(rng, n_max=150, with_human=False)
         rep = ece(d, n_bins=int(rng.integers(1, 16)))
-        assert rep.recompute_ece() == rep.ece
+        assert ece_from_bins([dataclasses.astuple(b) for b in rep.bins], d.n_samples) == rep.ece
 
 
 def test_ece_bin_means_equal_masked_means_bitwise():
@@ -248,7 +249,6 @@ def test_discrimination_axis_aligned_hand_case():
     assert np.allclose(rep.cohesion, [0.5, 0.5])
     assert rep.adhesion == pytest.approx({(0, 1): -1.0})
     assert rep.discrimination == pytest.approx(1.5 / math.sqrt(2.0))
-    assert rep.dim == 2
     assert rep.zero_norm_count == 0
 
 
@@ -361,7 +361,8 @@ def test_discrimination_recompute_is_identical():
     rng = np.random.default_rng(9)
     d = _random_dump(rng, n_max=60, with_human=False)
     rep = class_discrimination(d)
-    assert rep.recompute_discrimination() == rep.discrimination
+    assert discrimination_from_parts(rep.cohesion, rep.adhesion,
+                                     d.embeddings.shape[1]) == rep.discrimination
 
 
 def test_discrimination_needs_two_samples_per_class():

@@ -14,11 +14,10 @@ from distillab.metrics import EvalDump, class_means, ece, kl_matrix, summary_met
 from distillab.nn import build_network
 from distillab.runstore import (ARRAY_MAGIC, REPORTS, RunManifest, emit_report, format_float,
                                 load_array, load_arrays, load_checkpoint, load_eval_dump,
-                                read_manifest, read_matrix_csv, read_metrics_csv,
-                                read_reliability_csv, save_array, save_arrays, save_checkpoint,
+                                read_manifest, save_array, save_arrays, save_checkpoint,
                                 save_eval_dump, sha256_file, write_manifest)
 
-from oracles import random_dump_arrays
+from oracles import random_dump_arrays, read_matrix_csv, read_metrics_csv, read_reliability_csv
 
 
 def _rt(arr, tmp_path, name="a.arr"):
@@ -228,6 +227,11 @@ def test_manifest_rejects_bad_json_and_missing_fields(tmp_path):
       "files": {"w": {"path": "w.arr", "sha256": 7}}}, "'w' needs string path and sha256"),
     ({"run_id": "x", "role": "teacher", "config": {}, "dataset": {}, "files": {"w": "w.arr"}},
      "'w' needs string path and sha256"),
+    # hand-edited entries: add_file refuses to write a path that leaves the run
+    *(({"run_id": "x", "role": "teacher", "config": {}, "dataset": {},
+        "files": {"w": {"path": outside, "sha256": "ab"}}},
+       f"'w' points outside the run directory \\('{outside}'\\)")
+      for outside in ("../outside.txt", "arrays/../../outside.txt", "/outside.txt")),
 ])
 def test_manifest_rejects_wrong_shape_naming_the_file(tmp_path, doc, why):
     p = tmp_path / "m.json"
@@ -318,6 +322,21 @@ def test_eval_dump_round_trip_without_humans(tmp_path):
     d = _dump_pair(with_human=False)
     save_eval_dump(d, tmp_path / "dump")
     assert load_eval_dump(tmp_path / "dump").human_probs is None
+
+
+@pytest.mark.parametrize("name, bad, why", [
+    ("labels", lambda d: d.true_labels[:-1], "true_labels shape"),
+    ("labels", lambda d: np.full(d.n_samples, 99), "true_labels outside"),
+    ("embeddings", lambda d: d.embeddings[:-1], "embeddings shape"),
+    ("human_probs", lambda d: d.human_probs[:-1], "human_probs shape"),
+])
+def test_eval_dump_arrays_that_do_not_fit_name_the_directory(tmp_path, name, bad, why):
+    d = _dump_pair()
+    save_eval_dump(d, tmp_path / "dump")
+    save_array(bad(d), tmp_path / "dump" / f"{name}.arr")
+    with pytest.raises(FormatError, match=why) as info:
+        load_eval_dump(tmp_path / "dump")
+    assert str(tmp_path / "dump") in str(info.value)
 
 
 def test_array_directory_skips_none_and_reads_optional_as_none(tmp_path):
@@ -441,11 +460,11 @@ def test_emit_report_explicit_human_request_fails_without_humans(tmp_path):
 def test_emit_report_reliability_reparses_to_same_ece(tmp_path):
     d = _dump_pair()
     written = emit_report(d, tmp_path, reports=["reliability"])
-    back = read_reliability_csv(written["reliability"])
+    bins, back_ece = read_reliability_csv(written["reliability"])
     rel = ece(d, 15)
-    assert back.ece == rel.ece
-    assert back.n_samples == rel.n_samples
-    assert [b.count for b in back.bins] == [b.count for b in rel.bins]
+    assert back_ece == rel.ece
+    assert sum(b[2] for b in bins) == d.n_samples
+    assert bins == [dataclasses.astuple(b) for b in rel.bins]
 
 
 def test_emit_report_kld_scale_brackets_matrix(tmp_path):
