@@ -25,7 +25,6 @@ from . import runstore as R
 from .augment import STRATEGY_KINDS, AugmentStrategy
 from .distill import TrainConfig, TrainedModel, evaluate_model, train_student, train_teacher
 from .errors import FormatError, IntegrityError
-from .gradcheck import run_all
 from .nn import ARCHITECTURES
 
 # arm -> (teacher augmented, student augmented)
@@ -193,8 +192,7 @@ def _resolve_teacher(path: Path) -> Path:
 def _cmd_synth(args) -> int:
     ds = D.make_synthetic(seed=args.seed, n_classes=args.classes, per_class=args.per_class,
                           img_side=args.side, difficulty=args.difficulty,
-                          channels=args.channels, contrast=args.contrast,
-                          brightness=args.brightness)
+                          channels=args.channels)
     D.save_dataset(ds, args.out)
     print(f"wrote {ds.n_samples} samples, {ds.n_classes} classes -> {args.out}")
     return 0
@@ -292,17 +290,6 @@ def _cmd_report(args) -> int:
     for name in sorted(written):
         print(f"wrote {name}: {written[name]}")
     return 0
-
-
-def _cmd_gradcheck(args) -> int:
-    results = run_all(args.seed, instances=args.instances)
-    failed = False
-    for kind in sorted(results):
-        status = "ok" if results[kind] < args.tolerance else "FAIL"
-        if status == "FAIL":
-            failed = True
-        print(f"{kind:14s} max relative error {results[kind]:.3e}  {status}")
-    return 1 if failed else 0
 
 
 MATRIX_COLUMNS = ("cell", "strategy", "arm", "teacher_accuracy") + R.METRIC_COLUMNS
@@ -479,8 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--side", type=int, default=12)
     p.add_argument("--difficulty", type=float, default=0.5)
     p.add_argument("--channels", type=int, default=1)
-    p.add_argument("--contrast", type=float, default=1.0)
-    p.add_argument("--brightness", type=float, default=0.0)
 
     for command, (role, _, arch, help_text) in _TRAIN_COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
@@ -513,11 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reports", default="all")
     p.add_argument("--bins", type=int, default=N_BINS)
 
-    p = sub.add_parser("gradcheck", help="finite-difference check of every backward pass")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--instances", type=int, default=20)
-    p.add_argument("--tolerance", type=float, default=1e-5)
-
     p = sub.add_parser("matrix", help="run the 5-strategy x 3-arm distillation grid")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--dataset", default="synth")
@@ -537,7 +517,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     commands = {"synth": _cmd_synth, "train-teacher": _cmd_train, "distill": _cmd_train,
                 "evaluate": lambda a: _cmd_evaluate(a, parser), "report": _cmd_report,
-                "gradcheck": _cmd_gradcheck, "matrix": _cmd_matrix}
+                "matrix": _cmd_matrix}
     try:
         return commands[args.command](args)
     except (FormatError, IntegrityError, ValueError, RuntimeError, OSError) as exc:

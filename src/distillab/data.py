@@ -19,12 +19,13 @@ import numpy as np
 
 from .errors import FormatError
 from .probs import check_prob_rows, softmax_t
-from .runstore import load_arrays, save_arrays
+from .runstore import load_arrays, misfit_error, save_arrays
 
 CIFAR10_CLASSES = ["airplane", "automobile", "bird", "cat", "deer",
                    "dog", "frog", "horse", "ship", "truck"]
 _CIFAR_RECORD = 3073  # 1 label byte + 3 * 32 * 32 pixel bytes
 _SYNTH_BLOCK_FLOATS = 1 << 15  # float64 values in one make_synthetic block: 256 KiB
+HUMAN_TEMP = 0.05  # softmax temperature of the synthetic human label distributions
 
 
 @dataclass
@@ -144,18 +145,15 @@ def load_mnist_idx(images_path: str | Path, labels_path: str | Path) -> Dataset:
 
 
 def make_synthetic(seed: int, n_classes: int = 4, per_class: int = 500,
-                   img_side: int = 12, difficulty: float = 0.5, channels: int = 1,
-                   contrast: float = 1.0, brightness: float = 0.0,
-                   human_temp: float = 0.05) -> Dataset:
+                   img_side: int = 12, difficulty: float = 0.5, channels: int = 1) -> Dataset:
     """Seeded class-template dataset with fabricated human label distributions.
 
     Each class gets a fixed random template that is spatially smoothed (so
     small crops stay close to the original, as for natural images) and
     symmetrized left-right (so a horizontal flip is label-preserving); a
     sample is its class template plus Gaussian noise scaled by `difficulty`,
-    then an affine contrast/brightness shift (the distribution-shift knobs),
     clipped to [0,1].  Human distributions are a softmax over negative
-    mean-squared template-match distances at `human_temp`; difficulty=0 makes
+    mean-squared template-match distances at `HUMAN_TEMP`; difficulty=0 makes
     classes exactly template-separable.
     """
     if n_classes < 2:
@@ -190,8 +188,6 @@ def make_synthetic(seed: int, n_classes: int = 4, per_class: int = 500,
         stop = min(start + rows, n)
         block = rng.normal(0.0, 0.35 * difficulty, size=(stop - start, dim))
         block += flat_templates[labels[start:stop]]
-        block *= contrast
-        block += brightness
         np.clip(block, 0.0, 1.0, out=block)
         scratch = diff[:stop - start]
         for k, t in enumerate(flat_templates):
@@ -199,7 +195,7 @@ def make_synthetic(seed: int, n_classes: int = 4, per_class: int = 500,
             np.square(scratch, out=scratch)
             d2[start:stop, k] = scratch.mean(axis=1)
         flat_images[start:stop] = block
-    human = softmax_t(-d2, temperature=human_temp)
+    human = softmax_t(-d2, temperature=HUMAN_TEMP)
     perm = rng.permutation(n)
     return Dataset(images=images[perm], labels=labels[perm],
                    class_names=[f"class-{i}" for i in range(n_classes)],
@@ -251,7 +247,7 @@ def load_dataset(dir_path: str | Path) -> Dataset:
         return Dataset(images=a["images"], labels=a["labels"], class_names=names,
                        human_probs=a["human_probs"])
     except ValueError as exc:
-        raise FormatError(f"{d}: {exc}") from None
+        raise misfit_error(d, exc) from None
 
 
 def resolve_dataset(spec: str | Path) -> Dataset:

@@ -183,6 +183,16 @@ def load_arrays(dir_path: str | Path, names, optional=()) -> dict:
             for name in (*names, *optional)}
 
 
+def misfit_error(dir_path: str | Path, exc: ValueError, stems=None) -> FormatError:
+    """`exc`, raised for arrays of a directory that do not fit together, as a
+    FormatError naming the file of the array its message starts with (a field, which
+    `stems` maps to its file stem where the two differ), or the directory if it holds
+    no such file."""
+    field = str(exc).split(" ", 1)[0]
+    path = Path(dir_path) / f"{(stems or {}).get(field, field)}.arr"
+    return FormatError(f"{path if path.is_file() else dir_path}: {exc}")
+
+
 def save_eval_dump(dump: M.EvalDump, dir_path: str | Path) -> None:
     save_arrays(dir_path, {"probs": dump.probs, "embeddings": dump.embeddings,
                            "labels": dump.true_labels.astype(np.int64),
@@ -195,7 +205,7 @@ def load_eval_dump(dir_path: str | Path) -> M.EvalDump:
         return M.EvalDump(probs=a["probs"], embeddings=a["embeddings"], true_labels=a["labels"],
                           human_probs=a["human_probs"])
     except ValueError as exc:
-        raise FormatError(f"{dir_path}: {exc}") from None
+        raise misfit_error(dir_path, exc, {"true_labels": "labels"}) from None
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .distill import kd_loss
-from .nn import Conv2d, Dense, Flatten, MaxPool2d, ReLU
+from distillab.distill import kd_loss
+from distillab.nn import Conv2d, Dense, Flatten, MaxPool2d, ReLU
 
 H = 1e-6  # the finite-difference step
 

@@ -19,11 +19,11 @@ from distillab.cli import dataset_from_desc, main as cli_main
 from distillab.data import load_cifar10_bin, load_mnist_idx
 from distillab.distill import kd_loss
 from distillab.errors import FormatError
-from distillab.gradcheck import run_all
 from distillab.metrics import (EvalDump, class_discrimination, class_means, class_separability,
                                confusion_metrics, ece, kl_matrix, summary_metrics)
 from distillab.runstore import load_array, load_eval_dump, read_manifest, save_array
 
+from gradcheck import run_all
 from oracles import (cutmix_one, discrimination_pairs, ece_rebin, kld_matrix_loops, mixup_one,
                      random_dump_arrays, read_matrix_csv, read_metrics_csv, read_reliability_csv,
                      separability_pairs, softmax_scalar)

@@ -217,7 +217,13 @@ def test_replay_of_a_manifest_missing_a_record_is_a_format_error(work, tmp_path,
 @pytest.mark.parametrize("section, key, value", [("config", "train", {"bogus": 1}),
                                                  ("config", "train", []),
                                                  ("dataset", "train", {}),
-                                                 ("dataset", "eval", {"kind": "path"})])
+                                                 ("dataset", "eval", {"kind": "path"}),
+                                                 # a generator parameter that no longer exists
+                                                 ("dataset", "train", {
+                                                     "kind": "synthetic", "digest": "",
+                                                     "params": {"seed": 0, "n_classes": 2,
+                                                                "per_class": 2,
+                                                                "contrast": 0.7}})])
 def test_replay_of_a_malformed_record_is_a_format_error(work, tmp_path, capsys, section, key,
                                                         value):
     run = tmp_path / "run"
@@ -362,7 +368,7 @@ def test_report_on_a_dump_whose_labels_do_not_fit_names_the_dump(work, tmp_path,
     save_array(load_array(dump / "labels.arr")[:-1], dump / "labels.arr")
     assert main(["report", "--dump", str(dump), "--out", str(tmp_path / "rep")]) == 1
     err = capsys.readouterr().err
-    assert "error: FormatError" in err and str(dump) in err and "true_labels shape" in err
+    assert err.startswith(f"error: FormatError: {dump / 'labels.arr'}: true_labels shape")
 
 
 def test_bad_dataset_path_reports_error(tmp_path, capsys):
@@ -402,13 +408,6 @@ def test_dataset_descriptor_stores_both_idx_paths_absolute(tmp_path, monkeypatch
     assert dataset_from_desc(old).digest() == ds.digest()
     monkeypatch.chdir(tmp_path.parent)
     assert dataset_from_desc(desc).digest() == ds.digest()
-
-
-def test_gradcheck_passes_and_prints_lines(capsys):
-    assert main(["gradcheck", "--seed", "0", "--instances", "2"]) == 0
-    out = capsys.readouterr().out
-    assert "kd_loss" in out
-    assert "FAIL" not in out
 
 
 MINI_GRID = ("--teacher-arch", "student-mlp", "--student-arch", "student-mlp", "--epochs", "1",
@@ -575,6 +574,10 @@ def _failing_cell(plan, failing):
     return fail_one_cell
 
 
+# --student-lr 1e30 diverges on purpose: the student's Dense matrix products overflow to
+# inf, then to nan, before the loss check raises
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning:distillab.nn")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning:distillab.nn")
 def test_a_cell_failing_in_a_worker_fails_the_grid_as_in_process(grid_data, tmp_path,
                                                                  monkeypatch, capsys):
     plan = cli._grid_plan(build_parser().parse_args(_mini_grid_argv(grid_data, tmp_path)))
@@ -778,17 +781,19 @@ def test_a_cell_fit_hands_back_no_parameters(tmp_path, monkeypatch):
     assert len(blob) < params / 20
 
 
-def test_module_entry_point_runs():
+def test_module_entry_point_runs(tmp_path):
     # the subprocess imports the distillab this process imported, with or without
     # PYTHONPATH set outside
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    proc = subprocess.run([sys.executable, "-m", "distillab.cli", "gradcheck",
-                           "--seed", "1", "--instances", "1"],
+    proc = subprocess.run([sys.executable, "-m", "distillab.cli", "synth", "--seed", "1",
+                           "--out", str(tmp_path / "data"), "--classes", "2",
+                           "--per-class", "3", "--side", "4"],
                           capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0
-    assert "ok" in proc.stdout
+    assert proc.stdout == f"wrote 6 samples, 2 classes -> {tmp_path / 'data'}\n"
+    assert load_dataset(tmp_path / "data").n_samples == 6
 
 ARCHS = ("teacher-cnn", "student-mlp", "student-cnn")
 STRATS = ("none", "standard", "cutout", "mixup", "cutmix")
@@ -804,14 +809,14 @@ _RUN = {"seed": (None, int, True, None), "dataset": (None, None, True, None),
         "out": (None, None, True, None), "eval_dataset": (None, None, False, None),
         "t_eval": (1.0, float, False, None), "bins": (15, int, False, None)}
 _KD = {"temperature": (20.0, float, False, None), "distill_weight": (0.5, float, False, None)}
-# every flag's (default, type, required, choices) as released; the one change since is
-# that evaluate's --out became required
+# every flag's (default, type, required, choices) as released; the changes since are
+# that evaluate's --out became required and that the gradcheck command and synth's
+# --contrast and --brightness were removed
 PARSER_SNAPSHOT = {
     "synth": {"seed": (None, int, True, None), "out": (None, None, True, None),
               "classes": (4, int, False, None), "per_class": (500, int, False, None),
               "side": (12, int, False, None), "difficulty": (0.5, float, False, None),
-              "channels": (1, int, False, None), "contrast": (1.0, float, False, None),
-              "brightness": (0.0, float, False, None)},
+              "channels": (1, int, False, None)},
     "train-teacher": {**_RUN, "arch": ("teacher-cnn", None, False, ARCHS), **_TRAIN, **_STRATEGY},
     "distill": {**_RUN, "teacher": (None, None, True, None),
                 "arch": ("student-mlp", None, False, ARCHS), **_KD,
@@ -821,8 +826,6 @@ PARSER_SNAPSHOT = {
                  "t_eval": (None, float, False, None), "bins": (None, int, False, None)},
     "report": {"dump": (None, None, True, None), "out": (None, None, True, None),
                "reports": ("all", None, False, None), "bins": (15, int, False, None)},
-    "gradcheck": {"seed": (None, int, True, None), "instances": (20, int, False, None),
-                  "tolerance": (1e-5, float, False, None)},
     "matrix": {"seed": (None, int, True, None), "dataset": ("synth", None, False, None),
                "out": (None, None, True, None),
                "teacher_arch": ("teacher-cnn", None, False, ARCHS),

@@ -1,7 +1,8 @@
 import numpy as np
 
-from distillab.gradcheck import LAYER_CHECK_KINDS, check_kd_loss, relative_error, run_all
 from distillab.nn import Dense
+
+from gradcheck import LAYER_CHECK_KINDS, check_kd_loss, check_layer, relative_error, run_all
 
 
 def test_relative_error_basics():
@@ -31,7 +32,6 @@ def test_kd_loss_check_tight():
 def test_dense_gradient_survives_bias_perturbation():
     # check_layer perturbs every parameter, not just the weight; finite
     # differences at h=1e-6 only resolve in float64
-    from distillab.gradcheck import check_layer
     rng = np.random.default_rng(4)
     layer = Dense(5, 3, rng=rng, dtype=np.float64)
     x = rng.normal(size=(2, 5))

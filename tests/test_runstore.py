@@ -14,8 +14,8 @@ from distillab.metrics import EvalDump, class_means, ece, kl_matrix, summary_met
 from distillab.nn import build_network
 from distillab.runstore import (ARRAY_MAGIC, REPORTS, RunManifest, emit_report, format_float,
                                 load_array, load_arrays, load_checkpoint, load_eval_dump,
-                                read_manifest, save_array, save_arrays, save_checkpoint,
-                                save_eval_dump, sha256_file, write_manifest)
+                                misfit_error, read_manifest, save_array, save_arrays,
+                                save_checkpoint, save_eval_dump, sha256_file, write_manifest)
 
 from oracles import random_dump_arrays, read_matrix_csv, read_metrics_csv, read_reliability_csv
 
@@ -329,6 +329,7 @@ def test_eval_dump_round_trip_without_humans(tmp_path):
     ("labels", lambda d: np.full(d.n_samples, 99), "true_labels outside"),
     ("embeddings", lambda d: d.embeddings[:-1], "embeddings shape"),
     ("human_probs", lambda d: d.human_probs[:-1], "human_probs shape"),
+    ("probs", lambda d: d.probs * 2, "probs row"),
 ])
 def test_eval_dump_arrays_that_do_not_fit_name_the_directory(tmp_path, name, bad, why):
     d = _dump_pair()
@@ -336,7 +337,13 @@ def test_eval_dump_arrays_that_do_not_fit_name_the_directory(tmp_path, name, bad
     save_array(bad(d), tmp_path / "dump" / f"{name}.arr")
     with pytest.raises(FormatError, match=why) as info:
         load_eval_dump(tmp_path / "dump")
-    assert str(tmp_path / "dump") in str(info.value)
+    # the directory, and in it the file whose array does not fit
+    assert str(info.value).startswith(f"{tmp_path / 'dump' / name}.arr: ")
+
+
+def test_a_misfit_naming_no_file_of_the_directory_names_the_directory(tmp_path):
+    assert str(misfit_error(tmp_path, ValueError("arrays differ in N"))) == \
+        f"{tmp_path}: arrays differ in N"
 
 
 def test_array_directory_skips_none_and_reads_optional_as_none(tmp_path):
