@@ -206,9 +206,13 @@ def standardize_embeddings(emb: np.ndarray) -> np.ndarray:
 
 
 def _divide_or_zero(a: np.ndarray, divisor: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """a / divisor in place where `keep` holds, exact zeros elsewhere."""
-    np.divide(a, divisor, out=a, where=keep)
-    np.copyto(a, 0.0, where=~keep)
+    """a / divisor in place where `keep`, a [N, 1] row or [d] column selector, holds;
+    exact zeros elsewhere.  The divide runs unmasked, by 1 where `keep` fails (a
+    masked ufunc loop costs several times more); the rows or columns that fail are
+    then zeroed by index."""
+    np.divide(a, np.where(keep, divisor, 1.0), out=a)
+    if not keep.all():
+        (a if keep.ndim == 2 else a.T)[np.flatnonzero(~keep)] = 0.0
     return a
 
 

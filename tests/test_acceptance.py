@@ -15,12 +15,13 @@ import numpy as np
 import pytest
 
 from distillab.augment import AugmentStrategy, apply_strategy
-from distillab.cli import dataset_from_desc, main as cli_main
+from distillab.cli import main as cli_main
 from distillab.data import load_cifar10_bin, load_mnist_idx
 from distillab.distill import kd_loss
 from distillab.errors import FormatError
 from distillab.metrics import (EvalDump, class_discrimination, class_means, class_separability,
                                confusion_metrics, ece, kl_matrix, summary_metrics)
+from distillab.runs import dataset_from_desc
 from distillab.runstore import load_array, load_eval_dump, read_manifest, save_array
 
 from gradcheck import run_all

@@ -16,10 +16,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from distillab import cli
-from distillab.cli import _path_dataset, build_parser, dataset_from_desc, main
+from distillab import cli, grid, runs
+from distillab.cli import build_parser, main
 from distillab.data import load_dataset, resolve_dataset, save_dataset
 from distillab.distill import TrainConfig
+from distillab.runs import dataset_from_desc, path_dataset
 from distillab.runstore import (load_array, load_checkpoint, load_eval_dump, read_manifest,
                                 save_array, sha256_file)
 
@@ -400,7 +401,7 @@ def test_dataset_descriptor_stores_both_idx_paths_absolute(tmp_path, monkeypatch
     monkeypatch.chdir(tmp_path)
     (tmp_path / "img.idx").write_bytes(struct.pack(">IIII", 0x803, 2, 3, 3) + bytes(range(18)))
     (tmp_path / "lbl.idx").write_bytes(struct.pack(">II", 0x801, 2) + bytes([1, 7]))
-    ds, desc = _path_dataset("img.idx,lbl.idx")
+    ds, desc = path_dataset("img.idx,lbl.idx")
     assert ds.digest() == resolve_dataset("img.idx,lbl.idx").digest()
     assert desc["spec"] == f"{tmp_path / 'img.idx'},{tmp_path / 'lbl.idx'}"
     # a descriptor written with relative paths still replays from its own directory
@@ -462,7 +463,7 @@ def test_grid_tables_are_a_function_of_the_manifests(grid_data, tmp_path, capsys
         if path.name != "manifest.json":
             shutil.rmtree(path)
     assert [path.name for path in out.rglob("*") if path.is_file()] == ["manifest.json"] * 20
-    cli._write_tables(out, cli._grid_plan(build_parser().parse_args(_mini_grid_argv(data, out))))
+    grid.write_tables(out, grid.plan(build_parser().parse_args(_mini_grid_argv(data, out))))
     assert {name: (out / name).read_bytes() for name in tables} == tables
     assert [line for line in capsys.readouterr().out.splitlines() if line.startswith("trend:")] \
         == trends
@@ -472,21 +473,25 @@ def test_grid_tables_are_a_function_of_the_manifests(grid_data, tmp_path, capsys
 
 
 def test_grid_plan_layout(tmp_path):
-    plan = cli._grid_plan(build_parser().parse_args(["matrix", "--seed", "0", "--out", str(tmp_path)]))
+    plan = grid.plan(build_parser().parse_args(["matrix", "--seed", "0", "--out", str(tmp_path),
+                                                "--student-arch", "student-cnn"]))
     strategies = ("none", "standard", "cutout", "mixup", "cutmix")
     arms = ("teacher-aug", "student-aug", "both")
     cells = [(strat, arm) for strat in strategies for arm in arms]
-    assert [run.relative_to(tmp_path).as_posix() for run, _, _ in plan] == \
+    assert [run.out.relative_to(tmp_path).as_posix() for run in plan] == \
         [f"teachers/{strat}" for strat in strategies] + [f"cells/{s}-{a}" for s, a in cells]
-    assert [teacher for _, teacher, _ in plan[:5]] == [None] * 5
-    assert [teacher.relative_to(tmp_path).as_posix() for _, teacher, _ in plan[5:]] == \
+    assert [run.teacher for run in plan[:5]] == [None] * 5
+    assert [run.teacher.relative_to(tmp_path).as_posix() for run in plan[5:]] == \
         [f"teachers/{'none' if arm == 'student-aug' else strat}" for strat, arm in cells]
-    assert [cfg.strategy.kind for _, _, cfg in plan] == \
+    assert [run.cfg.strategy.kind for run in plan] == \
         list(strategies) + ["none" if arm == "teacher-aug" else strat for strat, arm in cells]
     seeds = np.random.SeedSequence(0).generate_state(22)
-    assert [cfg.seed for _, _, cfg in plan] == [int(seeds[2 + j]) for j in range(20)]
-    assert [cfg.epochs for _, _, cfg in plan] == [15] * 20
-    assert [cfg.lr for _, _, cfg in plan] == [0.08] * 5 + [0.02] * 15
+    assert [run.cfg.seed for run in plan] == [int(seeds[2 + j]) for j in range(20)]
+    assert [run.cfg.epochs for run in plan] == [15] * 20
+    assert [run.cfg.lr for run in plan] == [0.08] * 5 + [0.02] * 15
+    assert [run.arch for run in plan] == ["teacher-cnn"] * 5 + ["student-cnn"] * 15
+    assert [run.run_id for run in plan] == \
+        [f"teacher-{strat}" for strat in strategies] + [f"cell-{s}-{a}" for s, a in cells]
 
 
 def _grid_on_cpus(monkeypatch, cpus, data, out, *extra, threads=1):
@@ -502,7 +507,7 @@ def _grid_on_cpus(monkeypatch, cpus, data, out, *extra, threads=1):
         return pid
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    monkeypatch.setattr(cli, "_os_threads", lambda: threads)
+    monkeypatch.setattr(grid, "_os_threads", lambda: threads)
     monkeypatch.setattr(os, "fork", fork)
     rc = _mini_grid(data, out, *extra)
     monkeypatch.undo()
@@ -551,12 +556,12 @@ def test_a_multi_threaded_process_fits_the_grid_itself(grid_data, tmp_path, monk
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux's /proc")
 def test_the_thread_probe_counts_the_threads_of_this_process():
-    before = cli._os_threads()
+    before = grid._os_threads()
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
     thread.start()
     try:
-        assert cli._os_threads() == before + 1
+        assert grid._os_threads() == before + 1
     finally:
         stop.set()
         thread.join(timeout=10)
@@ -564,10 +569,10 @@ def test_the_thread_probe_counts_the_threads_of_this_process():
 
 def _failing_cell(plan, failing):
     """A `train_student` that raises for the cell at plan index `failing`."""
-    train_student = cli.train_student
+    train_student = runs.train_student
 
     def fail_one_cell(cfg, *args, **kwargs):
-        if cfg.seed == plan[failing][2].seed:
+        if cfg.seed == plan[failing].cfg.seed:
             raise RuntimeError("cell failed")
         return train_student(cfg, *args, **kwargs)
 
@@ -580,7 +585,7 @@ def _failing_cell(plan, failing):
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning:distillab.nn")
 def test_a_cell_failing_in_a_worker_fails_the_grid_as_in_process(grid_data, tmp_path,
                                                                  monkeypatch, capsys):
-    plan = cli._grid_plan(build_parser().parse_args(_mini_grid_argv(grid_data, tmp_path)))
+    plan = grid.plan(build_parser().parse_args(_mini_grid_argv(grid_data, tmp_path)))
     # standard-both.  The none teacher's cells, cutout-student-aug among them, are
     # submitted before it, so one worker has written cells later in plan order by the
     # time the grid fails on it.
@@ -593,7 +598,7 @@ def test_a_cell_failing_in_a_worker_fails_the_grid_as_in_process(grid_data, tmp_
         for cpus in (1, 2):
             out = tmp_path / case.replace(" ", "-") / str(cpus)
             if patch:
-                monkeypatch.setattr(cli, "train_student", patch)
+                monkeypatch.setattr(runs, "train_student", patch)
             rc, forked = _grid_on_cpus(monkeypatch, cpus, grid_data, out, *extra)
             assert rc == 1 and len(forked) == cpus - 1
             captured = capsys.readouterr()
@@ -604,9 +609,9 @@ def test_a_cell_failing_in_a_worker_fails_the_grid_as_in_process(grid_data, tmp_
         assert errors == [f"error: RuntimeError: {error}"]
         # the runs before the failing one in plan order are sealed and verify; no other
         # run has a file
-        runs = [run.relative_to(tmp_path).parts for run, _, _ in plan[:sealed]]
-        assert sorted({path.parts[:2] for path in tree}) == sorted(runs)
-        for run in runs:
+        sealed_runs = [run.out.relative_to(tmp_path).parts for run in plan[:sealed]]
+        assert sorted({path.parts[:2] for path in tree}) == sorted(sealed_runs)
+        for run in sealed_runs:
             read_manifest(out.joinpath(*run, "manifest.json"), verify=True)
 
 
@@ -616,12 +621,12 @@ def test_a_failed_grid_run_again_leaves_no_run_of_the_earlier_grid(grid_data, tm
     assert _grid_on_cpus(monkeypatch, 1, grid_data, old, "--seed", "6")[0] == 0
     capsys.readouterr()
     out = tmp_path / "new"
-    plan = cli._grid_plan(build_parser().parse_args(_mini_grid_argv(grid_data, out)))
+    plan = grid.plan(build_parser().parse_args(_mini_grid_argv(grid_data, out)))
     failing = 10
     seen = {}
     for cpus in (1, 2):
         shutil.copytree(old, out)
-        monkeypatch.setattr(cli, "train_student", _failing_cell(plan, failing))
+        monkeypatch.setattr(runs, "train_student", _failing_cell(plan, failing))
         rc, forked = _grid_on_cpus(monkeypatch, cpus, grid_data, out)
         assert rc == 1 and len(forked) == cpus - 1
         seen[cpus] = (capsys.readouterr().out, _tree(out))
@@ -629,11 +634,11 @@ def test_a_failed_grid_run_again_leaves_no_run_of_the_earlier_grid(grid_data, tm
     assert seen[1] == seen[2]
     # only the runs this grid sealed; no table, and no run left from the earlier grid
     tree = seen[1][1]
-    runs = [run.relative_to(out).parts for run, _, _ in plan[:failing]]
-    assert sorted({path.parts[:2] for path in tree}) == sorted(runs)
-    for run, _, cfg in plan[:failing]:
-        m = read_manifest(tmp_path / "1" / run.relative_to(out) / "manifest.json", verify=True)
-        assert m.config["train"]["seed"] == cfg.seed
+    sealed_runs = [run.out.relative_to(out).parts for run in plan[:failing]]
+    assert sorted({path.parts[:2] for path in tree}) == sorted(sealed_runs)
+    for run in plan[:failing]:
+        m = read_manifest(tmp_path / "1" / run.out.relative_to(out) / "manifest.json", verify=True)
+        assert m.config["train"]["seed"] == run.cfg.seed
 
 
 def test_a_run_written_again_loses_its_old_manifest_first(work, tmp_path, monkeypatch):
@@ -643,7 +648,7 @@ def test_a_run_written_again_loses_its_old_manifest_first(work, tmp_path, monkey
     def crash(*args, **kwargs):
         raise OSError("crashed before the seal")
 
-    monkeypatch.setattr(cli, "_seal", crash)
+    monkeypatch.setattr(runs, "seal", crash)
     assert main(["distill", "--seed", "3", "--dataset", str(work["data"]),
                  "--teacher", str(work["teacher"]), "--out", str(out),
                  "--arch", "student-mlp", "--epochs", "1", "--batch-size", "8"]) == 1
@@ -678,6 +683,39 @@ def test_a_student_cannot_be_written_over_its_teacher(work, tmp_path, capsys, te
     assert f"teacher checkpoint {run / (teacher or 'checkpoint')} lies under" in err
     assert f"the run written to {run} clears" in err
     assert _tree(run) == before
+
+
+@pytest.mark.parametrize("teacher, out", [("ckpt", "ckpt"), ("run", "run/checkpoint")],
+                         ids=["bare-checkpoint", "run-checkpoint"])
+def test_a_student_cannot_be_written_into_its_teacher_checkpoint(work, tmp_path, capsys,
+                                                                 teacher, out):
+    # the writer would put the student's checkpoint/ into the teacher's, then copy both
+    shutil.copytree(work["teacher"] / "checkpoint", tmp_path / "ckpt")
+    shutil.copytree(work["teacher"], tmp_path / "run")
+    before = _tree(tmp_path)
+    assert main(["distill", "--seed", "3", "--dataset", str(work["data"]),
+                 "--teacher", str(tmp_path / teacher), "--out", str(tmp_path / out),
+                 "--arch", "student-mlp", "--epochs", "1", "--batch-size", "8"]) == 1
+    ckpt = tmp_path / "ckpt" if teacher == "ckpt" else tmp_path / "run" / "checkpoint"
+    assert f"{tmp_path / out} lies in teacher checkpoint {ckpt}" in capsys.readouterr().err
+    assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("run, under", [("teacher", "teacher"), ("student", "teacher"),
+                                        ("teacher", "reports/old")])
+def test_a_replay_cannot_clear_the_run_it_replays(work, tmp_path, capsys, run, under):
+    # the replayed run lies in a directory that the writer of the run in --out clears
+    out = tmp_path / "runs"
+    replayed = out / under
+    shutil.copytree(work[run], replayed)
+    before = _tree(out)
+    assert main(["evaluate", "--from-manifest", str(replayed / "manifest.json"),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"replayed run {replayed} lies under {out / under.split('/')[0]}" in err
+    assert f"the run written to {out} clears" in err
+    assert _tree(out) == before
+    assert sorted(out.iterdir()) == [out / under.split("/")[0]]
 
 
 HUMAN_REPORT_FILES = {"kld_matrix.csv", "kld_matrix_scale.csv", "human_confidence_matrix.csv",
@@ -767,11 +805,11 @@ def test_a_run_written_again_with_another_arch_keeps_no_old_parameter(work, tmp_
 def test_a_cell_fit_hands_back_no_parameters(tmp_path, monkeypatch):
     # the grid's own data sets and their descriptors, so `fit` is what a worker sends
     args = build_parser().parse_args(["matrix", "--seed", "0", "--out", str(tmp_path)])
-    fitter = cli._Fitter(*cli._grid_datasets(args), args.t_eval, args.bins)
+    fitter = runs.Fitter(*grid.datasets(args), args.t_eval, args.bins)
     fitter(tmp_path / "teacher", TrainConfig(epochs=1), "student-mlp")
-    monkeypatch.setattr(cli, "_cell_fitter", fitter)
-    fit = cli._fit_cell(tmp_path / "cell", TrainConfig(epochs=1), "student-mlp",
-                        tmp_path / "teacher" / "checkpoint", "cell-none-both")
+    monkeypatch.setattr(grid, "_cell_fitter", fitter)
+    fit = grid._fit_cell(grid.Run(tmp_path / "cell", tmp_path / "teacher", TrainConfig(epochs=1),
+                                  "student-mlp", "cell-none-both"))
     assert fit.dataset["eval"]["kind"] == "split" and fit.run_id == "cell-none-both"
     params = sum(path.stat().st_size
                  for path in (tmp_path / "cell" / "checkpoint").glob("param-*.arr"))
