@@ -38,11 +38,6 @@ def _add_config_flags(p: argparse.ArgumentParser, names, **defaults) -> None:
         p.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
 
 
-def _add_eval_flags(p: argparse.ArgumentParser, t_eval=runs.T_EVAL, bins=runs.N_BINS) -> None:
-    p.add_argument("--t-eval", type=float, default=t_eval)
-    p.add_argument("--bins", type=int, default=bins)
-
-
 def _cmd_synth(args) -> int:
     ds = D.make_synthetic(seed=args.seed, n_classes=args.classes, per_class=args.per_class,
                           img_side=args.side, difficulty=args.difficulty,
@@ -68,7 +63,7 @@ def _cmd_train(args) -> int:
     train = runs.path_dataset(args.dataset)
     ckpt = runs.resolve_checkpoint(Path(args.teacher)) if role == "student" else None
     evalset = runs.path_dataset(args.eval_dataset) if args.eval_dataset else None
-    fitter = runs.Fitter(train, evalset, args.t_eval, args.bins)
+    fitter = runs.Fitter(train, evalset)
     metrics = runs.seal(Path(args.out), fitter(Path(args.out), cfg, args.arch, ckpt)).metrics
     acc = metrics.get("eval", {}).get("accuracy", metrics["final_train"].get("accuracy"))
     print(f"{done}: accuracy {acc}")
@@ -77,10 +72,9 @@ def _cmd_train(args) -> int:
 
 def _cmd_evaluate(args, parser: argparse.ArgumentParser) -> int:
     if args.from_manifest:
-        given = [flag for flag, v in (("--dataset", args.dataset), ("--t-eval", args.t_eval),
-                                      ("--bins", args.bins)) if v is not None]
-        if given:
-            parser.error(f"{', '.join(given)} cannot be combined with --from-manifest; "
+        # --checkpoint is refused by its group
+        if args.dataset is not None:
+            parser.error("--dataset cannot be combined with --from-manifest; "
                          "the replay uses the manifest's values")
         recorded, rerun = runs.replay(Path(args.from_manifest), Path(args.out))
         for name, ref in rerun.files.items():
@@ -91,21 +85,22 @@ def _cmd_evaluate(args, parser: argparse.ArgumentParser) -> int:
         return 0
     if not args.dataset:
         parser.error("--dataset is required with --checkpoint")
+    out = Path(args.out)
+    runs.refuse_to_clear("data set", runs.dataset_paths({"kind": "path", "spec": args.dataset}),
+                         out, ("dump", "reports"), "evaluation")
     net = R.load_checkpoint(runs.resolve_checkpoint(Path(args.checkpoint)))
-    ds = D.resolve_dataset(args.dataset)
-    dump = evaluate_model(net, ds, t_eval=runs.T_EVAL if args.t_eval is None else args.t_eval)
-    runs.clear(Path(args.out), ("dump", "reports"))
-    R.save_eval_dump(dump, Path(args.out) / "dump")
-    n_bins = runs.N_BINS if args.bins is None else args.bins
-    _, vals = runs.write_reports(Path(args.out), dump, n_bins)
-    print(f"evaluated {ds.n_samples} samples: accuracy {vals['accuracy']}")
+    dump = evaluate_model(net, D.resolve_dataset(args.dataset))
+    runs.clear(out, ("dump", "reports"))
+    R.save_eval_dump(dump, out / "dump")
+    _, vals = runs.write_reports(out, dump)
+    print(f"evaluated {dump.n_samples} samples: accuracy {vals['accuracy']}")
     return 0
 
 
 def _cmd_report(args) -> int:
     dump = R.load_eval_dump(args.dump)
     selection = "all" if args.reports == "all" else [s.strip() for s in args.reports.split(",")]
-    written = R.emit_report(dump, args.out, reports=selection, n_bins=args.bins)
+    written = R.emit_report(dump, args.out, reports=selection)
     for name in sorted(written):
         print(f"wrote {name}: {written[name]}")
     return 0
@@ -113,10 +108,13 @@ def _cmd_report(args) -> int:
 
 def _cmd_matrix(args) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     plan = G.plan(args)
     cells = sum(run.teacher is not None for run in plan)
-    fitter = runs.Fitter(*G.datasets(args), args.t_eval, args.bins)
+    fitter = runs.Fitter(*G.datasets(args))
+    # a failed grid removes every plan run it did not seal, whatever lies in it
+    runs.refuse_to_clear("data set", fitter.reads, out,
+                         [run.out.relative_to(out) for run in plan], "grid")
+    out.mkdir(parents=True, exist_ok=True)
     # the tables are the grid's seal: none stands beside runs of another grid
     for name in ("matrix_metrics.csv", "trends.txt"):
         (out / name).unlink(missing_ok=True)
@@ -153,7 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True)
         p.add_argument("--eval-dataset", default=None)
         p.add_argument("--arch", choices=ARCHITECTURES, default=arch)
-        _add_eval_flags(p)
         _add_config_flags(p, flags,
                           lr=STUDENT_LR if role == "student" else TrainConfig.lr)
         p.add_argument("--strategy", choices=STRATEGY_KINDS, default="none")
@@ -167,13 +164,11 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--from-manifest", default=None)
     p.add_argument("--dataset", default=None)
     p.add_argument("--out", required=True)
-    _add_eval_flags(p, t_eval=None, bins=None)
 
     p = sub.add_parser("report", help="emit CSV reports from a stored evaluation dump")
     p.add_argument("--dump", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--reports", default="all")
-    p.add_argument("--bins", type=int, default=runs.N_BINS)
 
     p = sub.add_parser("matrix", help="run the 5-strategy x 3-arm distillation grid")
     p.add_argument("--seed", type=int, required=True)
@@ -182,7 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--teacher-arch", choices=ARCHITECTURES, default="teacher-cnn")
     p.add_argument("--student-arch", choices=ARCHITECTURES, default="student-mlp")
     p.add_argument("--difficulty", type=float, default=1.0)
-    _add_eval_flags(p)
     _add_config_flags(p, G.TRAIN_FLAGS + G.KD_FLAGS)
     p.add_argument("--student-lr", type=float, default=STUDENT_LR)
     p.add_argument("--student-epochs", type=int, default=TrainConfig.epochs)

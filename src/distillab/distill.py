@@ -24,6 +24,7 @@ from .nn import Network, build_network, sgd_step
 from .probs import PROB_EPS, cross_entropy_rows, kl_div_rows, softmax_t
 
 EVAL_BATCH = 256  # rows per forward in evaluate_model
+T_EVAL = 1.0  # the softmax temperature of every run's evaluation dump and manifest
 
 
 @dataclass
@@ -203,7 +204,7 @@ def _fit(net: Network, cfg: TrainConfig, data: Dataset, teacher: Network | None,
     return history
 
 
-def evaluate_model(net: Network, data: Dataset, t_eval: float = 1.0) -> EvalDump:
+def evaluate_model(net: Network, data: Dataset, t_eval: float = T_EVAL) -> EvalDump:
     """Forward the whole dataset (no caching), EVAL_BATCH rows at a time, into an EvalDump."""
     if data.n_samples and data.n_classes != net.n_outputs:
         raise ValueError(f"dataset has {data.n_classes} classes, model has {net.n_outputs} outputs")

@@ -16,6 +16,8 @@ from .probs import check_prob_rows, kl_div_rows
 # unused here: perfbench's tracer tests read `metrics.kl_div` beside `probs.kl_div`
 from .probs import kl_div  # noqa: F401
 
+N_BINS = 15  # ECE bins of every run's reports and manifest, as in Guo et al. 2017
+
 
 @dataclass
 class EvalDump:
@@ -105,7 +107,7 @@ class ReliabilityReport:
     ece: float
 
 
-def ece(dump: EvalDump, n_bins: int = 15) -> ReliabilityReport:
+def ece(dump: EvalDump, n_bins: int = N_BINS) -> ReliabilityReport:
     """Expected calibration error with equal-width right-closed bins over (0,1].
 
     Bin m covers (edges[m], edges[m+1]]; confidence is the max predicted
@@ -130,13 +132,11 @@ def ece(dump: EvalDump, n_bins: int = 15) -> ReliabilityReport:
     total = 0.0  # sum of (count / N) * |acc - conf| over the non-empty bins, in bin order
     start = 0
     for m, count in enumerate(counts):
-        if count:
-            rows = slice(start, start + count)
-            b = BinStat(float(edges[m]), float(edges[m + 1]), count,
-                        float(conf[rows].mean()), float(correct[rows].mean()))
-            total += (count / dump.n_samples) * abs(b.acc - b.conf)
-        else:
-            b = BinStat(float(edges[m]), float(edges[m + 1]), 0, 0.0, 0.0)
+        rows = slice(start, start + count)
+        b = BinStat(float(edges[m]), float(edges[m + 1]), count,
+                    float(conf[rows].mean()) if count else 0.0,
+                    float(correct[rows].mean()) if count else 0.0)
+        total += (count / dump.n_samples) * abs(b.acc - b.conf)  # adds 0.0 for an empty bin
         bins.append(b)
         start += count
     return ReliabilityReport(bins=bins, ece=total)
@@ -274,7 +274,7 @@ def class_discrimination(dump: EvalDump) -> DiscriminationReport:
     )
 
 
-def summary_metrics(dump: EvalDump, n_bins: int = 15) -> dict[str, float]:
+def summary_metrics(dump: EvalDump, n_bins: int = N_BINS) -> dict[str, float]:
     """Flat scalar battery for one dump: the table-style column set.
 
     Human-dependent entries are NaN when the dump carries no human_probs.
@@ -282,7 +282,7 @@ def summary_metrics(dump: EvalDump, n_bins: int = 15) -> dict[str, float]:
     cm = confusion_metrics(dump)
     rel = ece(dump, n_bins)
     disc = class_discrimination(dump)
-    out = {
+    return {
         "accuracy": cm["accuracy"],
         "precision": cm["precision"],
         "recall": cm["recall"],
@@ -294,4 +294,3 @@ def summary_metrics(dump: EvalDump, n_bins: int = 15) -> dict[str, float]:
         "discrimination": disc.discrimination,
         "human_kld": human_kld(dump) if dump.human_probs is not None else float("nan"),
     }
-    return out

@@ -15,10 +15,8 @@ from pathlib import Path
 from . import data as D
 from . import metrics as M
 from . import runstore as R
-from .distill import TrainConfig, TrainedModel, evaluate_model, train_student, train_teacher
+from .distill import T_EVAL, TrainConfig, TrainedModel, evaluate_model, train_student, train_teacher
 from .errors import FormatError, IntegrityError
-
-T_EVAL, N_BINS = 1.0, 15
 
 
 def path_dataset(spec: str) -> tuple[D.Dataset, dict]:
@@ -27,6 +25,14 @@ def path_dataset(spec: str) -> tuple[D.Dataset, dict]:
     ds = D.resolve_dataset(spec)
     spec = ",".join(str(Path(part).resolve()) for part in spec.split(",", 1))
     return ds, {"kind": "path", "spec": spec, "digest": ds.digest()}
+
+
+def dataset_paths(desc: dict | None) -> list[Path]:
+    """The paths that a dataset descriptor reads: a path set's, or a split's parent's."""
+    while desc is not None and desc["kind"] == "split":
+        desc = desc["parent"]
+    specs = desc["spec"].split(",", 1) if desc is not None and desc["kind"] == "path" else []
+    return [Path(spec) for spec in specs]
 
 
 def dataset_from_desc(desc: dict) -> D.Dataset:
@@ -46,11 +52,10 @@ def dataset_from_desc(desc: dict) -> D.Dataset:
     return ds
 
 
-def write_reports(out: Path, dump: M.EvalDump, n_bins: int) -> tuple[dict[str, Path], dict]:
+def write_reports(out: Path, dump: M.EvalDump) -> tuple[dict[str, Path], dict]:
     """Write every report of one dump; returns (name -> file, summary metrics)."""
-    written = R.emit_report(dump, out / "reports", reports="all", n_bins=n_bins)
-    return ({f"reports/{name}": p for name, p in written.items()},
-            M.summary_metrics(dump, n_bins=n_bins))
+    written = R.emit_report(dump, out / "reports", reports="all")
+    return {f"reports/{name}": p for name, p in written.items()}, M.summary_metrics(dump)
 
 
 # The directories that a run's writers own.  A writer removes them before it writes, so
@@ -78,13 +83,14 @@ def resolve_checkpoint(path: Path) -> Path:
     raise FormatError(f"{path}: neither a checkpoint directory nor a run directory")
 
 
-def _refuse_to_clear(out: Path, what: str, path: Path) -> None:
-    """Refuse a run in `out` whose writer would clear `path`, which the run reads."""
-    held, root = path.resolve(), out.resolve()
-    for name in RUN_DIRS:
-        if held.is_relative_to(root / name):
-            raise ValueError(f"{what} {path} lies under {out / name}, which the run "
-                             f"written to {out} clears")
+def refuse_to_clear(what: str, paths, out: Path, dirs=RUN_DIRS, writer: str = "run") -> None:
+    """Refuse a `writer` into `out` that reads `paths` (its `what`) and clears the
+    directories `dirs` of `out`, if one of the paths lies at or under one of them."""
+    for path in paths:
+        for name in dirs:
+            if path.resolve().is_relative_to((out / name).resolve()):
+                raise ValueError(f"{what} {path} lies under {out / name}, which the {writer} "
+                                 f"written to {out} clears")
 
 
 class Fitter:
@@ -93,27 +99,27 @@ class Fitter:
     each teacher's train-set logit table once, whichever of its students need them.
     Each data set comes with its manifest descriptor; the eval set may be None."""
 
-    def __init__(self, train: tuple[D.Dataset, dict], evalset: tuple[D.Dataset, dict] | None,
-                 t_eval: float, n_bins: int):
+    def __init__(self, train: tuple[D.Dataset, dict], evalset: tuple[D.Dataset, dict] | None):
         self.train_ds, self.train_desc = train
         self.eval_ds, self.eval_desc = evalset or (None, None)
-        self.t_eval, self.n_bins = t_eval, n_bins
+        self.reads = dataset_paths(self.train_desc) + dataset_paths(self.eval_desc)
         self.teachers: dict[Path, tuple[TrainedModel, dict]] = {}  # checkpoint -> (model, tables)
 
     def __call__(self, out: Path, cfg: TrainConfig, arch: str, teacher_ckpt: Path | None = None,
                  run_id: str | None = None, checkpointed=None) -> R.RunManifest:
         """Fit a teacher, or a student of the teacher at `teacher_ckpt`, and write
         checkpoint/, a student's teacher/ copy and, given an eval set, dump/, once
-        `clear` has removed what an earlier run left in `out`.  A teacher checkpoint
-        under one of the cleared directories, or one that `out` lies in, is refused
-        before the fit.  `checkpointed()` runs as soon as the checkpoint and teacher
-        copy are on disk, before evaluation.  Returns the run's manifest for `seal`,
-        without its parameters and files, which are on disk, so a grid worker sends
-        back about a kilobyte."""
+        `clear` has removed what an earlier run left in `out`.  A data set or teacher
+        checkpoint under one of the cleared directories, or a teacher checkpoint that
+        `out` lies in, is refused before the fit.  `checkpointed()` runs as soon as the
+        checkpoint and teacher copy are on disk, before evaluation.  Returns the run's
+        manifest for `seal`, without its parameters and files, which are on disk, so a
+        grid worker sends back about a kilobyte."""
+        refuse_to_clear("data set", self.reads, out)
         if teacher_ckpt is None:
             model = train_teacher(cfg, self.train_ds, arch=arch)
         else:
-            _refuse_to_clear(out, "teacher checkpoint", teacher_ckpt)
+            refuse_to_clear("teacher checkpoint", [teacher_ckpt], out)
             if out.resolve().is_relative_to(teacher_ckpt.resolve()):
                 raise ValueError(f"{out} lies in teacher checkpoint {teacher_ckpt}, which the "
                                  f"run copies into {out / 'teacher'}")
@@ -131,13 +137,12 @@ class Fitter:
         if checkpointed is not None:
             checkpointed()
         if self.eval_ds is not None:
-            R.save_eval_dump(evaluate_model(model.net, self.eval_ds, t_eval=self.t_eval),
-                             out / "dump")
+            R.save_eval_dump(evaluate_model(model.net, self.eval_ds), out / "dump")
         return R.RunManifest(
             run_id=run_id or f"{model.role}-{model.config.strategy.kind}-seed{model.config.seed}",
             role=model.role,
-            config={"train": model.config.to_dict(), "arch": arch, "t_eval": self.t_eval,
-                    "n_bins": self.n_bins},
+            config={"train": model.config.to_dict(), "arch": arch, "t_eval": T_EVAL,
+                    "n_bins": M.N_BINS},
             dataset={"train": self.train_desc, "eval": self.eval_desc},
             metrics={"final_train": model.history[-1] if model.history else {}})
 
@@ -151,8 +156,7 @@ def seal(out: Path, manifest: R.RunManifest) -> R.RunManifest:
     files = {f"{name}/{p.name}": p for name in FIT_DIRS if (out / name).is_dir()
              for p in (out / name).iterdir()}
     if manifest.dataset["eval"] is not None:
-        reports, manifest.metrics["eval"] = write_reports(
-            out, R.load_eval_dump(out / "dump"), manifest.config["n_bins"])
+        reports, manifest.metrics["eval"] = write_reports(out, R.load_eval_dump(out / "dump"))
         files.update(reports)
     for name, p in files.items():
         manifest.add_file(name, p, out)
@@ -170,12 +174,16 @@ def replay(manifest_path: Path, out: Path) -> tuple[R.RunManifest, R.RunManifest
         raise FormatError(f"{manifest_path}: run recorded no eval dataset to reproduce")
     if out.resolve() == manifest_path.parent.resolve():
         raise FormatError(f"{out}: a replay cannot overwrite the run it replays")
-    _refuse_to_clear(out, "replayed run", manifest_path.parent)
+    refuse_to_clear("replayed run", [manifest_path.parent], out)
     missing = [f"{section}.{key}" for section, key in
                (("config", "train"), ("config", "arch"), ("dataset", "train"))
                if key not in getattr(m, section)]
     if missing:
         raise FormatError(f"{manifest_path}: manifest records no {', '.join(missing)}")
+    # every run is evaluated at one protocol; a manifest without these keys predates them
+    for key, want in (("t_eval", T_EVAL), ("n_bins", M.N_BINS)):
+        if m.config.get(key, want) != want:
+            raise FormatError(f"{manifest_path}: config.{key} is {m.config[key]!r}, not {want!r}")
 
     def build(record: str, make, value):
         try:
@@ -188,6 +196,5 @@ def replay(manifest_path: Path, out: Path) -> tuple[R.RunManifest, R.RunManifest
     train_ds = build("dataset.train", dataset_from_desc, m.dataset["train"])
     eval_ds = build("dataset.eval", dataset_from_desc, m.dataset["eval"])
     teacher = manifest_path.parent / "teacher" if m.role == "student" else None
-    fitter = Fitter((train_ds, m.dataset["train"]), (eval_ds, m.dataset["eval"]),
-                    m.config.get("t_eval", T_EVAL), m.config.get("n_bins", N_BINS))
+    fitter = Fitter((train_ds, m.dataset["train"]), (eval_ds, m.dataset["eval"]))
     return m, seal(out, fitter(out, cfg, m.config["arch"], teacher, run_id=m.run_id))

@@ -272,37 +272,36 @@ def _matrix_rows(mat: np.ndarray, mask_diagonal: bool = False) -> list[list[str]
             for i, row in enumerate(np.asarray(mat))]
 
 
-def _metrics_rows(d: M.EvalDump, n_bins: int, tables) -> list:
-    vals = M.summary_metrics(d, n_bins=n_bins)
+def _metrics_rows(d: M.EvalDump, tables) -> list:
+    vals = M.summary_metrics(d)
     return [METRIC_COLUMNS, [format_float(vals[c]) for c in METRIC_COLUMNS]]
 
 
-def _reliability_rows(d: M.EvalDump, n_bins: int, tables) -> list:
+def _reliability_rows(d: M.EvalDump, tables) -> list:
     return [("bin_lo", "bin_hi", "count", "conf", "acc")] + [
         (format_float(b.lo), format_float(b.hi), str(b.count), format_float(b.conf),
-         format_float(b.acc)) for b in M.ece(d, n_bins).bins]
+         format_float(b.acc)) for b in M.ece(d).bins]
 
 
-# name -> (file name, needs human labels, rows(dump, n_bins, tables)), in the order that
+# name -> (file name, needs human labels, rows(dump, tables)), in the order that
 # "all" writes them.  `tables.means(field)` is the class-mean table of the dump's "probs"
 # or "human_probs" and `tables.kld()` the KL matrix of the two, each built once per
-# emit_report call.  `metrics` functions are looked up when called, so a patched or
-# traced one is the one used.  A masked report is its unmasked twin with the diagonal
-# cells empty.
+# emit_report call.  The metrics and reliability rows take `metrics.N_BINS` bins.
+# `metrics` functions are looked up when called, so a patched or traced one is the one
+# used.  A masked report is its unmasked twin with the diagonal cells empty.
 REPORTS = {
     "metrics": ("metrics.csv", False, _metrics_rows),
     "reliability": ("reliability.csv", False, _reliability_rows),
-    "confusion": ("confusion_matrix.csv", False, lambda d, n_bins, t: _matrix_rows(
-        M.confusion_metrics(d)["confusion_matrix"])),
-    "confidence": ("confidence_matrix.csv", False,
-                   lambda d, n_bins, t: _matrix_rows(t.means("probs"))),
+    "confusion": ("confusion_matrix.csv", False,
+                  lambda d, t: _matrix_rows(M.confusion_metrics(d)["confusion_matrix"])),
+    "confidence": ("confidence_matrix.csv", False, lambda d, t: _matrix_rows(t.means("probs"))),
     "confidence_masked": ("confidence_matrix_masked.csv", False,
-                          lambda d, n_bins, t: _matrix_rows(t.means("probs"), True)),
-    "kld_matrix": ("kld_matrix.csv", True, lambda d, n_bins, t: _matrix_rows(t.kld())),
+                          lambda d, t: _matrix_rows(t.means("probs"), True)),
+    "kld_matrix": ("kld_matrix.csv", True, lambda d, t: _matrix_rows(t.kld())),
     "human_confidence": ("human_confidence_matrix.csv", True,
-                         lambda d, n_bins, t: _matrix_rows(t.means("human_probs"))),
+                         lambda d, t: _matrix_rows(t.means("human_probs"))),
     "human_confidence_masked": ("human_confidence_matrix_masked.csv", True,
-                                lambda d, n_bins, t: _matrix_rows(t.means("human_probs"), True)),
+                                lambda d, t: _matrix_rows(t.means("human_probs"), True)),
 }
 
 
@@ -312,8 +311,7 @@ def _write_csv(path: Path, rows) -> Path:
     return path
 
 
-def emit_report(dump: M.EvalDump, out_dir: str | Path, reports="all",
-                n_bins: int = 15) -> dict[str, Path]:
+def emit_report(dump: M.EvalDump, out_dir: str | Path, reports="all") -> dict[str, Path]:
     """Write the selected CSV reports for one dump; returns name -> path.
 
     reports may be "all" (everything computable from the dump's fields) or an
@@ -342,7 +340,7 @@ def emit_report(dump: M.EvalDump, out_dir: str | Path, reports="all",
     written: dict[str, Path] = {}
     for name in selected:
         file_name, _, rows = REPORTS[name]
-        written[name] = _write_csv(d / file_name, rows(dump, n_bins, tables))
+        written[name] = _write_csv(d / file_name, rows(dump, tables))
         if name == "kld_matrix":
             mat = tables.kld()
             written["kld_matrix_scale"] = _write_csv(

@@ -16,13 +16,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from distillab import cli, grid, runs
+from distillab import cli, distill, grid, metrics, runs
 from distillab.cli import build_parser, main
 from distillab.data import load_dataset, resolve_dataset, save_dataset
-from distillab.distill import TrainConfig
+from distillab.distill import TrainConfig, evaluate_model
 from distillab.runs import dataset_from_desc, path_dataset
-from distillab.runstore import (load_array, load_checkpoint, load_eval_dump, read_manifest,
-                                save_array, sha256_file)
+from distillab.runstore import (emit_report, load_array, load_checkpoint, load_eval_dump,
+                                read_manifest, save_array, save_eval_dump, sha256_file)
 
 from oracles import read_metrics_csv
 
@@ -242,11 +242,10 @@ def test_parser_is_built_once_and_keeps_no_flag_between_calls(monkeypatch):
     assert build_parser() is build_parser()
     seen = []
     monkeypatch.setattr(cli, "_cmd_report", lambda args: seen.append(vars(args)) or 0)
-    assert main(["report", "--dump", "d", "--out", "o", "--reports", "ece", "--bins", "5"]) == 0
+    assert main(["report", "--dump", "d", "--out", "o", "--reports", "ece"]) == 0
     assert main(["report", "--dump", "d2", "--out", "o2"]) == 0
-    assert seen[0]["reports"] == "ece" and seen[0]["bins"] == 5
-    assert seen[1] == {"command": "report", "dump": "d2", "out": "o2", "reports": "all",
-                       "bins": 15}
+    assert seen[0]["reports"] == "ece"
+    assert seen[1] == {"command": "report", "dump": "d2", "out": "o2", "reports": "all"}
 
 
 def test_replay_refuses_to_overwrite_its_own_run(work, tmp_path, capsys):
@@ -290,27 +289,61 @@ def test_run_directories_hold_one_copy_of_each_artifact(work):
                 seen[content] = p
 
 
-def test_evaluate_from_manifest_rejects_zero_bins(work, tmp_path, capsys):
-    assert main(["evaluate", "--checkpoint", str(work["teacher"]), "--dataset", str(work["data"]),
-                 "--out", str(tmp_path / "direct"), "--bins", "0"]) == 1
-    direct = capsys.readouterr().err
-    assert "n_bins must be >= 1, got 0" in direct
-    # the replay takes n_bins from the manifest, so --bins there is a usage error
-    with pytest.raises(SystemExit) as exc:
-        main(["evaluate", "--from-manifest", str(work["teacher"] / "manifest.json"),
-              "--out", str(tmp_path / "rerun"), "--bins", "0"])
-    assert exc.value.code == 2
-    assert "--bins cannot be combined with --from-manifest" in capsys.readouterr().err
-    assert not (tmp_path / "rerun").exists()
+# each command that took --t-eval or --bins, with the flags it needs otherwise
+PROTOCOL_COMMANDS = {
+    "train-teacher": ["--seed", "0", "--dataset", "d", "--out", "o"],
+    "distill": ["--seed", "0", "--dataset", "d", "--teacher", "t", "--out", "o"],
+    "evaluate": ["--checkpoint", "c", "--dataset", "d", "--out", "o"],
+    "report": ["--dump", "d", "--out", "o"],
+    "matrix": ["--seed", "0", "--out", "o"],
+}
 
 
-def test_evaluate_from_manifest_rejects_t_eval(work, tmp_path, capsys):
-    # the replay takes t_eval from the manifest; a flag it would ignore is refused
+@pytest.mark.parametrize("flag, value", [("--t-eval", "1.0"), ("--bins", "15")])
+@pytest.mark.parametrize("command", sorted(PROTOCOL_COMMANDS))
+def test_the_evaluation_protocol_is_no_flag(tmp_path, monkeypatch, capsys, command, flag,
+                                           value):
+    # every run is evaluated at T = 1 with 15 ECE bins; no command takes either value
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert flag not in sub.choices[command].format_help()
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
-        main(["evaluate", "--from-manifest", str(work["teacher"] / "manifest.json"),
-              "--out", str(tmp_path / "rerun"), "--t-eval", "3"])
+        main([command, *PROTOCOL_COMMANDS[command], flag, value])
     assert exc.value.code == 2
-    assert "--t-eval" in capsys.readouterr().err
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("key, value", [("n_bins", 10), ("t_eval", 2.0)])
+def test_a_replay_refuses_a_manifest_of_another_protocol(work, tmp_path, monkeypatch, capsys,
+                                                         key, value):
+    # a run written at another protocol: its dump or reports rewritten at that T or bin
+    # count and every hash with them, so the manifest verifies and a replay at the
+    # recorded values would reproduce it
+    run = tmp_path / "run"
+    shutil.copytree(work["teacher"], run)
+    if key == "t_eval":
+        dump = evaluate_model(load_checkpoint(run / "checkpoint"), load_dataset(work["data"]),
+                              t_eval=value)
+        save_eval_dump(dump, run / "dump")
+    else:
+        dump = load_eval_dump(run / "dump")
+        ece = metrics.ece
+        monkeypatch.setattr(metrics, "ece", lambda d, n_bins=value: ece(d, value))
+    emit_report(dump, run / "reports")
+    doc = json.loads((run / "manifest.json").read_text())
+    doc["config"][key] = value
+    doc["metrics"]["eval"] = metrics.summary_metrics(dump)
+    for ref in doc["files"].values():
+        ref["sha256"] = sha256_file(run / ref["path"])
+    (run / "manifest.json").write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    monkeypatch.undo()
+    read_manifest(run / "manifest.json", verify=True)
+    assert main(["evaluate", "--from-manifest", str(run / "manifest.json"),
+                 "--out", str(tmp_path / "rerun")]) == 1
+    want = {"n_bins": 15, "t_eval": 1.0}[key]
+    assert capsys.readouterr().err == (f"error: FormatError: {run / 'manifest.json'}: "
+                                       f"config.{key} is {value!r}, not {want!r}\n")
     assert not (tmp_path / "rerun").exists()
 
 
@@ -444,6 +477,17 @@ def test_matrix_mini_grid_end_to_end(grid_data, tmp_path, capsys):
     assert m.role == "student"
     assert m.config["train"]["strategy"]["kind"] == "mixup"
     assert m.dataset["train"]["kind"] == "split"
+
+
+def test_every_grid_manifest_records_the_evaluation_protocol(grid_data, tmp_path):
+    out = tmp_path / "grid"
+    assert _mini_grid(grid_data, out) == 0
+    manifests = sorted(out.glob("*/*/manifest.json"))
+    assert len(manifests) == 20
+    for path in manifests:
+        config = read_manifest(path, verify=True).config
+        assert (config["t_eval"], config["n_bins"]) == (distill.T_EVAL, metrics.N_BINS)
+        assert '"n_bins": 15,' in path.read_text() and '"t_eval": 1.0' in path.read_text()
 
 
 @pytest.mark.parametrize("human", [True, False], ids=["human-labels", "no-human-labels"])
@@ -718,6 +762,68 @@ def test_a_replay_cannot_clear_the_run_it_replays(work, tmp_path, capsys, run, u
     assert sorted(out.iterdir()) == [out / under.split("/")[0]]
 
 
+def test_a_run_refuses_a_data_set_that_its_writer_clears(work, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(work["teacher"], run)
+    evalset = run / "reports" / "ev"
+    shutil.copytree(work["data"], evalset)
+    before = _tree(tmp_path)
+    assert main(["train-teacher", "--seed", "1", "--dataset", str(work["data"]),
+                 "--eval-dataset", str(evalset), "--out", str(run), "--arch", "student-mlp",
+                 "--epochs", "1", "--batch-size", "8"]) == 1
+    assert (f"data set {evalset.resolve()} lies under {run / 'reports'}, which the run "
+            f"written to {run} clears") in capsys.readouterr().err
+    assert _tree(tmp_path) == before
+
+
+def test_a_replay_refuses_a_data_set_that_its_writer_clears(work, tmp_path, capsys):
+    # the run reads its eval set from the reports/ of the directory it is replayed into
+    run, rerun = tmp_path / "run", tmp_path / "rerun"
+    evalset = rerun / "reports" / "ev"
+    shutil.copytree(work["data"], evalset)
+    assert main(["train-teacher", "--seed", "1", "--dataset", str(work["data"]),
+                 "--eval-dataset", str(evalset), "--out", str(run), "--arch", "student-mlp",
+                 "--epochs", "1", "--batch-size", "8"]) == 0
+    before = _tree(tmp_path)
+    capsys.readouterr()
+    assert main(["evaluate", "--from-manifest", str(run / "manifest.json"),
+                 "--out", str(rerun)]) == 1
+    assert (f"data set {evalset.resolve()} lies under {rerun / 'reports'}, which the run "
+            f"written to {rerun} clears") in capsys.readouterr().err
+    assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("under", ["dump", "reports"])
+def test_evaluate_refuses_a_data_set_that_it_clears(work, tmp_path, capsys, under):
+    out = tmp_path / "eval"
+    argv = ["evaluate", "--checkpoint", str(work["teacher"]), "--out", str(out), "--dataset"]
+    assert main([*argv, str(work["data"])]) == 0
+    evalset = out / under / "x"
+    shutil.copytree(work["data"], evalset)
+    before = _tree(tmp_path)
+    capsys.readouterr()
+    assert main([*argv, str(evalset)]) == 1
+    assert (f"data set {evalset} lies under {out / under}, which the evaluation written to "
+            f"{out} clears") in capsys.readouterr().err
+    assert _tree(tmp_path) == before
+
+
+# without the refusal, --lr 1e30 diverges the first teacher, and the failed grid removes
+# the runs it did not seal: teachers/none, with the data set in it
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning:distillab.nn")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning:distillab.nn")
+def test_a_grid_refuses_a_data_set_in_one_of_its_runs(grid_data, tmp_path, capsys):
+    out = tmp_path / "grid"
+    data = out / "teachers" / "none" / "data"
+    shutil.copytree(grid_data, data)
+    before = _tree(tmp_path)
+    assert main(_mini_grid_argv(data, out, "--lr", "1e30")) == 1
+    # a split records its parent's path, which is the one the grid read
+    assert (f"data set {data.resolve()} lies under {out / 'teachers' / 'none'}, which the "
+            f"grid written to {out} clears") in capsys.readouterr().err
+    assert _tree(tmp_path) == before
+
+
 HUMAN_REPORT_FILES = {"kld_matrix.csv", "kld_matrix_scale.csv", "human_confidence_matrix.csv",
                       "human_confidence_matrix_masked.csv"}
 
@@ -778,12 +884,15 @@ def test_evaluate_written_again_holds_only_the_new_dump(work, tmp_path):
 
 
 def test_evaluate_into_a_sealed_run_deletes_its_manifest(work, tmp_path):
-    # the new dump and reports would fail the old manifest's hashes
+    # the new dump and reports, of another eval set, would fail the old manifest's hashes
     out = tmp_path / "run"
     shutil.copytree(work["teacher"], out)
     read_manifest(out / "manifest.json", verify=True)
-    assert main(["evaluate", "--checkpoint", str(out), "--dataset", str(work["data"]),
-                 "--out", str(out), "--t-eval", "2"]) == 0
+    other = tmp_path / "other-data"
+    assert main(["synth", "--seed", "12", "--out", str(other), "--classes", "2",
+                 "--per-class", "12", "--side", "6", "--difficulty", "0.2"]) == 0
+    assert main(["evaluate", "--checkpoint", str(out), "--dataset", str(other),
+                 "--out", str(out)]) == 0
     assert not (out / "manifest.json").exists()
     assert (out / "checkpoint" / "network.json").exists()
     assert (out / "reports" / "metrics.csv").exists()
@@ -805,7 +914,7 @@ def test_a_run_written_again_with_another_arch_keeps_no_old_parameter(work, tmp_
 def test_a_cell_fit_hands_back_no_parameters(tmp_path, monkeypatch):
     # the grid's own data sets and their descriptors, so `fit` is what a worker sends
     args = build_parser().parse_args(["matrix", "--seed", "0", "--out", str(tmp_path)])
-    fitter = runs.Fitter(*grid.datasets(args), args.t_eval, args.bins)
+    fitter = runs.Fitter(*grid.datasets(args))
     fitter(tmp_path / "teacher", TrainConfig(epochs=1), "student-mlp")
     monkeypatch.setattr(grid, "_cell_fitter", fitter)
     fit = grid._fit_cell(grid.Run(tmp_path / "cell", tmp_path / "teacher", TrainConfig(epochs=1),
@@ -844,12 +953,12 @@ _STRATEGY = {"strategy": ("none", None, False, STRATS), "pad": (None, int, False
              "beta_alpha": (None, float, False, None), "beta_a": (None, float, False, None),
              "beta_b": (None, float, False, None)}
 _RUN = {"seed": (None, int, True, None), "dataset": (None, None, True, None),
-        "out": (None, None, True, None), "eval_dataset": (None, None, False, None),
-        "t_eval": (1.0, float, False, None), "bins": (15, int, False, None)}
+        "out": (None, None, True, None), "eval_dataset": (None, None, False, None)}
 _KD = {"temperature": (20.0, float, False, None), "distill_weight": (0.5, float, False, None)}
 # every flag's (default, type, required, choices) as released; the changes since are
-# that evaluate's --out became required and that the gradcheck command and synth's
-# --contrast and --brightness were removed
+# that evaluate's --out became required, that the gradcheck command and synth's
+# --contrast and --brightness were removed, and that --t-eval and --bins left the five
+# commands that took them (every run is evaluated at T = 1 with 15 ECE bins)
 PARSER_SNAPSHOT = {
     "synth": {"seed": (None, int, True, None), "out": (None, None, True, None),
               "classes": (4, int, False, None), "per_class": (500, int, False, None),
@@ -860,16 +969,14 @@ PARSER_SNAPSHOT = {
                 "arch": ("student-mlp", None, False, ARCHS), **_KD,
                 **_TRAIN, "lr": (0.02, float, False, None), **_STRATEGY},
     "evaluate": {"checkpoint": (None, None, False, None), "dataset": (None, None, False, None),
-                 "out": (None, None, True, None), "from_manifest": (None, None, False, None),
-                 "t_eval": (None, float, False, None), "bins": (None, int, False, None)},
+                 "out": (None, None, True, None), "from_manifest": (None, None, False, None)},
     "report": {"dump": (None, None, True, None), "out": (None, None, True, None),
-               "reports": ("all", None, False, None), "bins": (15, int, False, None)},
+               "reports": ("all", None, False, None)},
     "matrix": {"seed": (None, int, True, None), "dataset": ("synth", None, False, None),
                "out": (None, None, True, None),
                "teacher_arch": ("teacher-cnn", None, False, ARCHS),
                "student_arch": ("student-mlp", None, False, ARCHS),
                "difficulty": (1.0, float, False, None), **_KD,
-               "t_eval": (1.0, float, False, None), "bins": (15, int, False, None),
                "student_lr": (0.02, float, False, None), "student_epochs": (15, int, False, None),
                **_TRAIN},
 }
