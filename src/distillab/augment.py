@@ -12,48 +12,44 @@ output.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 
-STRATEGY_KINDS = ("none", "standard", "cutout", "mixup", "cutmix")
-
-# fill=None means "use the per-channel dataset mean if the caller knows it,
-# else 0.5"; size_jitter draws each hole side from [hole_size/2, hole_size].
-_STRATEGY_DEFAULTS: dict[str, dict] = {
+# Each strategy's parameters, the same for every run: mixup's Beta(1, 1) as in Zhang et
+# al. 2018 and cutmix's Beta(1, 1) as in Yun et al. 2019.  Every manifest records a
+# run's row as config.train.strategy.params.  Cutout's fill None stands for the fill
+# that the caller hands to apply_strategy (the dataset mean), else 0.5, and size_jitter
+# for each hole side drawn from [hole_size/2, hole_size].
+STRATEGY_PARAMS: dict[str, dict] = {
     "none": {},
     "standard": {"pad": 2},
     "cutout": {"n_holes": 16, "hole_size": 3, "fill": None, "size_jitter": True},
     "mixup": {"beta_alpha": 1.0},
     "cutmix": {"beta_a": 1.0, "beta_b": 1.0},
 }
+STRATEGY_KINDS = tuple(STRATEGY_PARAMS)
 
 
 @dataclass
 class AugmentStrategy:
-    """A strategy kind plus its (fully defaulted) parameter set."""
+    """A strategy kind; its parameters are the kind's row of STRATEGY_PARAMS."""
 
     kind: str
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
             raise ValueError(f"unknown strategy kind {self.kind!r}; choose from {STRATEGY_KINDS}")
-        defaults = _STRATEGY_DEFAULTS[self.kind]
-        unknown = set(self.params) - set(defaults)
-        if unknown:
-            raise ValueError(f"strategy {self.kind!r} does not take params {sorted(unknown)}")
-        merged = dict(defaults)
-        merged.update(self.params)
-        self.params = merged
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "params": dict(self.params)}
+        return {"kind": self.kind, "params": dict(STRATEGY_PARAMS[self.kind])}
 
     @classmethod
     def from_dict(cls, d: dict) -> "AugmentStrategy":
-        return cls(kind=d["kind"], params=dict(d.get("params", {})))
+        """The strategy of a record; its params are not read (`runs.replay` checks a
+        manifest's against the kind's row)."""
+        return cls(kind=d["kind"])
 
 
 def _standard(x, y, rng, pad):
@@ -62,8 +58,6 @@ def _standard(x, y, rng, pad):
     Each image draws (row offset, column offset, flip coin) in that order, so
     pad=0 still consumes the same draws.  Labels pass through.
     """
-    if pad < 0:
-        raise ValueError(f"pad must be >= 0, got {pad}")
     b, _, h, w = x.shape
     offsets = np.empty((b, 2), dtype=np.int64)
     flip = np.empty(b, dtype=bool)
@@ -80,33 +74,24 @@ def _standard(x, y, rng, pad):
     return out, y
 
 
-def _cutout(x, y, rng, n_holes, hole_size, fill, size_jitter):
+def _cutout(x, y, rng, n_holes, hole_size, fill):
     """Fill `n_holes` square regions per image with a constant; labels pass through.
 
-    Hole centers are uniform over the image and boxes are clipped at the
-    borders.  With size_jitter each hole side is drawn uniformly from
-    [hole_size/2, hole_size] before its center; without it every side is
-    hole_size.  All draws come from one `integers` call whose per-element
+    Each hole side is drawn uniformly from [hole_size/2, hole_size] before its
+    center, which is uniform over the image; boxes are clipped at the
+    borders.  All draws come from one `integers` call whose per-element
     bounds interleave (side, row, column), the same stream as drawing them
     one scalar at a time.  `fill` is a scalar or per-channel value; None
     means 0.5.
     """
-    if n_holes < 1:
-        raise ValueError(f"n_holes must be >= 1, got {n_holes}")
-    if hole_size < 1:
-        raise ValueError(f"hole_size must be >= 1, got {hole_size}")
     b, ch, h, w = x.shape
     if hole_size > min(h, w):
         warnings.warn(f"hole_size {hole_size} exceeds image side {min(h, w)}; "
                       "holes can blanket the whole image", stacklevel=3)
     fill_arr = np.broadcast_to(np.asarray(0.5 if fill is None else fill, dtype=x.dtype), (ch,))
-    if size_jitter:
-        draws = rng.integers([max(1, (hole_size + 1) // 2), 0, 0], [hole_size + 1, h, w],
-                             size=(b, n_holes, 3))
-        side, cy, cx = draws[..., 0], draws[..., 1], draws[..., 2]
-    else:
-        draws = rng.integers([0, 0], [h, w], size=(b, n_holes, 2))
-        side, cy, cx = hole_size, draws[..., 0], draws[..., 1]
+    draws = rng.integers([max(1, (hole_size + 1) // 2), 0, 0], [hole_size + 1, h, w],
+                         size=(b, n_holes, 3))
+    side, cy, cx = draws[..., 0], draws[..., 1], draws[..., 2]
     y0 = np.maximum(cy - side // 2, 0)
     x0 = np.maximum(cx - side // 2, 0)
     in_rows = _span_mask(y0, y0 + side, h)  # [B, holes, H]
@@ -131,8 +116,6 @@ def _blend(lam, a, b):
 
 def _mixup(x, y, rng, beta_alpha):
     """Convex blend of each image and label with its partner, lam ~ Beta(alpha, alpha)."""
-    if beta_alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {beta_alpha}")
     partners = rng.permutation(x.shape[0])
     lam = rng.beta(beta_alpha, beta_alpha, size=x.shape[0])
     return _blend(lam, x, x[partners]), _blend(lam, y, y[partners])
@@ -149,8 +132,6 @@ def _cutmix(x, y, rng, beta_a, beta_b):
     (lam0, row, column) in turn; `beta` consumes a varying number of words,
     so the draws stay a scalar loop.
     """
-    if beta_a <= 0 or beta_b <= 0:
-        raise ValueError(f"Beta parameters must be positive, got ({beta_a}, {beta_b})")
     b, _, h, w = x.shape
     partners = rng.permutation(b)
     lam0 = np.empty(b)
@@ -182,9 +163,9 @@ def apply_strategy(batch: tuple[np.ndarray, np.ndarray], strategy: AugmentStrate
     Returns (images, labels).  A strategy that leaves labels alone returns
     the input label array itself, and "none" returns both inputs.
     Mixing strategies pair each element with a partner from one uniform
-    in-batch permutation (fixed points allowed).  `fill` supplies the
-    dataset's per-channel mean for cutout when the strategy itself does not
-    pin a fill value.
+    in-batch permutation (fixed points allowed).  Each strategy runs at its
+    STRATEGY_PARAMS row; `fill` is cutout's fill, the dataset's per-channel
+    mean, for the row's fill None.
     """
     x, y = (np.asarray(a) for a in batch)
     if x.ndim != 4:
@@ -195,8 +176,9 @@ def apply_strategy(batch: tuple[np.ndarray, np.ndarray], strategy: AugmentStrate
         raise ValueError("batch is empty")
     if strategy.kind == "none":
         return x, y
-    params = dict(strategy.params)
-    if strategy.kind == "cutout" and params["fill"] is None:
+    params = dict(STRATEGY_PARAMS[strategy.kind])
+    if strategy.kind == "cutout":  # _cutout always jitters, and fills with `fill` for None
+        del params["size_jitter"]
         params["fill"] = fill
     return _APPLY[strategy.kind](x, y, rng, **params)
 

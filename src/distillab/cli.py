@@ -18,17 +18,6 @@ from .errors import FormatError, IntegrityError
 from .nn import ARCHITECTURES
 
 STUDENT_LR = 0.02  # the tau^2-scaled soft-target gradient runs hotter than plain CE
-# strategy parameter -> flag type; a flag left at None was not given
-_STRATEGY_PARAMS = {"pad": int, "n_holes": int, "hole_size": int, "fill": float,
-                    "beta_alpha": float, "beta_a": float, "beta_b": float}
-
-
-def _strategy_from_args(args) -> AugmentStrategy:
-    """Pass on only the flags given; AugmentStrategy rejects any the strategy does not take."""
-    params = {k: getattr(args, k) for k in _STRATEGY_PARAMS if getattr(args, k) is not None}
-    if args.no_size_jitter:
-        params["size_jitter"] = False
-    return AugmentStrategy(args.strategy, params)
 
 
 def _add_config_flags(p: argparse.ArgumentParser, names, **defaults) -> None:
@@ -58,7 +47,7 @@ _TRAIN_COMMANDS = {
 
 def _cmd_train(args) -> int:
     role, done, _, _, flags = _TRAIN_COMMANDS[args.command]
-    cfg = TrainConfig(seed=args.seed, strategy=_strategy_from_args(args),
+    cfg = TrainConfig(seed=args.seed, strategy=AugmentStrategy(args.strategy),
                       **{k: getattr(args, k) for k in flags})
     train = runs.path_dataset(args.dataset)
     ckpt = runs.resolve_checkpoint(Path(args.teacher)) if role == "student" else None
@@ -86,9 +75,11 @@ def _cmd_evaluate(args, parser: argparse.ArgumentParser) -> int:
     if not args.dataset:
         parser.error("--dataset is required with --checkpoint")
     out = Path(args.out)
-    runs.refuse_to_clear("data set", runs.dataset_paths({"kind": "path", "spec": args.dataset}),
-                         out, ("dump", "reports"), "evaluation")
-    net = R.load_checkpoint(runs.resolve_checkpoint(Path(args.checkpoint)))
+    ckpt = runs.resolve_checkpoint(Path(args.checkpoint))
+    for what, paths in (("data set", runs.dataset_paths({"kind": "path", "spec": args.dataset})),
+                        ("checkpoint", [ckpt])):
+        runs.refuse_to_clear(what, paths, out, ("dump", "reports"), "evaluation")
+    net = R.load_checkpoint(ckpt)
     dump = evaluate_model(net, D.resolve_dataset(args.dataset))
     runs.clear(out, ("dump", "reports"))
     R.save_eval_dump(dump, out / "dump")
@@ -98,9 +89,7 @@ def _cmd_evaluate(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_report(args) -> int:
-    dump = R.load_eval_dump(args.dump)
-    selection = "all" if args.reports == "all" else [s.strip() for s in args.reports.split(",")]
-    written = R.emit_report(dump, args.out, reports=selection)
+    written = R.emit_report(R.load_eval_dump(args.dump), args.out)
     for name in sorted(written):
         print(f"wrote {name}: {written[name]}")
     return 0
@@ -154,9 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
         _add_config_flags(p, flags,
                           lr=STUDENT_LR if role == "student" else TrainConfig.lr)
         p.add_argument("--strategy", choices=STRATEGY_KINDS, default="none")
-        for name, kind in _STRATEGY_PARAMS.items():
-            p.add_argument("--" + name.replace("_", "-"), type=kind, default=None)
-        p.add_argument("--no-size-jitter", action="store_true")
 
     p = sub.add_parser("evaluate", help="evaluate a checkpoint, or re-run a manifest")
     source = p.add_mutually_exclusive_group(required=True)
@@ -168,7 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="emit CSV reports from a stored evaluation dump")
     p.add_argument("--dump", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--reports", default="all")
 
     p = sub.add_parser("matrix", help="run the 5-strategy x 3-arm distillation grid")
     p.add_argument("--seed", type=int, required=True)

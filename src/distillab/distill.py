@@ -40,7 +40,7 @@ class TrainConfig:
     distill_weight: float = 0.5
 
     def __post_init__(self):
-        if isinstance(self.strategy, dict):
+        if not isinstance(self.strategy, AugmentStrategy):  # a record, as a manifest holds it
             self.strategy = AugmentStrategy.from_dict(self.strategy)
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")

@@ -54,7 +54,7 @@ def dataset_from_desc(desc: dict) -> D.Dataset:
 
 def write_reports(out: Path, dump: M.EvalDump) -> tuple[dict[str, Path], dict]:
     """Write every report of one dump; returns (name -> file, summary metrics)."""
-    written = R.emit_report(dump, out / "reports", reports="all")
+    written = R.emit_report(dump, out / "reports")
     return {f"reports/{name}": p for name, p in written.items()}, M.summary_metrics(dump)
 
 
@@ -193,6 +193,12 @@ def replay(manifest_path: Path, out: Path) -> tuple[R.RunManifest, R.RunManifest
                               f"({type(exc).__name__}: {exc})") from None
 
     cfg = build("config.train", TrainConfig.from_dict, m.config["train"])
+    # every run augments at one protocol too: each strategy's parameters are fixed
+    params = cfg.strategy.to_dict()["params"]
+    recorded = m.config["train"].get("strategy", {}).get("params", params)
+    if recorded != params:
+        raise FormatError(f"{manifest_path}: config.train.strategy.params is {recorded!r}, "
+                          f"not {params!r}")
     train_ds = build("dataset.train", dataset_from_desc, m.dataset["train"])
     eval_ds = build("dataset.eval", dataset_from_desc, m.dataset["eval"])
     teacher = manifest_path.parent / "teacher" if m.role == "student" else None

@@ -10,7 +10,6 @@ the shortest decimal that parses back to the identical double.
 from __future__ import annotations
 
 import csv
-import functools
 import hashlib
 import json
 import math
@@ -18,7 +17,6 @@ import os
 import struct
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -283,25 +281,31 @@ def _reliability_rows(d: M.EvalDump, tables) -> list:
          format_float(b.acc)) for b in M.ece(d).bins]
 
 
-# name -> (file name, needs human labels, rows(dump, tables)), in the order that
-# "all" writes them.  `tables.means(field)` is the class-mean table of the dump's "probs"
-# or "human_probs" and `tables.kld()` the KL matrix of the two, each built once per
-# emit_report call.  The metrics and reliability rows take `metrics.N_BINS` bins.
-# `metrics` functions are looked up when called, so a patched or traced one is the one
-# used.  A masked report is its unmasked twin with the diagonal cells empty.
+def _scale_rows(d: M.EvalDump, tables) -> list:
+    kld = tables["kld"]
+    return [("vmin", "vmax"), (format_float(kld.min()), format_float(kld.max()))]
+
+
+# name -> (file name, needs human labels, rows(dump, tables)), in write order.  `tables`
+# holds the class-mean tables of the dump's "probs" and "human_probs" and their "kld"
+# matrix, each built once per emit_report call.  The metrics and reliability rows take
+# `metrics.N_BINS` bins.  `metrics` functions are looked up when called, so a patched or
+# traced one is the one used.  A masked report is its unmasked twin with the diagonal
+# cells empty.
 REPORTS = {
     "metrics": ("metrics.csv", False, _metrics_rows),
     "reliability": ("reliability.csv", False, _reliability_rows),
     "confusion": ("confusion_matrix.csv", False,
                   lambda d, t: _matrix_rows(M.confusion_metrics(d)["confusion_matrix"])),
-    "confidence": ("confidence_matrix.csv", False, lambda d, t: _matrix_rows(t.means("probs"))),
+    "confidence": ("confidence_matrix.csv", False, lambda d, t: _matrix_rows(t["probs"])),
     "confidence_masked": ("confidence_matrix_masked.csv", False,
-                          lambda d, t: _matrix_rows(t.means("probs"), True)),
-    "kld_matrix": ("kld_matrix.csv", True, lambda d, t: _matrix_rows(t.kld())),
+                          lambda d, t: _matrix_rows(t["probs"], True)),
+    "kld_matrix": ("kld_matrix.csv", True, lambda d, t: _matrix_rows(t["kld"])),
+    "kld_matrix_scale": ("kld_matrix_scale.csv", True, _scale_rows),
     "human_confidence": ("human_confidence_matrix.csv", True,
-                         lambda d, t: _matrix_rows(t.means("human_probs"))),
+                         lambda d, t: _matrix_rows(t["human_probs"])),
     "human_confidence_masked": ("human_confidence_matrix_masked.csv", True,
-                                lambda d, t: _matrix_rows(t.means("human_probs"), True)),
+                                lambda d, t: _matrix_rows(t["human_probs"], True)),
 }
 
 
@@ -311,39 +315,15 @@ def _write_csv(path: Path, rows) -> Path:
     return path
 
 
-def emit_report(dump: M.EvalDump, out_dir: str | Path, reports="all") -> dict[str, Path]:
-    """Write the selected CSV reports for one dump; returns name -> path.
-
-    reports may be "all" (everything computable from the dump's fields) or an
-    explicit iterable of report names; explicitly requesting a human-label
-    report on a dump without human_probs is an error.  kld_matrix comes with
-    kld_matrix_scale.csv, the matrix's minimum and maximum.
-    """
+def emit_report(dump: M.EvalDump, out_dir: str | Path) -> dict[str, Path]:
+    """Write every CSV report that the dump supports, the human-label ones only when it
+    has human_probs; returns name -> path."""
     d = Path(out_dir)
     d.mkdir(parents=True, exist_ok=True)
-    if reports == "all":
-        selected = [r for r, (_, human, _) in REPORTS.items()
-                    if dump.human_probs is not None or not human]
-    else:
-        selected = list(reports)
-        unknown = set(selected) - set(REPORTS)
-        if unknown:
-            raise ValueError(f"unknown report names {sorted(unknown)}")
-        blocked = [r for r in selected if REPORTS[r][1] and dump.human_probs is None]
-        if blocked:
-            raise ValueError(f"dump has no human_probs; cannot emit {sorted(blocked)}")
-    # two caches: a cache whose function called the cache itself would be a reference
-    # cycle, which keeps the dump alive until the garbage collector runs
-    means = functools.cache(lambda field: M.class_means(dump, getattr(dump, field)))
-    tables = SimpleNamespace(means=means, kld=functools.cache(
-        lambda: M.kl_matrix(means("human_probs"), means("probs"))))
-    written: dict[str, Path] = {}
-    for name in selected:
-        file_name, _, rows = REPORTS[name]
-        written[name] = _write_csv(d / file_name, rows(dump, tables))
-        if name == "kld_matrix":
-            mat = tables.kld()
-            written["kld_matrix_scale"] = _write_csv(
-                d / "kld_matrix_scale.csv",
-                [("vmin", "vmax"), (format_float(mat.min()), format_float(mat.max()))])
-    return written
+    tables = {"probs": M.class_means(dump, dump.probs)}
+    if dump.human_probs is not None:
+        tables["human_probs"] = M.class_means(dump, dump.human_probs)
+        tables["kld"] = M.kl_matrix(tables["human_probs"], tables["probs"])
+    return {name: _write_csv(d / file_name, rows(dump, tables))
+            for name, (file_name, human, rows) in REPORTS.items()
+            if dump.human_probs is not None or not human}

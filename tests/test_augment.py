@@ -3,7 +3,8 @@ import copy
 import numpy as np
 import pytest
 
-from distillab.augment import AugmentStrategy, apply_strategy
+from distillab.augment import (STRATEGY_PARAMS, AugmentStrategy, _cutmix, _cutout, _mixup,
+                               _standard, apply_strategy)
 from oracles import augment_loop
 
 
@@ -41,38 +42,41 @@ def _batch(rng, n=1, ch=1, side=6, n_classes=4, classes=None, dtype=np.float64):
     return x, np.eye(n_classes, dtype=dtype)[classes]
 
 
-def _apply(x, y, kind, rng, fill=None, **params):
-    return apply_strategy((x, y), AugmentStrategy(kind, params), rng, fill=fill)
+def _apply(x, y, kind, rng, fill=None):
+    return apply_strategy((x, y), AugmentStrategy(kind), rng, fill=fill)
 
 
 def test_strategy_params_defaulted_and_validated():
-    s = AugmentStrategy("cutout")
-    assert s.params["n_holes"] == 16 and s.params["hole_size"] == 3
-    assert AugmentStrategy("mixup").params == {"beta_alpha": 1.0}
+    assert AugmentStrategy("cutout").to_dict() == {
+        "kind": "cutout",
+        "params": {"n_holes": 16, "hole_size": 3, "fill": None, "size_jitter": True}}
+    assert AugmentStrategy("mixup").to_dict()["params"] == {"beta_alpha": 1.0}
+    assert AugmentStrategy("cutmix").to_dict()["params"] == {"beta_a": 1.0, "beta_b": 1.0}
+    assert AugmentStrategy("standard").to_dict()["params"] == {"pad": 2}
+    # a record's params are a copy: the table stays as it is
+    AugmentStrategy("standard").to_dict()["params"]["pad"] = 7
+    assert STRATEGY_PARAMS["standard"] == {"pad": 2}
     with pytest.raises(ValueError):
         AugmentStrategy("blur")
-    with pytest.raises(ValueError):
-        AugmentStrategy("mixup", {"pad": 2})
 
 
 def test_standard_pad_zero_no_flip_is_identity():
     x, y = _batch(np.random.default_rng(0))
-    out, lab = _apply(x, y, "standard", ForcedRng(random=0.9), pad=0)  # 0.9 >= 0.5: no flip
+    out, lab = _standard(x, y, ForcedRng(random=0.9), pad=0)  # 0.9 >= 0.5: no flip
     assert np.array_equal(out, x)
     assert np.array_equal(lab, y)
 
 
 def test_standard_forced_flip_reverses_columns():
     x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
-    out, _ = _apply(x, np.array([[1.0, 0.0]]), "standard", ForcedRng(random=0.0), pad=0)  # flip
+    out, _ = _standard(x, np.array([[1.0, 0.0]]), ForcedRng(random=0.0), pad=0)  # flip
     assert np.array_equal(out, np.array([[[[2.0, 1.0], [4.0, 3.0]]]]))
 
 
 def test_standard_crop_shifts_window():
     # pad=1 reflect, offsets (0,0) select the top-left window of the padded image
     pix = np.arange(9, dtype=np.float64).reshape(1, 1, 3, 3)
-    out, _ = _apply(pix, np.array([[1.0]]), "standard", ForcedRng(integers=[0, 0], random=0.9),
-                    pad=1)
+    out, _ = _standard(pix, np.array([[1.0]]), ForcedRng(integers=[0, 0], random=0.9), pad=1)
     padded = np.pad(pix, ((0, 0), (0, 0), (1, 1), (1, 1)), mode="reflect")
     assert np.array_equal(out, padded[:, :, 0:3, 0:3])
 
@@ -81,46 +85,38 @@ def test_standard_label_untouched_any_rng():
     rng = np.random.default_rng(33)
     x, y = _batch(rng, n=3, classes=[2, 0, 1])
     for _ in range(20):
-        out, lab = _apply(x, y, "standard", rng, pad=2)
+        out, lab = _apply(x, y, "standard", rng)
         assert np.array_equal(lab, y)
         assert out.shape == x.shape
 
 
 def test_cutout_whole_image_hole_gives_constant_image():
+    # every side drawn from [8, 16] reaches past both borders of a 4x4 image
     x, y = _batch(np.random.default_rng(1), n=2, side=4)
     with pytest.warns(UserWarning):
-        out, lab = _apply(x, y, "cutout", np.random.default_rng(2), n_holes=1, hole_size=8,
-                          fill=0.25, size_jitter=False)
+        out, lab = _cutout(x, y, np.random.default_rng(2), n_holes=1, hole_size=16, fill=0.25)
     assert np.all(out == 0.25)
     assert np.array_equal(lab, y)
 
 
 def test_cutout_interior_hole_changes_exactly_size_squared_pixels():
     base = np.zeros((1, 2, 9, 9))  # zero image, nonzero fill -> changed = filled
-    out, _ = _apply(base, np.array([[1.0, 0.0]]), "cutout", ForcedRng(integers=[4, 4]),
-                    n_holes=1, hole_size=3, fill=1.0, size_jitter=False)
+    out, _ = _cutout(base, np.array([[1.0, 0.0]]), ForcedRng(integers=[3, 4, 4]),  # side 3
+                     n_holes=1, hole_size=3, fill=1.0)
     assert np.count_nonzero(out[0, 0] != 0) == 9
     assert np.count_nonzero(out[0, 1] != 0) == 9
 
 
 def test_cutout_default_fill_is_half():
     with pytest.warns(UserWarning):
-        out, _ = _apply(np.ones((1, 1, 4, 4)), np.array([[1.0]]), "cutout",
-                        ForcedRng(integers=[8, 2, 2]), n_holes=1, hole_size=8, size_jitter=True)
+        out, _ = _cutout(np.ones((1, 1, 4, 4)), np.array([[1.0]]), ForcedRng(integers=[8, 2, 2]),
+                         n_holes=1, hole_size=8, fill=None)
     assert 0.5 in out
-
-
-def test_cutout_validates_arguments():
-    x, y = np.ones((1, 1, 4, 4)), np.array([[1.0]])
-    with pytest.raises(ValueError):
-        _apply(x, y, "cutout", np.random.default_rng(0), n_holes=0, hole_size=2)
-    with pytest.raises(ValueError):
-        _apply(x, y, "cutout", np.random.default_rng(0), n_holes=1, hole_size=0)
 
 
 def test_mixup_lambda_one_returns_first_image_exactly():
     x, y = _batch(np.random.default_rng(7), n=2, classes=[1, 3])
-    out, lab = _apply(x, y, "mixup", ForcedRng(beta=1.0, perm=[1, 0]))
+    out, lab = _mixup(x, y, ForcedRng(beta=1.0, perm=[1, 0]), beta_alpha=1.0)
     assert np.array_equal(out, x)
     assert np.array_equal(lab, y)
 
@@ -144,11 +140,9 @@ def test_mixup_pixels_are_exact_convex_combination():
             assert np.array_equal(out[i], lam * x[i] + (1.0 - lam) * x[j])
 
 
-def test_mixup_rejects_bad_alpha_and_shape_mismatch():
+def test_mixup_rejects_shape_mismatch():
     rng = np.random.default_rng(0)
     x, y = _batch(rng, n=2)
-    with pytest.raises(ValueError):
-        _apply(x, y, "mixup", rng, beta_alpha=0.0)
     with pytest.raises(ValueError):
         _apply(x, y[:1], "mixup", rng)
 
@@ -163,7 +157,7 @@ def test_mixup_linearity_swap_identity():
 
 def test_cutmix_zero_area_is_first_image():
     x, y = _batch(np.random.default_rng(11), n=2, classes=[0, 1])
-    out, lab = _apply(x, y, "cutmix", ForcedRng(beta=1.0, perm=[1, 0]))  # lam0=1 -> zero cut
+    out, lab = _cutmix(x, y, ForcedRng(beta=1.0, perm=[1, 0]), beta_a=1.0, beta_b=1.0)  # no cut
     assert np.array_equal(out, x)  # no pixel taken from the partner
     assert np.array_equal(lab, y)  # so lam == 1.0
 
@@ -237,17 +231,29 @@ def test_all_strategies_preserve_range_and_label_algebra():
         assert np.all(np.count_nonzero(lab, axis=1) <= 2)
 
 
-def _batch_and_oracle(x, y, strategy, seed, fill):
+KERNELS = {"standard": _standard, "cutout": _cutout, "mixup": _mixup, "cutmix": _cutmix}
+
+
+def _batch_and_oracle(x, y, kind, case, seed, fill):
+    """One case through apply_strategy, at the protocol's row with cutout's fill the
+    case's or else `fill`, or, for a case that sets another parameter, through the
+    kernel at the row updated by the case; beside the per-image oracle at the same
+    values."""
+    params = dict(STRATEGY_PARAMS[kind], **case)
     rng_batch, rng_loop = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = apply_strategy((x, y), strategy, rng_batch, fill=fill)
-    want = augment_loop(x, y, strategy.kind, strategy.params, rng_loop, fill=fill)
+    if set(case) <= {"fill"}:
+        got = apply_strategy((x, y), AugmentStrategy(kind), rng_batch, fill=case.get("fill", fill))
+    else:
+        args = {k: fill if k == "fill" else v for k, v in params.items() if k != "size_jitter"}
+        got = KERNELS[kind](x, y, rng_batch, **args)
+    want = augment_loop(x, y, kind, params, rng_loop, fill=fill)
     return got, want, rng_batch.bit_generator.state, rng_loop.bit_generator.state
 
 
 PARAM_CASES = {
     "standard": [{}, {"pad": 0}, {"pad": 3}],
-    "cutout": [{}, {"size_jitter": False}, {"fill": 0.25}, {"fill": [0.1, 0.9]},
-               {"n_holes": 1, "hole_size": 1}, {"hole_size": 20}],
+    "cutout": [{}, {"fill": 0.25}, {"fill": [0.1, 0.9]}, {"n_holes": 1, "hole_size": 1},
+               {"hole_size": 20}],
     "mixup": [{}, {"beta_alpha": 0.2}],
     "cutmix": [{}, {"beta_a": 0.5, "beta_b": 2.0}],
 }
@@ -258,20 +264,19 @@ PARAM_CASES = {
 def test_batch_strategies_match_per_image_oracle_bitwise(kind):
     """Pixels, labels, dtypes and the generator's end state all equal the per-image loop."""
     rng = np.random.default_rng(1000 + len(kind))
-    for params in PARAM_CASES[kind]:
-        strategy = AugmentStrategy(kind, params)
-        per_channel = isinstance(params.get("fill"), list)
+    for case in PARAM_CASES[kind]:
+        per_channel = isinstance(case.get("fill"), list)
         for trial in range(30):
             n = 1 if trial == 0 else int(rng.integers(2, 70))
-            ch = len(params["fill"]) if per_channel else int(rng.integers(1, 3))
+            ch = len(case["fill"]) if per_channel else int(rng.integers(1, 3))
             side = int(rng.integers(5, 14))
             dtype = (np.float32, np.float64)[trial % 2]
             x = rng.random((n, ch, side, side)).astype(dtype)
             y = np.eye(5, dtype=dtype)[rng.integers(0, 5, size=n)]
             fill = (None, x.mean(axis=(0, 2, 3)), 0.75)[trial % 3]
             (gx, gy), (wx, wy), end_batch, end_loop = _batch_and_oracle(
-                x, y, strategy, int(rng.integers(2**32)), fill)
+                x, y, kind, case, int(rng.integers(2**32)), fill)
             assert (gx.dtype, gy.dtype) == (wx.dtype, wy.dtype)
-            assert gx.shape == wx.shape and gx.tobytes() == wx.tobytes(), (params, trial)
-            assert gy.shape == wy.shape and gy.tobytes() == wy.tobytes(), (params, trial)
-            assert end_batch == end_loop, (params, trial)
+            assert gx.shape == wx.shape and gx.tobytes() == wx.tobytes(), (case, trial)
+            assert gy.shape == wy.shape and gy.tobytes() == wy.tobytes(), (case, trial)
+            assert end_batch == end_loop, (case, trial)

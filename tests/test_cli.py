@@ -6,6 +6,7 @@ import math
 import multiprocessing
 import os
 import pickle
+import shlex
 import shutil
 import struct
 import subprocess
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 
 from distillab import cli, distill, grid, metrics, runs
+from distillab.augment import AugmentStrategy
 from distillab.cli import build_parser, main
 from distillab.data import load_dataset, resolve_dataset, save_dataset
 from distillab.distill import TrainConfig, evaluate_model
@@ -79,32 +81,63 @@ def test_student_run_carries_teacher_copy(work):
     assert (work["student"] / "dump" / "probs.arr").exists()
 
 
-def test_strategy_flags_reach_the_manifest(work, tmp_path):
+def test_strategy_flags_reach_the_manifest(work, tmp_path, capsys):
+    # --strategy is the one strategy flag: the manifest records the kind's fixed params,
+    # and the run replays at them
     out = tmp_path / "aug-run"
     assert main(["train-teacher", "--seed", "3", "--dataset", str(work["data"]),
-                 "--out", str(out), "--arch", "student-mlp", "--epochs", "1",
-                 "--strategy", "cutout", "--n-holes", "2", "--hole-size", "2",
-                 "--no-size-jitter"]) == 0
+                 "--out", str(out), "--eval-dataset", str(work["data"]),
+                 "--arch", "student-mlp", "--epochs", "1", "--strategy", "cutout"]) == 0
     m = read_manifest(out / "manifest.json", verify=True)
-    strat = m.config["train"]["strategy"]
-    assert strat["kind"] == "cutout"
-    assert strat["params"]["n_holes"] == 2
-    assert strat["params"]["hole_size"] == 2
-    assert strat["params"]["size_jitter"] is False
+    assert m.config["train"]["strategy"] == {
+        "kind": "cutout",
+        "params": {"n_holes": 16, "hole_size": 3, "fill": None, "size_jitter": True}}
+    assert main(["evaluate", "--from-manifest", str(out / "manifest.json"),
+                 "--out", str(tmp_path / "rerun")]) == 0
+    assert "reproduced" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("argv", [["--strategy", "mixup", "--pad", "7", "--n-holes", "3"],
-                                  ["--strategy", "none", "--no-size-jitter"]])
+# each strategy-parameter flag of earlier releases, after the strategy that took it
+REMOVED_STRATEGY_FLAGS = [["standard", "--pad", "3"], ["cutout", "--n-holes", "2"],
+                          ["cutout", "--hole-size", "2"], ["cutout", "--fill", "0.5"],
+                          ["cutout", "--no-size-jitter"], ["mixup", "--beta-alpha", "0.2"],
+                          ["cutmix", "--beta-a", "0.5"], ["cutmix", "--beta-b", "2.0"]]
+
+
+@pytest.mark.parametrize("argv", REMOVED_STRATEGY_FLAGS)
 @pytest.mark.parametrize("command", ["train-teacher", "distill"])
-def test_strategy_flag_the_strategy_does_not_take_is_an_error(work, tmp_path, capsys, command, argv):
-    out = tmp_path / "run"
+def test_strategy_flag_the_strategy_does_not_take_is_an_error(work, tmp_path, monkeypatch,
+                                                               capsys, command, argv):
+    # every strategy runs at its fixed params, so none takes a parameter flag
+    monkeypatch.chdir(tmp_path)
     teacher = ["--teacher", str(work["teacher"])] if command == "distill" else []
-    assert main([command, "--seed", "3", "--dataset", str(work["data"]), "--out", str(out),
-                 "--arch", "student-mlp", "--epochs", "1", *teacher, *argv]) == 1
-    err = capsys.readouterr().err
-    names = ["n_holes", "pad"] if "mixup" in argv else ["size_jitter"]
-    assert f"does not take params {names}" in err
-    assert not out.exists()
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--seed", "3", "--dataset", str(work["data"]), "--out", "run",
+              "--arch", "student-mlp", "--epochs", "1", *teacher, "--strategy", *argv])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("strategy", [{"kind": "standard", "params": {"pad": 3}},
+                                      {"kind": "cutout", "params": {  # in sorted-key order
+                                          "fill": None, "hole_size": 3, "n_holes": 16,
+                                          "size_jitter": False}},
+                                      {"kind": "mixup", "params": {"beta_alpha": 0.2}}])
+def test_a_replay_refuses_a_manifest_of_other_strategy_params(work, tmp_path, capsys, strategy):
+    # a run of an earlier release that set a strategy-parameter flag
+    run = tmp_path / "run"
+    shutil.copytree(work["teacher"], run)
+    doc = json.loads((run / "manifest.json").read_text())
+    doc["config"]["train"]["strategy"] = strategy
+    (run / "manifest.json").write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    assert main(["evaluate", "--from-manifest", str(run / "manifest.json"),
+                 "--out", str(tmp_path / "rerun")]) == 1
+    want = AugmentStrategy(strategy["kind"]).to_dict()["params"]
+    assert capsys.readouterr().err == (
+        f"error: FormatError: {run / 'manifest.json'}: config.train.strategy.params is "
+        f"{strategy['params']!r}, not {want!r}\n")
+    assert not (tmp_path / "rerun").exists()
 
 
 def test_evaluate_checkpoint_writes_dump_and_reports(work, tmp_path, capsys):
@@ -217,6 +250,7 @@ def test_replay_of_a_manifest_missing_a_record_is_a_format_error(work, tmp_path,
 
 @pytest.mark.parametrize("section, key, value", [("config", "train", {"bogus": 1}),
                                                  ("config", "train", []),
+                                                 ("config", "train", {"strategy": "mixup"}),
                                                  ("dataset", "train", {}),
                                                  ("dataset", "eval", {"kind": "path"}),
                                                  # a generator parameter that no longer exists
@@ -241,11 +275,12 @@ def test_replay_of_a_malformed_record_is_a_format_error(work, tmp_path, capsys, 
 def test_parser_is_built_once_and_keeps_no_flag_between_calls(monkeypatch):
     assert build_parser() is build_parser()
     seen = []
-    monkeypatch.setattr(cli, "_cmd_report", lambda args: seen.append(vars(args)) or 0)
-    assert main(["report", "--dump", "d", "--out", "o", "--reports", "ece"]) == 0
-    assert main(["report", "--dump", "d2", "--out", "o2"]) == 0
-    assert seen[0]["reports"] == "ece"
-    assert seen[1] == {"command": "report", "dump": "d2", "out": "o2", "reports": "all"}
+    monkeypatch.setattr(cli, "_cmd_synth", lambda args: seen.append(vars(args)) or 0)
+    assert main(["synth", "--seed", "1", "--out", "o", "--classes", "3"]) == 0
+    assert main(["synth", "--seed", "2", "--out", "o2"]) == 0
+    assert seen[0]["classes"] == 3
+    assert seen[1] == {"command": "synth", "seed": 2, "out": "o2", "classes": 4,
+                       "per_class": 500, "side": 12, "difficulty": 0.5, "channels": 1}
 
 
 def test_replay_refuses_to_overwrite_its_own_run(work, tmp_path, capsys):
@@ -381,19 +416,22 @@ def test_evaluate_argument_combinations(work, tmp_path):
 
 
 def test_report_from_stored_dump(work, tmp_path, capsys):
+    # every report the dump supports, the bytes that the run's seal wrote
     out = tmp_path / "rep"
-    assert main(["report", "--dump", str(work["student"] / "dump"),
-                 "--out", str(out), "--reports", "metrics,confusion"]) == 0
-    assert (out / "metrics.csv").exists()
-    assert (out / "confusion_matrix.csv").exists()
-    assert not (out / "reliability.csv").exists()
+    assert main(["report", "--dump", str(work["student"] / "dump"), "--out", str(out)]) == 0
+    assert _tree(out) == _tree(work["student"] / "reports")
+    assert len(capsys.readouterr().out.splitlines()) == len(_tree(out)) == 9
 
 
 def test_report_unknown_name_fails_cleanly(work, tmp_path, capsys):
-    code = main(["report", "--dump", str(work["student"] / "dump"),
-                 "--out", str(tmp_path / "rep"), "--reports", "heatmap"])
-    assert code == 1
-    assert "error: ValueError" in capsys.readouterr().err
+    # no report is chosen by name
+    out = tmp_path / "rep"
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--dump", str(work["student"] / "dump"), "--out", str(out),
+              "--reports", "metrics"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --reports metrics" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_report_on_a_dump_whose_labels_do_not_fit_names_the_dump(work, tmp_path, capsys):
@@ -808,6 +846,21 @@ def test_evaluate_refuses_a_data_set_that_it_clears(work, tmp_path, capsys, unde
     assert _tree(tmp_path) == before
 
 
+@pytest.mark.parametrize("under", ["dump", "reports"])
+def test_evaluate_refuses_a_checkpoint_that_it_clears(work, tmp_path, capsys, under):
+    out = tmp_path / "eval"
+    argv = ["evaluate", "--dataset", str(work["data"]), "--out", str(out), "--checkpoint"]
+    assert main([*argv, str(work["teacher"])]) == 0
+    ckpt = out / under / "ck"
+    shutil.copytree(work["teacher"] / "checkpoint", ckpt)
+    before = _tree(tmp_path)
+    capsys.readouterr()
+    assert main([*argv, str(ckpt)]) == 1
+    assert (f"checkpoint {ckpt} lies under {out / under}, which the evaluation written to "
+            f"{out} clears") in capsys.readouterr().err
+    assert _tree(tmp_path) == before
+
+
 # without the refusal, --lr 1e30 diverges the first teacher, and the failed grid removes
 # the runs it did not seal: teachers/none, with the data set in it
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning:distillab.nn")
@@ -947,18 +1000,17 @@ STRATS = ("none", "standard", "cutout", "mixup", "cutmix")
 _TRAIN = {"epochs": (15, int, False, None), "batch_size": (64, int, False, None),
           "lr": (0.08, float, False, None), "momentum": (0.9, float, False, None),
           "weight_decay": (1e-4, float, False, None)}
-_STRATEGY = {"strategy": ("none", None, False, STRATS), "pad": (None, int, False, None),
-             "n_holes": (None, int, False, None), "hole_size": (None, int, False, None),
-             "fill": (None, float, False, None), "no_size_jitter": (False, None, False, None),
-             "beta_alpha": (None, float, False, None), "beta_a": (None, float, False, None),
-             "beta_b": (None, float, False, None)}
+_STRATEGY = {"strategy": ("none", None, False, STRATS)}
 _RUN = {"seed": (None, int, True, None), "dataset": (None, None, True, None),
         "out": (None, None, True, None), "eval_dataset": (None, None, False, None)}
 _KD = {"temperature": (20.0, float, False, None), "distill_weight": (0.5, float, False, None)}
 # every flag's (default, type, required, choices) as released; the changes since are
 # that evaluate's --out became required, that the gradcheck command and synth's
 # --contrast and --brightness were removed, and that --t-eval and --bins left the five
-# commands that took them (every run is evaluated at T = 1 with 15 ECE bins)
+# commands that took them (every run is evaluated at T = 1 with 15 ECE bins), that
+# --pad, --n-holes, --hole-size, --fill, --no-size-jitter, --beta-alpha, --beta-a and
+# --beta-b left train-teacher and distill (every strategy runs at its fixed params), and
+# that --reports left report (it writes every report the dump supports)
 PARSER_SNAPSHOT = {
     "synth": {"seed": (None, int, True, None), "out": (None, None, True, None),
               "classes": (4, int, False, None), "per_class": (500, int, False, None),
@@ -970,8 +1022,7 @@ PARSER_SNAPSHOT = {
                 **_TRAIN, "lr": (0.02, float, False, None), **_STRATEGY},
     "evaluate": {"checkpoint": (None, None, False, None), "dataset": (None, None, False, None),
                  "out": (None, None, True, None), "from_manifest": (None, None, False, None)},
-    "report": {"dump": (None, None, True, None), "out": (None, None, True, None),
-               "reports": ("all", None, False, None)},
+    "report": {"dump": (None, None, True, None), "out": (None, None, True, None)},
     "matrix": {"seed": (None, int, True, None), "dataset": ("synth", None, False, None),
                "out": (None, None, True, None),
                "teacher_arch": ("teacher-cnn", None, False, ARCHS),
@@ -989,3 +1040,15 @@ def test_parser_flags_match_snapshot():
         got = {a.dest: (a.default, a.type, a.required, tuple(a.choices) if a.choices else None)
                for a in parser._actions if a.dest != "help"}
         assert got == PARSER_SNAPSHOT[command], command
+
+
+def test_readme_quick_start_commands_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    quick_start = readme.split("\n## Quick start\n", 1)[1].split("\n## ", 1)[0]
+    script = quick_start.split("```sh\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+    commands = [shlex.split(line.split("distillab ", 1)[1]) for line in script.splitlines()
+                if "distillab " in line and not line.lstrip().startswith("#")]
+    assert [argv[0] for argv in commands] == ["synth", "train-teacher", "distill", "evaluate",
+                                              "report", "evaluate", "matrix"]
+    for argv in commands:
+        build_parser().parse_args(argv)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from distillab import distill
-from distillab.augment import AugmentStrategy
+from distillab.augment import STRATEGY_PARAMS, AugmentStrategy
 from distillab.data import make_synthetic
 from distillab.distill import (TrainConfig, _epoch_indices, _logit_table, evaluate_model, kd_loss,
                                train_student, train_teacher)
@@ -29,12 +29,14 @@ def _tiny_cfg(**kw):
 # --- config -----------------------------------------------------------------
 
 def test_config_round_trips_through_dict():
-    cfg = _tiny_cfg(strategy=AugmentStrategy("cutout", {"n_holes": 2}))
+    cfg = _tiny_cfg(strategy=AugmentStrategy("cutout"))
     again = TrainConfig.from_dict(cfg.to_dict())
     assert again == cfg
-    assert again.strategy.params["n_holes"] == 2
-    # the same keys, order and values as the dataclass's own deep-copying form
-    assert json.dumps(cfg.to_dict()) == json.dumps(dataclasses.asdict(cfg))
+    # the same keys, order and values as the dataclass's own deep-copying form, with the
+    # strategy's fixed params
+    want = dataclasses.asdict(cfg)
+    want["strategy"]["params"] = STRATEGY_PARAMS["cutout"]
+    assert json.dumps(cfg.to_dict()) == json.dumps(want)
 
 
 def test_config_rejects_bad_values():

@@ -388,7 +388,7 @@ def test_metrics_invariant_under_sample_permutation():
 # --- matrices and summary ---------------------------------------------------
 
 def _kld_report(d, out):
-    return read_matrix_csv(emit_report(d, out, reports=["kld_matrix"])["kld_matrix"])
+    return read_matrix_csv(emit_report(d, out)["kld_matrix"])
 
 
 def test_kld_confusion_matrix_matches_loop_oracle(tmp_path):
@@ -447,7 +447,7 @@ def test_confidence_matrix_rows_and_masking(tmp_path):
     d = _dump([[0.9, 0.1], [0.7, 0.3], [0.2, 0.8], [0.4, 0.6]], [0, 0, 1, 1])
     m = class_means(d, d.probs)
     assert np.allclose(m, [[0.8, 0.2], [0.3, 0.7]])
-    emit_report(d, tmp_path, reports=["confidence", "confidence_masked"])
+    emit_report(d, tmp_path)
     plain = (tmp_path / "confidence_matrix.csv").read_text().splitlines()
     masked = (tmp_path / "confidence_matrix_masked.csv").read_text().splitlines()
     assert [r.split(",") for r in masked] == [

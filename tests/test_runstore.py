@@ -12,10 +12,11 @@ from distillab.distill import TrainConfig
 from distillab.errors import FormatError, IntegrityError
 from distillab.metrics import EvalDump, class_means, ece, kl_matrix, summary_metrics
 from distillab.nn import build_network
-from distillab.runstore import (ARRAY_MAGIC, REPORTS, RunManifest, emit_report, format_float,
-                                load_array, load_arrays, load_checkpoint, load_eval_dump,
-                                misfit_error, read_manifest, save_array, save_arrays,
-                                save_checkpoint, save_eval_dump, sha256_file, write_manifest)
+from distillab.runstore import (ARRAY_MAGIC, METRIC_COLUMNS, REPORTS, RunManifest, emit_report,
+                                format_float, load_array, load_arrays, load_checkpoint,
+                                load_eval_dump, misfit_error, read_manifest, save_array,
+                                save_arrays, save_checkpoint, save_eval_dump, sha256_file,
+                                write_manifest)
 
 from oracles import random_dump_arrays, read_matrix_csv, read_metrics_csv, read_reliability_csv
 
@@ -176,7 +177,7 @@ def test_manifest_refuses_a_file_outside_its_base(tmp_path):
 
 def test_manifest_is_sorted_key_json(tmp_path):
     m, _ = _manifest(tmp_path)
-    m.config = {"train": TrainConfig(strategy=AugmentStrategy("mixup", {"beta_alpha": 0.4})).to_dict(),
+    m.config = {"train": TrainConfig(strategy=AugmentStrategy("mixup")).to_dict(),
                 "arch": "student-mlp"}
     path = tmp_path / "manifest.json"
     write_manifest(m, path)
@@ -378,7 +379,7 @@ def test_format_float_round_trips_exactly():
 
 def test_matrix_csv_round_trip_bitwise(tmp_path):
     d = _dump_pair()
-    written = emit_report(d, tmp_path, reports=["confidence", "kld_matrix"])
+    written = emit_report(d, tmp_path)
     means = class_means(d, d.probs)
     assert np.array_equal(read_matrix_csv(written["confidence"]), means)
     assert np.array_equal(read_matrix_csv(written["kld_matrix"]),
@@ -388,7 +389,7 @@ def test_matrix_csv_round_trip_bitwise(tmp_path):
 def test_matrix_csv_masked_diagonal_is_empty_then_nan(tmp_path):
     d = _dump_pair()
     mat = class_means(d, d.human_probs)
-    written = emit_report(d, tmp_path, reports=["human_confidence_masked"])
+    written = emit_report(d, tmp_path)
     text = written["human_confidence_masked"].read_text()
     assert text.splitlines()[0].startswith(",")  # masked cell is truly empty
     back = read_matrix_csv(written["human_confidence_masked"])
@@ -418,8 +419,7 @@ def test_emit_report_all_with_humans(tmp_path):
 def test_emit_report_all_skips_human_reports_when_absent(tmp_path):
     d = _dump_pair(with_human=False)
     written = emit_report(d, tmp_path)
-    assert "kld_matrix" not in written
-    assert "human_confidence" not in written
+    assert set(written) == {name for name, (_, human, _) in REPORTS.items() if not human}
     assert "metrics" in written
     back = read_metrics_csv(written["metrics"])
     assert np.isnan(back["human_kld"])
@@ -437,8 +437,13 @@ def test_emit_report_builds_each_class_mean_table_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(metrics, "class_means", counted)  # looked up when called
     d = _dump_pair()
-    emit_report(d, tmp_path, reports=[r for r in REPORTS if r not in ("metrics", "reliability")])
+    # the summary builds tables of its own; this test counts the reports' alone
+    monkeypatch.setattr(metrics, "summary_metrics", lambda dump: dict.fromkeys(METRIC_COLUMNS, 0.0))
+    emit_report(d, tmp_path)
     assert [id(rows) for rows in calls] == [id(d.probs), id(d.human_probs)]
+    calls.clear()
+    emit_report(_dump_pair(with_human=False), tmp_path)
+    assert len(calls) == 1
 
 
 def test_emit_report_frees_its_dump_without_the_garbage_collector(tmp_path):
@@ -456,17 +461,9 @@ def test_emit_report_frees_its_dump_without_the_garbage_collector(tmp_path):
             gc.enable()
 
 
-def test_emit_report_explicit_human_request_fails_without_humans(tmp_path):
-    d = _dump_pair(with_human=False)
-    with pytest.raises(ValueError, match="human_probs"):
-        emit_report(d, tmp_path, reports=["kld_matrix"])
-    with pytest.raises(ValueError, match="unknown report"):
-        emit_report(d, tmp_path, reports=["metrics", "heatmap"])
-
-
 def test_emit_report_reliability_reparses_to_same_ece(tmp_path):
     d = _dump_pair()
-    written = emit_report(d, tmp_path, reports=["reliability"])
+    written = emit_report(d, tmp_path)
     bins, back_ece = read_reliability_csv(written["reliability"])
     rel = ece(d, 15)
     assert back_ece == rel.ece
@@ -476,7 +473,7 @@ def test_emit_report_reliability_reparses_to_same_ece(tmp_path):
 
 def test_emit_report_kld_scale_brackets_matrix(tmp_path):
     d = _dump_pair()
-    written = emit_report(d, tmp_path, reports=["kld_matrix"])
+    written = emit_report(d, tmp_path)
     mat = read_matrix_csv(written["kld_matrix"])
     with open(written["kld_matrix_scale"]) as fh:
         header, row = fh.read().strip().splitlines()
