@@ -250,7 +250,6 @@ def test_replay_of_a_manifest_missing_a_record_is_a_format_error(work, tmp_path,
 
 @pytest.mark.parametrize("section, key, value", [("config", "train", {"bogus": 1}),
                                                  ("config", "train", []),
-                                                 ("config", "train", {"strategy": "mixup"}),
                                                  ("dataset", "train", {}),
                                                  ("dataset", "eval", {"kind": "path"}),
                                                  # a generator parameter that no longer exists
@@ -258,7 +257,8 @@ def test_replay_of_a_manifest_missing_a_record_is_a_format_error(work, tmp_path,
                                                      "kind": "synthetic", "digest": "",
                                                      "params": {"seed": 0, "n_classes": 2,
                                                                 "per_class": 2,
-                                                                "contrast": 0.7}})])
+                                                                "contrast": 0.7}}),
+                                                 ("config", "train", {"strategy": "mixup"})])
 def test_replay_of_a_malformed_record_is_a_format_error(work, tmp_path, capsys, section, key,
                                                         value):
     run = tmp_path / "run"
