@@ -3,8 +3,8 @@
 Real-data loaders parse the CIFAR-10 binary batch format (3073-byte records)
 and the MNIST IDX format bit-exactly, rejecting malformed files with
 position-bearing diagnostics.  `make_synthetic` builds seeded desk-scale
-class-template datasets (with fabricated human label distributions) that the
-training and metrics pipeline exercises end to end.
+class-template datasets that the training and metrics pipeline exercises end
+to end.
 """
 
 from __future__ import annotations
@@ -18,14 +18,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError
-from .probs import check_prob_rows, softmax_t
+from .probs import check_prob_rows
 from .runstore import load_arrays, misfit_error, save_arrays
 
 CIFAR10_CLASSES = ["airplane", "automobile", "bird", "cat", "deer",
                    "dog", "frog", "horse", "ship", "truck"]
 _CIFAR_RECORD = 3073  # 1 label byte + 3 * 32 * 32 pixel bytes
 _SYNTH_BLOCK_FLOATS = 1 << 15  # float64 values in one make_synthetic block: 256 KiB
-HUMAN_TEMP = 0.05  # softmax temperature of the synthetic human label distributions
 
 
 @dataclass
@@ -69,13 +68,15 @@ class Dataset:
         return out
 
     def digest(self) -> str:
-        """Content hash over every field, for manifests."""
+        """Content hash over every field, for manifests.  Each array's name, dtype and
+        shape go in before its bytes, so a reshaped or retyped array changes the hash."""
         h = hashlib.sha256()
-        h.update(np.ascontiguousarray(self.images))  # hashed in place, not copied
-        h.update(np.ascontiguousarray(self.labels))
+        for name in ("images", "labels", "human_probs"):
+            a = getattr(self, name)
+            if a is not None:
+                h.update(json.dumps([name, a.dtype.str, a.shape]).encode())
+                h.update(np.ascontiguousarray(a))  # hashed in place, not copied
         h.update(json.dumps(self.class_names).encode())
-        if self.human_probs is not None:
-            h.update(np.ascontiguousarray(self.human_probs))
         return h.hexdigest()
 
 
@@ -146,15 +147,14 @@ def load_mnist_idx(images_path: str | Path, labels_path: str | Path) -> Dataset:
 
 def make_synthetic(seed: int, n_classes: int = 4, per_class: int = 500,
                    img_side: int = 12, difficulty: float = 0.5, channels: int = 1) -> Dataset:
-    """Seeded class-template dataset with fabricated human label distributions.
+    """Seeded class-template dataset.
 
     Each class gets a fixed random template that is spatially smoothed (so
     small crops stay close to the original, as for natural images) and
     symmetrized left-right (so a horizontal flip is label-preserving); a
     sample is its class template plus Gaussian noise scaled by `difficulty`,
-    clipped to [0,1].  Human distributions are a softmax over negative
-    mean-squared template-match distances at `HUMAN_TEMP`; difficulty=0 makes
-    classes exactly template-separable.
+    clipped to [0,1]; difficulty=0 makes classes exactly template-separable.
+    It carries no human label distributions (`human_probs` is None).
     """
     if n_classes < 2:
         raise ValueError(f"need at least 2 classes, got {n_classes}")
@@ -177,29 +177,19 @@ def make_synthetic(seed: int, n_classes: int = 4, per_class: int = 500,
     flat_templates = templates.reshape(n_classes, dim)
     images = np.empty((n, channels, img_side, img_side), dtype=np.float32)
     flat_images = images.reshape(n, dim)
-    # negative mean-squared distance to each template -> soft "human" labels
-    d2 = np.empty((n, n_classes))
     # One block of rows at a time, so the float64 scratch is O(block) and not O(N).
     # The noise stream is drawn in the same order as one [N, d] draw, and each row
-    # keeps its arithmetic and its length-d mean, so no byte depends on the block size.
+    # keeps its arithmetic, so no byte depends on the block size.
     rows = max(1, _SYNTH_BLOCK_FLOATS // dim)
-    diff = np.empty((rows, dim))
     for start in range(0, n, rows):
         stop = min(start + rows, n)
         block = rng.normal(0.0, 0.35 * difficulty, size=(stop - start, dim))
         block += flat_templates[labels[start:stop]]
         np.clip(block, 0.0, 1.0, out=block)
-        scratch = diff[:stop - start]
-        for k, t in enumerate(flat_templates):
-            np.subtract(block, t, out=scratch)
-            np.square(scratch, out=scratch)
-            d2[start:stop, k] = scratch.mean(axis=1)
         flat_images[start:stop] = block
-    human = softmax_t(-d2, temperature=HUMAN_TEMP)
     perm = rng.permutation(n)
     return Dataset(images=images[perm], labels=labels[perm],
-                   class_names=[f"class-{i}" for i in range(n_classes)],
-                   human_probs=human[perm])
+                   class_names=[f"class-{i}" for i in range(n_classes)])
 
 
 def split(ds: Dataset, fractions: list[float], seed: int) -> list[Dataset]:

@@ -204,8 +204,9 @@ def _fit(net: Network, cfg: TrainConfig, data: Dataset, teacher: Network | None,
     return history
 
 
-def evaluate_model(net: Network, data: Dataset, t_eval: float = T_EVAL) -> EvalDump:
-    """Forward the whole dataset (no caching), EVAL_BATCH rows at a time, into an EvalDump."""
+def evaluate_model(net: Network, data: Dataset) -> EvalDump:
+    """Forward the whole dataset (no caching), EVAL_BATCH rows at a time, into an EvalDump
+    of its probabilities at T_EVAL."""
     if data.n_samples and data.n_classes != net.n_outputs:
         raise ValueError(f"dataset has {data.n_classes} classes, model has {net.n_outputs} outputs")
     probs = np.empty((data.n_samples, net.n_outputs), dtype=np.float64)
@@ -213,7 +214,7 @@ def evaluate_model(net: Network, data: Dataset, t_eval: float = T_EVAL) -> EvalD
     for start in range(0, data.n_samples, EVAL_BATCH):
         stop = min(start + EVAL_BATCH, data.n_samples)
         logits, emb = net.forward(data.images[start:stop], record=False)
-        probs[start:stop] = softmax_t(logits.astype(np.float64), t_eval)
+        probs[start:stop] = softmax_t(logits.astype(np.float64), T_EVAL)
         embs[start:stop] = emb
     return EvalDump(probs=probs, embeddings=embs, true_labels=data.labels,
                     human_probs=data.human_probs)

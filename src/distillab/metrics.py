@@ -274,13 +274,13 @@ def class_discrimination(dump: EvalDump) -> DiscriminationReport:
     )
 
 
-def summary_metrics(dump: EvalDump, n_bins: int = N_BINS) -> dict[str, float]:
+def summary_metrics(dump: EvalDump) -> dict[str, float]:
     """Flat scalar battery for one dump: the table-style column set.
 
     Human-dependent entries are NaN when the dump carries no human_probs.
     """
     cm = confusion_metrics(dump)
-    rel = ece(dump, n_bins)
+    rel = ece(dump)
     disc = class_discrimination(dump)
     return {
         "accuracy": cm["accuracy"],

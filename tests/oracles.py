@@ -7,6 +7,7 @@ with the package beyond numpy — so agreement is evidence, not tautology.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -395,6 +396,14 @@ def random_dump_arrays(rng: np.random.Generator, n_max=500, c_max=10, d_max=64,
     emb = rng.standard_normal((n, d)) * rng.uniform(0.5, 3.0)
     human = rng.dirichlet(np.full(c, 1.3), size=n) if with_human else None
     return probs, emb, labels, human, c
+
+
+def with_human_labels(ds, seed: int):
+    """A copy of dataset `ds` carrying seeded Dirichlet human label distributions: test
+    data for the human-label path, which no synthetic set carries."""
+    rng = np.random.default_rng(seed)
+    return dataclasses.replace(
+        ds, human_probs=rng.dirichlet(np.full(ds.n_classes, 1.3), size=ds.n_samples))
 
 
 # --- CSV reports ---------------------------------------------------------------

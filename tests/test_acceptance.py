@@ -16,18 +16,19 @@ import pytest
 
 from distillab.augment import AugmentStrategy, apply_strategy
 from distillab.cli import main as cli_main
-from distillab.data import load_cifar10_bin, load_mnist_idx
+from distillab.data import load_cifar10_bin, load_mnist_idx, save_dataset
 from distillab.distill import kd_loss
 from distillab.errors import FormatError
-from distillab.metrics import (EvalDump, class_discrimination, class_means, class_separability,
-                               confusion_metrics, ece, kl_matrix, summary_metrics)
+from distillab.metrics import (N_BINS, EvalDump, class_discrimination, class_means,
+                               class_separability, confusion_metrics, ece, kl_matrix,
+                               summary_metrics)
 from distillab.runs import dataset_from_desc
 from distillab.runstore import load_array, load_eval_dump, read_manifest, save_array
 
 from gradcheck import run_all
 from oracles import (cutmix_one, discrimination_pairs, ece_rebin, kld_matrix_loops, mixup_one,
                      random_dump_arrays, read_matrix_csv, read_metrics_csv, read_reliability_csv,
-                     separability_pairs, softmax_scalar)
+                     separability_pairs, softmax_scalar, with_human_labels)
 
 
 @pytest.fixture
@@ -195,38 +196,53 @@ def test_4_loss_endpoints(announce):
 
 # --- 5: desk-scale pipeline -------------------------------------------------
 
+HUMAN_REPORTS = {"kld_matrix.csv", "kld_matrix_scale.csv", "human_confidence_matrix.csv",
+                 "human_confidence_matrix_masked.csv"}
+
+
 def _verify_run_dir(run_dir):
     """Manifest hashes, metric CSV reparse, and report<->dump agreement; returns problems."""
     problems = []
     m = read_manifest(run_dir / "manifest.json", verify=True)
+    if m.config["n_bins"] != N_BINS:
+        return [f"{run_dir.name}: config.n_bins {m.config['n_bins']} != {N_BINS}"]
     dump = load_eval_dump(run_dir / "dump")
     recorded = m.metrics["eval"]
     reparsed = read_metrics_csv(run_dir / "reports" / "metrics.csv")
-    recomputed = summary_metrics(dump, n_bins=m.config["n_bins"])
+    recomputed = summary_metrics(dump)
     for k, v in recomputed.items():
         for src_name, src in (("manifest", recorded.get(k)), ("csv", reparsed.get(k))):
             same = src == v or (isinstance(src, float) and math.isnan(src) and math.isnan(v))
             if not same:
                 problems.append(f"{run_dir.name}: {src_name} {k} {src!r} != {v!r}")
     bins, rel_ece = read_reliability_csv(run_dir / "reports" / "reliability.csv")
-    fresh = ece(dump, m.config["n_bins"])
+    fresh = ece(dump)
     if rel_ece != fresh.ece or [b[2] for b in bins] != [b.count for b in fresh.bins]:
         problems.append(f"{run_dir.name}: reliability reparse mismatch")
     c = dump.n_classes
     reports = run_dir / "reports"
-    pairs = (
+    pairs = [
         ("confusion_matrix.csv", confusion_metrics(dump)["confusion_matrix"].astype(float)),
         ("confidence_matrix.csv", class_means(dump, dump.probs)),
-        ("kld_matrix.csv", kl_matrix(class_means(dump, dump.human_probs),
-                                     class_means(dump, dump.probs))),
-        ("human_confidence_matrix.csv", class_means(dump, dump.human_probs)),
-    )
+    ]
+    twins = ["confidence_matrix"]
+    # the human-label reports are written exactly when the dump has human labels
+    human = dump.human_probs is not None
+    present = {name for name in HUMAN_REPORTS if (reports / name).exists()}
+    if present != (HUMAN_REPORTS if human else set()):
+        problems.append(f"{run_dir.name}: human-label reports {sorted(present)} with "
+                        f"human_probs {'present' if human else 'absent'}")
+    elif human:
+        pairs += [("kld_matrix.csv", kl_matrix(class_means(dump, dump.human_probs),
+                                               class_means(dump, dump.probs))),
+                  ("human_confidence_matrix.csv", class_means(dump, dump.human_probs))]
+        twins.append("human_confidence_matrix")
     for name, want in pairs:
         got = read_matrix_csv(reports / name)
         if got.shape != (c, c) or not np.array_equal(got, want):
             problems.append(f"{run_dir.name}: {name} does not reparse to the dump's values")
     # a masked matrix is its twin's cells with the diagonal left empty
-    for twin in ("confidence_matrix", "human_confidence_matrix"):
+    for twin in twins:
         with open(reports / f"{twin}.csv", newline="") as fh:
             want = [row[:i] + [""] + row[i + 1:] for i, row in enumerate(csv.reader(fh))]
         with open(reports / f"{twin}_masked.csv", newline="") as fh:
@@ -236,7 +252,7 @@ def _verify_run_dir(run_dir):
     return problems
 
 
-def test_5_desk_scale_pipeline(matrix_run, announce):
+def test_5_desk_scale_pipeline(matrix_run, announce, tmp_path):
     rows = matrix_run["rows"]
     out = matrix_run["out"]
     problems = []
@@ -255,12 +271,21 @@ def test_5_desk_scale_pipeline(matrix_run, announce):
         problems.append(f"split sizes {(train_ds.n_samples, eval_ds.n_samples)}")
     run_dirs = [out / "teachers" / s for s in ("none", "standard", "cutout", "mixup", "cutmix")]
     run_dirs += [out / "cells" / r["cell"] for r in rows]
+    # the synthetic grid carries no human labels; a run fitted and evaluated on its eval
+    # set with human labels attached must write, and reparse, the human-label reports too
+    human_eval = tmp_path / "eval-with-humans"
+    save_dataset(with_human_labels(eval_ds, seed=0), human_eval)
+    assert cli_main(["train-teacher", "--seed", "0", "--dataset", str(human_eval),
+                     "--eval-dataset", str(human_eval), "--arch", "student-mlp",
+                     "--epochs", "1", "--out", str(tmp_path / "human-labels")]) == 0
+    run_dirs.append(tmp_path / "human-labels")
     for rd in run_dirs:
         problems.extend(_verify_run_dir(rd))
     ok = not problems
     announce("5 desk-scale-pipeline",
              f"15-cell grid in {matrix_run['elapsed']:.0f}s (<600s), min teacher accuracy "
-             f"{min_teacher:.3f} (>0.80), all 20 run dirs verify and reparse exactly "
+             f"{min_teacher:.3f} (>0.80), all 20 run dirs and a run with human labels "
+             "verify and reparse exactly "
              f"({len(problems)} problems)", ok)
     assert not problems, problems[:8]
 
@@ -284,19 +309,18 @@ def test_6_augmentation_trend_report(matrix_run, announce):
                      f"({sep[s]:.2f} vs {sep['none']:.2f}), "
                      f"D {'higher' if disc[s] > disc['none'] else 'lower'} "
                      f"({disc[s]:.3f} vs {disc['none']:.3f}), "
-                     f"human-KLD {'lower' if kld[s] < kld['none'] else 'higher'} "
-                     f"({kld[s]:.3f} vs {kld['none']:.3f}), "
                      f"student {'beats' if acc[f'{s}-teacher-aug'] > acc['none-teacher-aug'] else 'does not beat'} "
                      f"baseline ({acc[f'{s}-teacher-aug']:.3f} vs {acc['none-teacher-aug']:.3f})")
     announce("6 augmentation-trends", "teacher softness and student transfer at desk scale",
              "; ".join(parts))
-    for v in list(sep.values()) + list(disc.values()) + list(kld.values()):
+    for v in list(sep.values()) + list(disc.values()):
         assert math.isfinite(v)
-    # the directions the README states: mixup/cutmix teachers are less separable, less
-    # discriminative and closer to the human labels than the `none` teacher, and their
-    # students match or beat its student
+    # synthetic data carries no human labels, so there is no human-label divergence
+    assert all(math.isnan(v) for v in kld.values())
+    # the directions the README states: mixup/cutmix teachers are less separable and less
+    # discriminative than the `none` teacher, and their students match or beat its student
     for s in ("mixup", "cutmix"):
-        assert sep[s] < sep["none"] and disc[s] < disc["none"] and kld[s] < kld["none"], s
+        assert sep[s] < sep["none"] and disc[s] < disc["none"], s
         assert acc[f"{s}-teacher-aug"] >= acc["none-teacher-aug"], s
 
 

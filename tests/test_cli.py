@@ -26,16 +26,18 @@ from distillab.runs import dataset_from_desc, path_dataset
 from distillab.runstore import (emit_report, load_array, load_checkpoint, load_eval_dump,
                                 read_manifest, save_array, save_eval_dump, sha256_file)
 
-from oracles import read_metrics_csv
+from oracles import read_metrics_csv, with_human_labels
 
 
 @pytest.fixture(scope="module")
 def work(tmp_path_factory):
-    """One tiny synth dataset + teacher run + student run, shared by the tests."""
+    """One tiny synth dataset, a copy of it with human labels + teacher run + student run
+    on that copy, shared by the tests."""
     root = tmp_path_factory.mktemp("cli")
-    data = root / "data"
-    assert main(["synth", "--seed", "11", "--out", str(data), "--classes", "2",
+    synth, data = root / "synth", root / "data"
+    assert main(["synth", "--seed", "11", "--out", str(synth), "--classes", "2",
                  "--per-class", "12", "--side", "6", "--difficulty", "0.2"]) == 0
+    save_dataset(with_human_labels(load_dataset(synth), seed=11), data)
     teacher = root / "teacher-run"
     assert main(["train-teacher", "--seed", "1", "--dataset", str(data),
                  "--out", str(teacher), "--eval-dataset", str(data),
@@ -45,13 +47,14 @@ def work(tmp_path_factory):
                  "--teacher", str(teacher), "--out", str(student),
                  "--eval-dataset", str(data), "--arch", "student-mlp",
                  "--epochs", "2", "--batch-size", "8", "--temperature", "4"]) == 0
-    return {"root": root, "data": data, "teacher": teacher, "student": student}
+    return {"root": root, "synth": synth, "data": data, "teacher": teacher, "student": student}
 
 
 def test_synth_writes_loadable_dataset(work, capsys):
-    ds = load_dataset(work["data"])
+    ds = load_dataset(work["synth"])
     assert ds.n_samples == 24 and ds.n_classes == 2
-    assert ds.human_probs is not None
+    assert ds.human_probs is None
+    assert not (work["synth"] / "human_probs.arr").exists()
 
 
 def test_missing_required_flag_exits_two(tmp_path):
@@ -147,8 +150,9 @@ def test_evaluate_checkpoint_writes_dump_and_reports(work, tmp_path, capsys):
     assert "accuracy" in capsys.readouterr().out
     dump = load_eval_dump(out / "dump")
     assert dump.n_samples == 24
-    assert (out / "reports" / "reliability.csv").exists()
-    assert (out / "reports" / "kld_matrix.csv").exists()
+    # every report, human-label ones too, the bytes that the teacher run's seal wrote
+    assert _tree(out / "reports") == _tree(work["teacher"] / "reports")
+    assert HUMAN_REPORT_FILES < {p.name for p in (out / "reports").iterdir()}
 
 
 def test_evaluate_from_manifest_reproduces_bitwise(work, tmp_path, capsys):
@@ -358,8 +362,8 @@ def test_a_replay_refuses_a_manifest_of_another_protocol(work, tmp_path, monkeyp
     run = tmp_path / "run"
     shutil.copytree(work["teacher"], run)
     if key == "t_eval":
-        dump = evaluate_model(load_checkpoint(run / "checkpoint"), load_dataset(work["data"]),
-                              t_eval=value)
+        monkeypatch.setattr(distill, "T_EVAL", value)
+        dump = evaluate_model(load_checkpoint(run / "checkpoint"), load_dataset(work["data"]))
         save_eval_dump(dump, run / "dump")
     else:
         dump = load_eval_dump(run / "dump")
@@ -530,10 +534,10 @@ def test_every_grid_manifest_records_the_evaluation_protocol(grid_data, tmp_path
 
 @pytest.mark.parametrize("human", [True, False], ids=["human-labels", "no-human-labels"])
 def test_grid_tables_are_a_function_of_the_manifests(grid_data, tmp_path, capsys, human):
-    data = grid_data
-    if not human:  # every human_kld is nan, and must come back as nan from manifest JSON
+    data = grid_data  # synthetic: every human_kld is nan, and must come back as nan
+    if human:
         data = tmp_path / "data"
-        save_dataset(dataclasses.replace(load_dataset(grid_data), human_probs=None), data)
+        save_dataset(with_human_labels(load_dataset(grid_data), seed=21), data)
     out = tmp_path / "grid"
     assert _mini_grid(data, out) == 0
     trends = [line for line in capsys.readouterr().out.splitlines() if line.startswith("trend:")]
