@@ -51,11 +51,9 @@ def _cmd_train(args) -> int:
                       **{k: getattr(args, k) for k in flags})
     train = runs.path_dataset(args.dataset)
     ckpt = runs.resolve_checkpoint(Path(args.teacher)) if role == "student" else None
-    evalset = runs.path_dataset(args.eval_dataset) if args.eval_dataset else None
-    fitter = runs.Fitter(train, evalset)
+    fitter = runs.Fitter(train, runs.path_dataset(args.eval_dataset))
     metrics = runs.seal(Path(args.out), fitter(Path(args.out), cfg, args.arch, ckpt)).metrics
-    acc = metrics.get("eval", {}).get("accuracy", metrics["final_train"].get("accuracy"))
-    print(f"{done}: accuracy {acc}")
+    print(f"{done}: accuracy {metrics['eval']['accuracy']}")
     return 0
 
 
@@ -138,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
         if role == "student":
             p.add_argument("--teacher", required=True)
         p.add_argument("--out", required=True)
-        p.add_argument("--eval-dataset", default=None)
+        p.add_argument("--eval-dataset", required=True)
         p.add_argument("--arch", choices=ARCHITECTURES, default=arch)
         _add_config_flags(p, flags,
                           lr=STUDENT_LR if role == "student" else TrainConfig.lr)

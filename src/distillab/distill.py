@@ -46,6 +46,12 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.lr < 0:
+            raise ValueError(f"learning rate must be >= 0, got {self.lr}")
+        if not 0 <= self.momentum < 1:
+            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
+        if self.weight_decay < 0:
+            raise ValueError(f"weight decay must be >= 0, got {self.weight_decay}")
         if self.temperature <= 0:
             raise ValueError(f"temperature must be positive, got {self.temperature}")
         if not 0.0 <= self.distill_weight <= 1.0:

@@ -223,7 +223,6 @@ class DiscriminationReport:
     cohesion: np.ndarray                    # [C]
     adhesion: dict[tuple[int, int], float]  # (i, j) with i < j
     discrimination: float
-    zero_norm_count: int = 0
 
 
 def class_discrimination(dump: EvalDump) -> DiscriminationReport:
@@ -236,7 +235,7 @@ def class_discrimination(dump: EvalDump) -> DiscriminationReport:
     D = (mean cohesion - mean adhesion) / sqrt(d).
 
     A sample whose embedding has zero norm gets cosine similarity 0 against
-    everything; such samples are tallied in zero_norm_count.
+    everything.
 
     No NxN cosine matrix is formed.  With U_i the unit rows of class i and
     s_i their sum, every entry of U_i U_j^T sums to s_i . s_j, and
@@ -270,7 +269,6 @@ def class_discrimination(dump: EvalDump) -> DiscriminationReport:
         cohesion=cohesion,
         adhesion=adhesion,
         discrimination=(float(np.mean(cohesion)) - mean_a) / math.sqrt(d),
-        zero_norm_count=int(np.count_nonzero(norms == 0.0)),
     )
 
 

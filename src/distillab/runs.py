@@ -1,10 +1,9 @@
 """Run directories: fit a run, seal it, and replay it from its manifest.
 
 Every run lands in a self-contained directory: manifest.json (hash-referenced
-file inventory + config + metrics), checkpoint/, and optionally dump/ and
-reports/.  A student run also carries a copy of its teacher checkpoint, so
-`replay` can re-run any run from its directory alone and check every byte it
-writes against the manifest.
+file inventory + config + metrics), checkpoint/, dump/ and reports/.  A student
+run also carries a copy of its teacher checkpoint, so `replay` can re-run any run
+from its directory alone and check every byte it writes against the manifest.
 """
 
 from __future__ import annotations
@@ -27,12 +26,11 @@ def path_dataset(spec: str) -> tuple[D.Dataset, dict]:
     return ds, {"kind": "path", "spec": spec, "digest": ds.digest()}
 
 
-def dataset_paths(desc: dict | None) -> list[Path]:
+def dataset_paths(desc: dict) -> list[Path]:
     """The paths that a dataset descriptor reads: a path set's, or a split's parent's."""
-    while desc is not None and desc["kind"] == "split":
+    while desc["kind"] == "split":
         desc = desc["parent"]
-    specs = desc["spec"].split(",", 1) if desc is not None and desc["kind"] == "path" else []
-    return [Path(spec) for spec in specs]
+    return [Path(spec) for spec in desc["spec"].split(",", 1)] if desc["kind"] == "path" else []
 
 
 def dataset_from_desc(desc: dict) -> D.Dataset:
@@ -97,18 +95,18 @@ class Fitter:
     """Fits runs on one train set and writes what each fit determines.  Every run of
     every command is fitted here.  It loads each teacher checkpoint once and computes
     each teacher's train-set logit table once, whichever of its students need them.
-    Each data set comes with its manifest descriptor; the eval set may be None."""
+    Each data set comes with its manifest descriptor."""
 
-    def __init__(self, train: tuple[D.Dataset, dict], evalset: tuple[D.Dataset, dict] | None):
+    def __init__(self, train: tuple[D.Dataset, dict], evalset: tuple[D.Dataset, dict]):
         self.train_ds, self.train_desc = train
-        self.eval_ds, self.eval_desc = evalset or (None, None)
+        self.eval_ds, self.eval_desc = evalset
         self.reads = dataset_paths(self.train_desc) + dataset_paths(self.eval_desc)
         self.teachers: dict[Path, tuple[TrainedModel, dict]] = {}  # checkpoint -> (model, tables)
 
     def __call__(self, out: Path, cfg: TrainConfig, arch: str, teacher_ckpt: Path | None = None,
                  run_id: str | None = None, checkpointed=None) -> R.RunManifest:
         """Fit a teacher, or a student of the teacher at `teacher_ckpt`, and write
-        checkpoint/, a student's teacher/ copy and, given an eval set, dump/, once
+        checkpoint/, a student's teacher/ copy and the eval set's dump/, once
         `clear` has removed what an earlier run left in `out`.  A data set or teacher
         checkpoint under one of the cleared directories, or a teacher checkpoint that
         `out` lies in, is refused before the fit.  `checkpointed()` runs as soon as the
@@ -136,8 +134,7 @@ class Fitter:
             shutil.copytree(teacher_ckpt, out / "teacher")
         if checkpointed is not None:
             checkpointed()
-        if self.eval_ds is not None:
-            R.save_eval_dump(evaluate_model(model.net, self.eval_ds), out / "dump")
+        R.save_eval_dump(evaluate_model(model.net, self.eval_ds), out / "dump")
         return R.RunManifest(
             run_id=run_id or f"{model.role}-{model.config.strategy.kind}-seed{model.config.seed}",
             role=model.role,
@@ -149,15 +146,14 @@ class Fitter:
 
 def seal(out: Path, manifest: R.RunManifest) -> R.RunManifest:
     """Finish a run directory that a `Fitter` wrote, given the manifest the fit
-    returned: the reports of its dump (read back from disk) when it has an eval set,
-    then manifest.json, last.  The manifest lists every file under the fit's
-    directories and every report, hashes each from disk, and is the run's seal: a
-    directory without one is not a complete run.  Returns the manifest."""
+    returned: the reports of its dump (read back from disk), then manifest.json, last.
+    The manifest lists every file under the fit's directories and every report, hashes
+    each from disk, and is the run's seal: a directory without one is not a complete
+    run.  Returns the manifest."""
     files = {f"{name}/{p.name}": p for name in FIT_DIRS if (out / name).is_dir()
              for p in (out / name).iterdir()}
-    if manifest.dataset["eval"] is not None:
-        reports, manifest.metrics["eval"] = write_reports(out, R.load_eval_dump(out / "dump"))
-        files.update(reports)
+    reports, manifest.metrics["eval"] = write_reports(out, R.load_eval_dump(out / "dump"))
+    files.update(reports)
     for name, p in files.items():
         manifest.add_file(name, p, out)
     R.write_manifest(manifest, out / "manifest.json")
@@ -170,13 +166,12 @@ def replay(manifest_path: Path, out: Path) -> tuple[R.RunManifest, R.RunManifest
     m = R.read_manifest(manifest_path)
     if m.role not in ("teacher", "student"):
         raise FormatError(f"{manifest_path}: unknown role {m.role!r}")
-    if m.dataset.get("eval") is None:
-        raise FormatError(f"{manifest_path}: run recorded no eval dataset to reproduce")
     if out.resolve() == manifest_path.parent.resolve():
         raise FormatError(f"{out}: a replay cannot overwrite the run it replays")
     refuse_to_clear("replayed run", [manifest_path.parent], out)
     missing = [f"{section}.{key}" for section, key in
-               (("config", "train"), ("config", "arch"), ("dataset", "train"))
+               (("config", "train"), ("config", "arch"), ("dataset", "train"),
+                ("dataset", "eval"))
                if key not in getattr(m, section)]
     if missing:
         raise FormatError(f"{manifest_path}: manifest records no {', '.join(missing)}")
@@ -188,7 +183,7 @@ def replay(manifest_path: Path, out: Path) -> tuple[R.RunManifest, R.RunManifest
     def build(record: str, make, value):
         try:
             return make(value)
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, IndexError) as exc:
             raise FormatError(f"{manifest_path}: malformed {record} "
                               f"({type(exc).__name__}: {exc})") from None
 

@@ -20,7 +20,7 @@ import pytest
 from distillab import cli, distill, grid, metrics, runs
 from distillab.augment import AugmentStrategy
 from distillab.cli import build_parser, main
-from distillab.data import load_dataset, resolve_dataset, save_dataset
+from distillab.data import load_dataset, make_synthetic, resolve_dataset, save_dataset
 from distillab.distill import TrainConfig, evaluate_model
 from distillab.runs import dataset_from_desc, path_dataset
 from distillab.runstore import (emit_report, load_array, load_checkpoint, load_eval_dump,
@@ -116,9 +116,24 @@ def test_strategy_flag_the_strategy_does_not_take_is_an_error(work, tmp_path, mo
     teacher = ["--teacher", str(work["teacher"])] if command == "distill" else []
     with pytest.raises(SystemExit) as exc:
         main([command, "--seed", "3", "--dataset", str(work["data"]), "--out", "run",
+              "--eval-dataset", str(work["data"]),
               "--arch", "student-mlp", "--epochs", "1", *teacher, "--strategy", *argv])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["train-teacher", "distill"])
+def test_a_train_command_without_an_eval_set_is_a_usage_error(work, tmp_path, monkeypatch,
+                                                             capsys, command):
+    # every run is evaluated, so every run directory holds dump/ and reports/ and replays
+    monkeypatch.chdir(tmp_path)
+    teacher = ["--teacher", str(work["teacher"])] if command == "distill" else []
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--seed", "3", "--dataset", str(work["data"]), "--out", "run",
+              "--arch", "student-mlp", "--epochs", "1", *teacher])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --eval-dataset" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -237,7 +252,7 @@ def test_replay_of_a_wrong_shape_manifest_is_a_format_error(tmp_path, capsys, do
 
 
 @pytest.mark.parametrize("section, key", [("config", "train"), ("config", "arch"),
-                                          ("dataset", "train")])
+                                          ("dataset", "train"), ("dataset", "eval")])
 def test_replay_of_a_manifest_missing_a_record_is_a_format_error(work, tmp_path, capsys,
                                                                  section, key):
     run = tmp_path / "run"
@@ -252,6 +267,10 @@ def test_replay_of_a_manifest_missing_a_record_is_a_format_error(work, tmp_path,
     assert f"{section}.{key}" in err
 
 
+SPLIT_PARENT = {"kind": "synthetic", "params": {"seed": 0, "n_classes": 2, "per_class": 2},
+                "digest": make_synthetic(seed=0, n_classes=2, per_class=2).digest()}
+
+
 @pytest.mark.parametrize("section, key, value", [("config", "train", {"bogus": 1}),
                                                  ("config", "train", []),
                                                  ("dataset", "train", {}),
@@ -262,7 +281,15 @@ def test_replay_of_a_manifest_missing_a_record_is_a_format_error(work, tmp_path,
                                                      "params": {"seed": 0, "n_classes": 2,
                                                                 "per_class": 2,
                                                                 "contrast": 0.7}}),
-                                                 ("config", "train", {"strategy": "mixup"})])
+                                                 ("config", "train", {"strategy": "mixup"}),
+                                                 # a split that the fractions do not make
+                                                 ("dataset", "train", {
+                                                     "kind": "split", "parent": SPLIT_PARENT,
+                                                     "fractions": [0.5, 0.5], "seed": 0,
+                                                     "index": 2, "digest": ""}),
+                                                 # null, as an earlier release recorded
+                                                 # a run without an eval set
+                                                 ("dataset", "eval", None)])
 def test_replay_of_a_malformed_record_is_a_format_error(work, tmp_path, capsys, section, key,
                                                         value):
     run = tmp_path / "run"
@@ -330,8 +357,9 @@ def test_run_directories_hold_one_copy_of_each_artifact(work):
 
 # each command that took --t-eval or --bins, with the flags it needs otherwise
 PROTOCOL_COMMANDS = {
-    "train-teacher": ["--seed", "0", "--dataset", "d", "--out", "o"],
-    "distill": ["--seed", "0", "--dataset", "d", "--teacher", "t", "--out", "o"],
+    "train-teacher": ["--seed", "0", "--dataset", "d", "--out", "o", "--eval-dataset", "d"],
+    "distill": ["--seed", "0", "--dataset", "d", "--teacher", "t", "--out", "o",
+                "--eval-dataset", "d"],
     "evaluate": ["--checkpoint", "c", "--dataset", "d", "--out", "o"],
     "report": ["--dump", "d", "--out", "o"],
     "matrix": ["--seed", "0", "--out", "o"],
@@ -402,12 +430,26 @@ def test_unknown_architecture_exits_two_before_any_output(tmp_path, capsys):
     for argv in (["matrix", "--seed", "0", "--out", str(out), "--teacher-arch", "nope"],
                  ["matrix", "--seed", "0", "--out", str(out), "--student-arch", "nope"],
                  ["train-teacher", "--seed", "0", "--dataset", "synth", "--out", str(out),
-                  "--arch", "nope"]):
+                  "--eval-dataset", "synth", "--arch", "nope"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert "invalid choice: 'nope'" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_an_optimizer_setting_out_of_range_fails_before_anything_is_written(
+        work, grid_data, tmp_path, monkeypatch, capsys):
+    # a fit of zero epochs takes no SGD step, and the grid fits every teacher before a
+    # student takes one: the config refuses the value before the run writes anything
+    monkeypatch.chdir(tmp_path)
+    assert main(["train-teacher", "--seed", "0", "--dataset", str(work["data"]), "--out", "run",
+                 "--eval-dataset", str(work["data"]), "--arch", "student-mlp",
+                 "--epochs", "0", "--lr", "-1", "--momentum", "3"]) == 1
+    assert capsys.readouterr().err == "error: ValueError: learning rate must be >= 0, got -1.0\n"
+    assert main(_mini_grid_argv(grid_data, "grid", "--student-lr", "-1")) == 1
+    assert capsys.readouterr().err == "error: ValueError: learning rate must be >= 0, got -1.0\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_evaluate_argument_combinations(work, tmp_path):
@@ -449,7 +491,7 @@ def test_report_on_a_dump_whose_labels_do_not_fit_names_the_dump(work, tmp_path,
 
 def test_bad_dataset_path_reports_error(tmp_path, capsys):
     code = main(["train-teacher", "--seed", "0", "--dataset", str(tmp_path / "missing"),
-                 "--out", str(tmp_path / "o")])
+                 "--out", str(tmp_path / "o"), "--eval-dataset", str(tmp_path / "missing")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
 
@@ -737,6 +779,7 @@ def test_a_run_written_again_loses_its_old_manifest_first(work, tmp_path, monkey
     monkeypatch.setattr(runs, "seal", crash)
     assert main(["distill", "--seed", "3", "--dataset", str(work["data"]),
                  "--teacher", str(work["teacher"]), "--out", str(out),
+                 "--eval-dataset", str(work["data"]),
                  "--arch", "student-mlp", "--epochs", "1", "--batch-size", "8"]) == 1
     assert (out / "checkpoint" / "network.json").exists()
     assert not (out / "manifest.json").exists()
@@ -764,6 +807,7 @@ def test_a_student_cannot_be_written_over_its_teacher(work, tmp_path, capsys, te
     before = _tree(run)
     assert main(["distill", "--seed", "3", "--dataset", str(work["data"]),
                  "--teacher", str(run / teacher), "--out", str(run),
+                 "--eval-dataset", str(work["data"]),
                  "--arch", "student-mlp", "--epochs", "1", "--batch-size", "8"]) == 1
     err = capsys.readouterr().err
     assert f"teacher checkpoint {run / (teacher or 'checkpoint')} lies under" in err
@@ -781,6 +825,7 @@ def test_a_student_cannot_be_written_into_its_teacher_checkpoint(work, tmp_path,
     before = _tree(tmp_path)
     assert main(["distill", "--seed", "3", "--dataset", str(work["data"]),
                  "--teacher", str(tmp_path / teacher), "--out", str(tmp_path / out),
+                 "--eval-dataset", str(work["data"]),
                  "--arch", "student-mlp", "--epochs", "1", "--batch-size", "8"]) == 1
     ckpt = tmp_path / "ckpt" if teacher == "ckpt" else tmp_path / "run" / "checkpoint"
     assert f"{tmp_path / out} lies in teacher checkpoint {ckpt}" in capsys.readouterr().err
@@ -959,8 +1004,8 @@ def test_a_run_written_again_with_another_arch_keeps_no_old_parameter(work, tmp_
     out = tmp_path / "run"
     for arch in ("student-cnn", "student-mlp"):
         assert main(["train-teacher", "--seed", "1", "--dataset", str(work["data"]),
-                     "--out", str(out), "--arch", arch, "--epochs", "1",
-                     "--batch-size", "8"]) == 0
+                     "--out", str(out), "--eval-dataset", str(work["data"]),
+                     "--arch", arch, "--epochs", "1", "--batch-size", "8"]) == 0
     net = load_checkpoint(out / "checkpoint")
     assert sorted(p.name for p in (out / "checkpoint").glob("param-*")) == \
         sorted(f"param-{key}.arr" for key, _, _, _ in net.param_items())
@@ -1006,15 +1051,16 @@ _TRAIN = {"epochs": (15, int, False, None), "batch_size": (64, int, False, None)
           "weight_decay": (1e-4, float, False, None)}
 _STRATEGY = {"strategy": ("none", None, False, STRATS)}
 _RUN = {"seed": (None, int, True, None), "dataset": (None, None, True, None),
-        "out": (None, None, True, None), "eval_dataset": (None, None, False, None)}
+        "out": (None, None, True, None), "eval_dataset": (None, None, True, None)}
 _KD = {"temperature": (20.0, float, False, None), "distill_weight": (0.5, float, False, None)}
 # every flag's (default, type, required, choices) as released; the changes since are
 # that evaluate's --out became required, that the gradcheck command and synth's
 # --contrast and --brightness were removed, and that --t-eval and --bins left the five
 # commands that took them (every run is evaluated at T = 1 with 15 ECE bins), that
 # --pad, --n-holes, --hole-size, --fill, --no-size-jitter, --beta-alpha, --beta-a and
-# --beta-b left train-teacher and distill (every strategy runs at its fixed params), and
-# that --reports left report (it writes every report the dump supports)
+# --beta-b left train-teacher and distill (every strategy runs at its fixed params), that
+# --reports left report (it writes every report the dump supports), and that
+# --eval-dataset became required on train-teacher and distill (every run is evaluated)
 PARSER_SNAPSHOT = {
     "synth": {"seed": (None, int, True, None), "out": (None, None, True, None),
               "classes": (4, int, False, None), "per_class": (500, int, False, None),

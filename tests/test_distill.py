@@ -10,6 +10,7 @@ from distillab.data import make_synthetic
 from distillab.distill import (TrainConfig, _epoch_indices, _logit_table, evaluate_model, kd_loss,
                                train_student, train_teacher)
 from distillab.metrics import confusion_metrics
+from distillab.nn import build_network, sgd_step
 
 from oracles import kd_loss_scalar, with_human_labels
 
@@ -48,6 +49,19 @@ def test_config_rejects_bad_values():
         _tiny_cfg(temperature=0.0)
     with pytest.raises(ValueError):
         _tiny_cfg(distill_weight=1.5)
+
+
+@pytest.mark.parametrize("field, value", [("lr", -1.0), ("momentum", 3.0), ("momentum", 1.0),
+                                          ("momentum", -0.1), ("weight_decay", -1e-3)])
+def test_config_rejects_the_optimizer_values_that_sgd_step_rejects(field, value):
+    # a fit of zero epochs takes no step, so the config checks them itself, in sgd_step's words
+    net = build_network("student-mlp", (1, 4, 4), 2, np.random.default_rng(0))
+    with pytest.raises(ValueError) as from_step:
+        sgd_step(net, **dict({"lr": 0.1}, **{field: value}))
+    with pytest.raises(ValueError) as from_config:
+        _tiny_cfg(**{field: value})
+    assert str(from_config.value) == str(from_step.value)
+    _tiny_cfg(lr=0.0, momentum=0.0, weight_decay=0.0)  # each range's closed end
 
 
 # --- kd loss ----------------------------------------------------------------
