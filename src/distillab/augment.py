@@ -45,12 +45,6 @@ class AugmentStrategy:
     def to_dict(self) -> dict:
         return {"kind": self.kind, "params": dict(STRATEGY_PARAMS[self.kind])}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "AugmentStrategy":
-        """The strategy of a record; its params are not read (`runs.replay` checks a
-        manifest's against the kind's row)."""
-        return cls(kind=d["kind"])
-
 
 def _standard(x, y, rng, pad):
     """Reflect-pad, random crop back to the original size, random horizontal flip.

@@ -10,6 +10,7 @@ from pathlib import Path
 
 from . import data as D
 from . import grid as G
+from . import metrics as M
 from . import runs
 from . import runstore as R
 from .augment import STRATEGY_KINDS, AugmentStrategy
@@ -49,10 +50,10 @@ def _cmd_train(args) -> int:
     role, done, _, _, flags = _TRAIN_COMMANDS[args.command]
     cfg = TrainConfig(seed=args.seed, strategy=AugmentStrategy(args.strategy),
                       **{k: getattr(args, k) for k in flags})
-    train = runs.path_dataset(args.dataset)
-    ckpt = runs.resolve_checkpoint(Path(args.teacher)) if role == "student" else None
-    fitter = runs.Fitter(train, runs.path_dataset(args.eval_dataset))
-    metrics = runs.seal(Path(args.out), fitter(Path(args.out), cfg, args.arch, ckpt)).metrics
+    run = runs.Run(Path(args.out), Path(args.teacher) if role == "student" else None, cfg,
+                   args.arch, f"{role}-{args.strategy}-seed{args.seed}")
+    fitter = runs.Fitter(runs.path_dataset(args.dataset), runs.path_dataset(args.eval_dataset))
+    metrics = runs.seal(run.out, fitter(run)).metrics
     print(f"{done}: accuracy {metrics['eval']['accuracy']}")
     return 0
 
@@ -81,8 +82,8 @@ def _cmd_evaluate(args, parser: argparse.ArgumentParser) -> int:
     dump = evaluate_model(net, D.resolve_dataset(args.dataset))
     runs.clear(out, ("dump", "reports"))
     R.save_eval_dump(dump, out / "dump")
-    _, vals = runs.write_reports(out, dump)
-    print(f"evaluated {dump.n_samples} samples: accuracy {vals['accuracy']}")
+    R.emit_report(dump, out / "reports")
+    print(f"evaluated {dump.n_samples} samples: accuracy {M.summary_metrics(dump)['accuracy']}")
     return 0
 
 

@@ -40,19 +40,20 @@ class TrainConfig:
     distill_weight: float = 0.5
 
     def __post_init__(self):
-        if not isinstance(self.strategy, AugmentStrategy):  # a record, as a manifest holds it
-            self.strategy = AugmentStrategy.from_dict(self.strategy)
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.lr < 0:
+        # a record, as a manifest holds it; `runs.replay` checks its params
+        if not isinstance(self.strategy, AugmentStrategy):
+            self.strategy = AugmentStrategy(self.strategy["kind"])
+        for name, least in (("seed", 0), ("epochs", 0), ("batch_size", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        if not self.lr >= 0:  # a NaN fails every comparison
             raise ValueError(f"learning rate must be >= 0, got {self.lr}")
         if not 0 <= self.momentum < 1:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0:
+        if not self.weight_decay >= 0:
             raise ValueError(f"weight decay must be >= 0, got {self.weight_decay}")
-        if self.temperature <= 0:
+        if not self.temperature > 0:
             raise ValueError(f"temperature must be positive, got {self.temperature}")
         if not 0.0 <= self.distill_weight <= 1.0:
             raise ValueError(f"distill_weight must be in [0, 1], got {self.distill_weight}")
@@ -61,10 +62,6 @@ class TrainConfig:
         d = {f.name: getattr(self, f.name) for f in fields(self)}  # no `asdict` deep copy
         d["strategy"] = self.strategy.to_dict()
         return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(**d)
 
 
 @dataclass

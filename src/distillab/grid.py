@@ -12,7 +12,6 @@ import csv
 import functools
 import os
 import shutil
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +20,7 @@ from . import data as D
 from . import runstore as R
 from .augment import STRATEGY_KINDS, AugmentStrategy
 from .distill import TrainConfig
-from .runs import Fitter, path_dataset, seal
+from .runs import Fitter, Run, path_dataset, seal
 
 # arm -> (teacher augmented, student augmented)
 ARMS = {"teacher-aug": (True, False), "student-aug": (False, True), "both": (True, True)}
@@ -29,17 +28,6 @@ ARMS = {"teacher-aug": (True, False), "student-aug": (False, True), "both": (Tru
 TRAIN_FLAGS = ("epochs", "batch_size", "lr", "momentum", "weight_decay")
 KD_FLAGS = ("temperature", "distill_weight")
 MATRIX_COLUMNS = ("cell", "strategy", "arm", "teacher_accuracy") + R.METRIC_COLUMNS
-
-
-@dataclass(frozen=True)
-class Run:
-    """One run of a plan; a teacher's has no teacher run directory."""
-
-    out: Path
-    teacher: Path | None
-    cfg: TrainConfig
-    arch: str
-    run_id: str
 
 
 def plan(args) -> list[Run]:
@@ -88,12 +76,9 @@ def _init_cell_fitter(fitter: Fitter) -> None:
     _cell_fitter = fitter
 
 
-def _fit_cell(run: Run, fitter: Fitter | None = None) -> R.RunManifest:
-    """Fit and write one student of a plan against its teacher's checkpoint (the bytes
-    that its run directory's `teacher/` copy holds and that a replay reads), through
-    `fitter`, or in a worker through the worker's copy of the grid's."""
-    return (fitter or _cell_fitter)(run.out, run.cfg, run.arch, run.teacher / "checkpoint",
-                                    run.run_id)
+def _fit_cell(run: Run) -> R.RunManifest:
+    """Fit and write one student of a plan in a worker, with the worker's Fitter."""
+    return _cell_fitter(run)
 
 
 def _os_threads() -> int:
@@ -134,15 +119,13 @@ def execute(runs: list[Run], fitter: Fitter, pool=None) -> None:
     def submit(teacher: Path) -> None:
         for j, run in enumerate(runs):
             if run.teacher == teacher:
-                fits[j] = (pool.submit(_fit_cell, run) if pool
-                           else functools.partial(_fit_cell, run, fitter))
+                fits[j] = pool.submit(_fit_cell, run) if pool else functools.partial(fitter, run)
 
     sealed = 0
     try:
         for run in runs:
             if run.teacher is None:
-                fit = fitter(run.out, run.cfg, run.arch, run_id=run.run_id,
-                             checkpointed=functools.partial(submit, run.out))
+                fit = fitter(run, checkpointed=functools.partial(submit, run.out))
             else:
                 job = fits.pop(sealed)
                 fit = job.result() if pool else job()

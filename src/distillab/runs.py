@@ -9,6 +9,7 @@ from its directory alone and check every byte it writes against the manifest.
 from __future__ import annotations
 
 import shutil
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import data as D
@@ -16,6 +17,7 @@ from . import metrics as M
 from . import runstore as R
 from .distill import T_EVAL, TrainConfig, TrainedModel, evaluate_model, train_student, train_teacher
 from .errors import FormatError, IntegrityError
+from .nn import ARCHITECTURES
 
 
 def path_dataset(spec: str) -> tuple[D.Dataset, dict]:
@@ -43,17 +45,33 @@ def dataset_from_desc(desc: dict) -> D.Dataset:
         parent = dataset_from_desc(desc["parent"])
         ds = D.split(parent, desc["fractions"], desc["seed"])[desc["index"]]
     else:
-        raise FormatError(f"unknown dataset descriptor kind {desc['kind']!r}")
+        raise ValueError(f"unknown dataset descriptor kind {desc['kind']!r}")
     if ds.digest() != desc["digest"]:
         raise IntegrityError(f"dataset content digest {ds.digest()} does not match "
                              f"manifest record {desc['digest']}")
     return ds
 
 
-def write_reports(out: Path, dump: M.EvalDump) -> tuple[dict[str, Path], dict]:
-    """Write every report of one dump; returns (name -> file, summary metrics)."""
-    written = R.emit_report(dump, out / "reports")
-    return {f"reports/{name}": p for name, p in written.items()}, M.summary_metrics(dump)
+@dataclass(frozen=True)
+class Run:
+    """One run, as a plan, a train command and a replay describe it: where it is
+    written, the run or checkpoint directory of the teacher it distills (None for a
+    teacher), its training config, its architecture and its id."""
+
+    out: Path
+    teacher: Path | None
+    cfg: TrainConfig
+    arch: str
+    run_id: str
+
+    def __post_init__(self):
+        if self.arch not in ARCHITECTURES:
+            raise ValueError(f"unknown architecture {self.arch!r}; choose from {ARCHITECTURES}")
+
+    def config(self) -> dict:
+        """The run's `config` record, as its manifest holds it."""
+        return {"train": self.cfg.to_dict(), "arch": self.arch, "t_eval": T_EVAL,
+                "n_bins": M.N_BINS}
 
 
 # The directories that a run's writers own.  A writer removes them before it writes, so
@@ -103,43 +121,41 @@ class Fitter:
         self.reads = dataset_paths(self.train_desc) + dataset_paths(self.eval_desc)
         self.teachers: dict[Path, tuple[TrainedModel, dict]] = {}  # checkpoint -> (model, tables)
 
-    def __call__(self, out: Path, cfg: TrainConfig, arch: str, teacher_ckpt: Path | None = None,
-                 run_id: str | None = None, checkpointed=None) -> R.RunManifest:
-        """Fit a teacher, or a student of the teacher at `teacher_ckpt`, and write
-        checkpoint/, a student's teacher/ copy and the eval set's dump/, once
-        `clear` has removed what an earlier run left in `out`.  A data set or teacher
+    def __call__(self, run: Run, checkpointed=None) -> R.RunManifest:
+        """Fit `run`, a teacher or a student of the teacher at `run.teacher`, and write
+        checkpoint/, a student's teacher/ copy and the eval set's dump/, once `clear`
+        has removed what an earlier run left in `run.out`.  A data set or teacher
         checkpoint under one of the cleared directories, or a teacher checkpoint that
-        `out` lies in, is refused before the fit.  `checkpointed()` runs as soon as the
-        checkpoint and teacher copy are on disk, before evaluation.  Returns the run's
-        manifest for `seal`, without its parameters and files, which are on disk, so a
-        grid worker sends back about a kilobyte."""
+        `run.out` lies in, is refused before the fit.  `checkpointed()` runs as soon as
+        the checkpoint and teacher copy are on disk, before evaluation.  Returns the
+        run's manifest for `seal`, without its parameters and files, which are on disk,
+        so a grid worker sends back about a kilobyte."""
+        out, cfg = run.out, run.cfg
         refuse_to_clear("data set", self.reads, out)
-        if teacher_ckpt is None:
-            model = train_teacher(cfg, self.train_ds, arch=arch)
+        if run.teacher is None:
+            model = train_teacher(cfg, self.train_ds, arch=run.arch)
         else:
-            refuse_to_clear("teacher checkpoint", [teacher_ckpt], out)
-            if out.resolve().is_relative_to(teacher_ckpt.resolve()):
-                raise ValueError(f"{out} lies in teacher checkpoint {teacher_ckpt}, which the "
+            ckpt = resolve_checkpoint(run.teacher)
+            refuse_to_clear("teacher checkpoint", [ckpt], out)
+            if out.resolve().is_relative_to(ckpt.resolve()):
+                raise ValueError(f"{out} lies in teacher checkpoint {ckpt}, which the "
                                  f"run copies into {out / 'teacher'}")
-            if teacher_ckpt not in self.teachers:
-                teacher = TrainedModel(net=R.load_checkpoint(teacher_ckpt), role="teacher",
+            if ckpt not in self.teachers:
+                teacher = TrainedModel(net=R.load_checkpoint(ckpt), role="teacher",
                                        config=TrainConfig(), history=[])
-                self.teachers[teacher_ckpt] = (teacher, {})
-            teacher, tables = self.teachers[teacher_ckpt]
-            model = train_student(cfg, teacher, self.train_ds, arch=arch, logit_tables=tables)
+                self.teachers[ckpt] = (teacher, {})
+            teacher, tables = self.teachers[ckpt]
+            model = train_student(cfg, teacher, self.train_ds, arch=run.arch, logit_tables=tables)
         out.mkdir(parents=True, exist_ok=True)
         clear(out, RUN_DIRS)
         R.save_checkpoint(model.net, out / "checkpoint")
-        if teacher_ckpt is not None:
-            shutil.copytree(teacher_ckpt, out / "teacher")
+        if run.teacher is not None:
+            shutil.copytree(ckpt, out / "teacher")
         if checkpointed is not None:
             checkpointed()
         R.save_eval_dump(evaluate_model(model.net, self.eval_ds), out / "dump")
         return R.RunManifest(
-            run_id=run_id or f"{model.role}-{model.config.strategy.kind}-seed{model.config.seed}",
-            role=model.role,
-            config={"train": model.config.to_dict(), "arch": arch, "t_eval": T_EVAL,
-                    "n_bins": M.N_BINS},
+            run_id=run.run_id, role=model.role, config=run.config(),
             dataset={"train": self.train_desc, "eval": self.eval_desc},
             metrics={"final_train": model.history[-1] if model.history else {}})
 
@@ -152,50 +168,59 @@ def seal(out: Path, manifest: R.RunManifest) -> R.RunManifest:
     run.  Returns the manifest."""
     files = {f"{name}/{p.name}": p for name in FIT_DIRS if (out / name).is_dir()
              for p in (out / name).iterdir()}
-    reports, manifest.metrics["eval"] = write_reports(out, R.load_eval_dump(out / "dump"))
-    files.update(reports)
+    dump = R.load_eval_dump(out / "dump")
+    files.update({f"reports/{name}": p for name, p in R.emit_report(dump, out / "reports").items()})
+    manifest.metrics["eval"] = M.summary_metrics(dump)
     for name, p in files.items():
         manifest.add_file(name, p, out)
     R.write_manifest(manifest, out / "manifest.json")
     return manifest
 
 
+class _Absent:
+    def __repr__(self) -> str:
+        return "absent"
+
+
+def _first_difference(got, want, path: str) -> str | None:
+    """`<path> is <got>, not <want>` for the first field, by dotted path in key order,
+    at which the record `got` differs from `want`; None where they are equal."""
+    if not (isinstance(got, dict) and isinstance(want, dict)):
+        return None if got == want else f"{path} is {got!r}, not {want!r}"
+    found = (_first_difference(got.get(key, _Absent()), want.get(key, _Absent()),
+                               f"{path}.{key}") for key in sorted(got.keys() | want.keys()))
+    return next(filter(None, found), None)
+
+
 def replay(manifest_path: Path, out: Path) -> tuple[R.RunManifest, R.RunManifest]:
     """Re-run a recorded run into `out` with its own writer; returns the recorded
-    manifest and the one the re-run wrote, for the caller to compare file by file."""
+    manifest and the one the re-run wrote, for the caller to compare file by file.
+    A manifest whose config is not its run's, field for field, is refused before
+    anything is written: every run fits and evaluates at one protocol."""
     m = R.read_manifest(manifest_path)
     if m.role not in ("teacher", "student"):
         raise FormatError(f"{manifest_path}: unknown role {m.role!r}")
     if out.resolve() == manifest_path.parent.resolve():
         raise FormatError(f"{out}: a replay cannot overwrite the run it replays")
     refuse_to_clear("replayed run", [manifest_path.parent], out)
-    missing = [f"{section}.{key}" for section, key in
-               (("config", "train"), ("config", "arch"), ("dataset", "train"),
-                ("dataset", "eval"))
-               if key not in getattr(m, section)]
-    if missing:
-        raise FormatError(f"{manifest_path}: manifest records no {', '.join(missing)}")
-    # every run is evaluated at one protocol; a manifest without these keys predates them
-    for key, want in (("t_eval", T_EVAL), ("n_bins", M.N_BINS)):
-        if m.config.get(key, want) != want:
-            raise FormatError(f"{manifest_path}: config.{key} is {m.config[key]!r}, not {want!r}")
 
-    def build(record: str, make, value):
+    def build(section: str, key: str, make):
+        if key not in getattr(m, section):
+            raise FormatError(f"{manifest_path}: manifest records no {section}.{key}")
         try:
-            return make(value)
-        except (KeyError, TypeError, IndexError) as exc:
-            raise FormatError(f"{manifest_path}: malformed {record} "
+            return make(getattr(m, section)[key])
+        except FormatError:  # a dataset file's, which names the file and offset
+            raise
+        except (KeyError, TypeError, IndexError, ValueError) as exc:
+            raise FormatError(f"{manifest_path}: malformed {section}.{key} "
                               f"({type(exc).__name__}: {exc})") from None
 
-    cfg = build("config.train", TrainConfig.from_dict, m.config["train"])
-    # every run augments at one protocol too: each strategy's parameters are fixed
-    params = cfg.strategy.to_dict()["params"]
-    recorded = m.config["train"].get("strategy", {}).get("params", params)
-    if recorded != params:
-        raise FormatError(f"{manifest_path}: config.train.strategy.params is {recorded!r}, "
-                          f"not {params!r}")
-    train_ds = build("dataset.train", dataset_from_desc, m.dataset["train"])
-    eval_ds = build("dataset.eval", dataset_from_desc, m.dataset["eval"])
+    cfg = build("config", "train", lambda train: TrainConfig(**train))
     teacher = manifest_path.parent / "teacher" if m.role == "student" else None
-    fitter = Fitter((train_ds, m.dataset["train"]), (eval_ds, m.dataset["eval"]))
-    return m, seal(out, fitter(out, cfg, m.config["arch"], teacher, run_id=m.run_id))
+    run = build("config", "arch", lambda arch: Run(out, teacher, cfg, arch, m.run_id))
+    difference = _first_difference(m.config, run.config(), "config")
+    if difference:
+        raise FormatError(f"{manifest_path}: {difference}")
+    train, evalset = (build("dataset", key, lambda desc: (dataset_from_desc(desc), desc))
+                      for key in ("train", "eval"))
+    return m, seal(out, Fitter(train, evalset)(run))

@@ -151,10 +151,32 @@ def test_a_replay_refuses_a_manifest_of_other_strategy_params(work, tmp_path, ca
     (run / "manifest.json").write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
     assert main(["evaluate", "--from-manifest", str(run / "manifest.json"),
                  "--out", str(tmp_path / "rerun")]) == 1
-    want = AugmentStrategy(strategy["kind"]).to_dict()["params"]
+    # the first field, in key order, at which the params differ from the kind's row
+    key, got, want = {"standard": ("pad", 3, 2), "cutout": ("size_jitter", False, True),
+                      "mixup": ("beta_alpha", 0.2, 1.0)}[strategy["kind"]]
+    assert AugmentStrategy(strategy["kind"]).to_dict()["params"][key] == want
     assert capsys.readouterr().err == (
-        f"error: FormatError: {run / 'manifest.json'}: config.train.strategy.params is "
-        f"{strategy['params']!r}, not {want!r}\n")
+        f"error: FormatError: {run / 'manifest.json'}: config.train.strategy.params.{key} is "
+        f"{got!r}, not {want!r}\n")
+    assert not (tmp_path / "rerun").exists()
+
+
+@pytest.mark.parametrize("edit, error", [
+    (lambda config: config.update(extra=1), "config.extra is 1, not absent"),
+    (lambda config: config.pop("t_eval"), "config.t_eval is absent, not 1.0"),
+    (lambda config: config.update(n_bins=10), "config.n_bins is 10, not 15")],
+    ids=["extra-key", "no-t_eval", "other-n_bins"])
+def test_a_replay_refuses_a_manifest_whose_config_is_not_its_runs(work, tmp_path, capsys, edit,
+                                                                  error):
+    # the whole config record is checked against the run it describes, field by field
+    run = tmp_path / "run"
+    shutil.copytree(work["student"], run)
+    doc = json.loads((run / "manifest.json").read_text())
+    edit(doc["config"])
+    (run / "manifest.json").write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    assert main(["evaluate", "--from-manifest", str(run / "manifest.json"),
+                 "--out", str(tmp_path / "rerun")]) == 1
+    assert capsys.readouterr().err == f"error: FormatError: {run / 'manifest.json'}: {error}\n"
     assert not (tmp_path / "rerun").exists()
 
 
@@ -267,6 +289,7 @@ def test_replay_of_a_manifest_missing_a_record_is_a_format_error(work, tmp_path,
     assert f"{section}.{key}" in err
 
 
+TRAIN_RECORD = TrainConfig().to_dict()
 SPLIT_PARENT = {"kind": "synthetic", "params": {"seed": 0, "n_classes": 2, "per_class": 2},
                 "digest": make_synthetic(seed=0, n_classes=2, per_class=2).digest()}
 
@@ -289,7 +312,18 @@ SPLIT_PARENT = {"kind": "synthetic", "params": {"seed": 0, "n_classes": 2, "per_
                                                      "index": 2, "digest": ""}),
                                                  # null, as an earlier release recorded
                                                  # a run without an eval set
-                                                 ("dataset", "eval", None)])
+                                                 ("dataset", "eval", None),
+                                                 # values that the config's checks refuse
+                                                 ("config", "train",
+                                                  dict(TRAIN_RECORD, lr=-1.0)),
+                                                 ("config", "train", dict(
+                                                     TRAIN_RECORD,
+                                                     strategy={"kind": "bogus", "params": {}})),
+                                                 ("config", "train",
+                                                  dict(TRAIN_RECORD, epochs=1.5)),
+                                                 ("config", "arch", "resnet"),
+                                                 ("dataset", "train", {"kind": "bogus",
+                                                                       "digest": ""})])
 def test_replay_of_a_malformed_record_is_a_format_error(work, tmp_path, capsys, section, key,
                                                         value):
     run = tmp_path / "run"
@@ -301,6 +335,7 @@ def test_replay_of_a_malformed_record_is_a_format_error(work, tmp_path, capsys, 
                  "--out", str(tmp_path / "rerun")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: FormatError: {run / 'manifest.json'}: malformed {section}.{key} ")
+    assert not (tmp_path / "rerun").exists()
 
 
 def test_parser_is_built_once_and_keeps_no_flag_between_calls(monkeypatch):
@@ -572,6 +607,19 @@ def test_every_grid_manifest_records_the_evaluation_protocol(grid_data, tmp_path
         config = read_manifest(path, verify=True).config
         assert (config["t_eval"], config["n_bins"]) == (distill.T_EVAL, metrics.N_BINS)
         assert '"n_bins": 15,' in path.read_text() and '"t_eval": 1.0' in path.read_text()
+
+
+def test_every_grid_manifest_records_its_plan_runs_config(grid_data, tmp_path):
+    # what the plan describes is what each run's manifest records, so each run replays
+    out = tmp_path / "grid"
+    assert _mini_grid(grid_data, out) == 0
+    plan = grid.plan(build_parser().parse_args(_mini_grid_argv(grid_data, out)))
+    assert {run.out.name for run in plan if run.teacher} == \
+        {f"{strat}-{arm}" for strat in cli.STRATEGY_KINDS for arm in grid.ARMS}
+    for run in plan:
+        m = read_manifest(run.out / "manifest.json", verify=True)
+        assert (m.run_id, m.role, m.config) == \
+            (run.run_id, "student" if run.teacher else "teacher", run.config())
 
 
 @pytest.mark.parametrize("human", [True, False], ids=["human-labels", "no-human-labels"])
@@ -1017,9 +1065,9 @@ def test_a_cell_fit_hands_back_no_parameters(tmp_path, monkeypatch):
     # the grid's own data sets and their descriptors, so `fit` is what a worker sends
     args = build_parser().parse_args(["matrix", "--seed", "0", "--out", str(tmp_path)])
     fitter = runs.Fitter(*grid.datasets(args))
-    fitter(tmp_path / "teacher", TrainConfig(epochs=1), "student-mlp")
+    fitter(runs.Run(tmp_path / "teacher", None, TrainConfig(epochs=1), "student-mlp", "teacher"))
     monkeypatch.setattr(grid, "_cell_fitter", fitter)
-    fit = grid._fit_cell(grid.Run(tmp_path / "cell", tmp_path / "teacher", TrainConfig(epochs=1),
+    fit = grid._fit_cell(runs.Run(tmp_path / "cell", tmp_path / "teacher", TrainConfig(epochs=1),
                                   "student-mlp", "cell-none-both"))
     assert fit.dataset["eval"]["kind"] == "split" and fit.run_id == "cell-none-both"
     params = sum(path.stat().st_size

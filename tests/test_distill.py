@@ -31,7 +31,7 @@ def _tiny_cfg(**kw):
 
 def test_config_round_trips_through_dict():
     cfg = _tiny_cfg(strategy=AugmentStrategy("cutout"))
-    again = TrainConfig.from_dict(cfg.to_dict())
+    again = TrainConfig(**cfg.to_dict())
     assert again == cfg
     # the same keys, order and values as the dataclass's own deep-copying form, with the
     # strategy's fixed params
@@ -49,6 +49,18 @@ def test_config_rejects_bad_values():
         _tiny_cfg(temperature=0.0)
     with pytest.raises(ValueError):
         _tiny_cfg(distill_weight=1.5)
+    # NaN, which a manifest's JSON and a float flag both accept, is in no range
+    for field in ("lr", "momentum", "weight_decay", "temperature", "distill_weight"):
+        with pytest.raises(ValueError, match=", got nan$"):
+            _tiny_cfg(**{field: float("nan")})
+
+
+@pytest.mark.parametrize("field, value", [("seed", 1.0), ("seed", -1), ("epochs", 1.5),
+                                          ("batch_size", "8")])
+def test_config_rejects_a_count_that_is_not_an_integer_in_range(field, value):
+    # a manifest's record reaches the config from JSON, where 1.5 is a number like any other
+    with pytest.raises(ValueError, match=f"^{field} must be an integer >= "):
+        _tiny_cfg(**{field: value})
 
 
 @pytest.mark.parametrize("field, value", [("lr", -1.0), ("momentum", 3.0), ("momentum", 1.0),
