@@ -69,18 +69,17 @@ def _cmd_evaluate(args, parser: argparse.ArgumentParser) -> int:
             if recorded.files.get(name, {}).get("sha256") != ref["sha256"]:
                 print(f"error: {name} differs from manifest", file=sys.stderr)
                 return 1
+        difference = runs.first_difference(recorded.metrics, rerun.metrics, "metrics")
+        if difference:
+            print(f"error: manifest records {difference}", file=sys.stderr)
+            return 1
         print(f"rerun reproduced all {len(rerun.files)} files bitwise")
         return 0
     if not args.dataset:
         parser.error("--dataset is required with --checkpoint")
     out = Path(args.out)
-    ckpt = runs.resolve_checkpoint(Path(args.checkpoint))
-    for what, paths in (("data set", runs.dataset_paths({"kind": "path", "spec": args.dataset})),
-                        ("checkpoint", [ckpt])):
-        runs.refuse_to_clear(what, paths, out, ("dump", "reports"), "evaluation")
-    net = R.load_checkpoint(ckpt)
+    net = R.load_checkpoint(runs.resolve_checkpoint(Path(args.checkpoint)))
     dump = evaluate_model(net, D.resolve_dataset(args.dataset))
-    runs.clear(out, ("dump", "reports"))
     R.save_eval_dump(dump, out / "dump")
     R.emit_report(dump, out / "reports")
     print(f"evaluated {dump.n_samples} samples: accuracy {M.summary_metrics(dump)['accuracy']}")
@@ -99,13 +98,7 @@ def _cmd_matrix(args) -> int:
     plan = G.plan(args)
     cells = sum(run.teacher is not None for run in plan)
     fitter = runs.Fitter(*G.datasets(args))
-    # a failed grid removes every plan run it did not seal, whatever lies in it
-    runs.refuse_to_clear("data set", fitter.reads, out,
-                         [run.out.relative_to(out) for run in plan], "grid")
-    out.mkdir(parents=True, exist_ok=True)
-    # the tables are the grid's seal: none stands beside runs of another grid
-    for name in ("matrix_metrics.csv", "trends.txt"):
-        (out / name).unlink(missing_ok=True)
+    # the tables, written last, are the grid's seal
     G.execute(plan, fitter, G.cell_pool(cells, fitter))
     G.write_tables(out, plan)
     print(f"matrix complete: {cells} cells -> {out / 'matrix_metrics.csv'}")
@@ -168,12 +161,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command.  Every command writes into its --out, which must be absent or
+    an empty directory, so that what it holds afterwards is what this command wrote,
+    and no command deletes what it did not write."""
     parser = build_parser()
     args = parser.parse_args(argv)
     commands = {"synth": _cmd_synth, "train-teacher": _cmd_train, "distill": _cmd_train,
                 "evaluate": lambda a: _cmd_evaluate(a, parser), "report": _cmd_report,
                 "matrix": _cmd_matrix}
     try:
+        out = Path(args.out)
+        if out.exists() and (not out.is_dir() or any(out.iterdir())):
+            raise FileExistsError(f"--out {out} is not an empty directory")
         return commands[args.command](args)
     except (FormatError, IntegrityError, ValueError, RuntimeError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -68,7 +68,6 @@ class TrainConfig:
 class TrainedModel:
     net: Network
     role: str  # "teacher" | "student"
-    config: TrainConfig
     history: list[dict]
 
 
@@ -128,7 +127,7 @@ def train_teacher(cfg: TrainConfig, data: Dataset, arch: str = "teacher-cnn") ->
     init_rng, shuffle_rng, aug_rng = _spawn_rngs(cfg.seed, 3)
     net = build_network(arch, data.images.shape[1:], data.n_classes, init_rng)
     history = _fit(net, cfg, data, teacher=None, shuffle_rng=shuffle_rng, aug_rng=aug_rng)
-    return TrainedModel(net=net, role="teacher", config=cfg, history=history)
+    return TrainedModel(net=net, role="teacher", history=history)
 
 
 def train_student(cfg: TrainConfig, teacher: TrainedModel, data: Dataset,
@@ -158,7 +157,7 @@ def train_student(cfg: TrainConfig, teacher: TrainedModel, data: Dataset,
                    logit_tables={} if logit_tables is None else logit_tables)
     if teacher.net.params_digest() != before:
         raise RuntimeError("teacher parameters changed during distillation")
-    return TrainedModel(net=net, role="student", config=cfg, history=history)
+    return TrainedModel(net=net, role="student", history=history)
 
 
 def _logit_table(net: Network, images: np.ndarray, batch_size: int) -> np.ndarray:

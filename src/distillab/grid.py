@@ -136,8 +136,7 @@ def execute(runs: list[Run], fitter: Fitter, pool=None) -> None:
         if pool:
             pool.shutdown(cancel_futures=True)
         # Past a failure, the runs after the last seal hold what workers wrote ahead of
-        # it, or an earlier grid's runs: remove them, so a failed grid leaves the same
-        # files for any worker count and every run in it is of this grid.
+        # it: remove them, so a failed grid leaves the same files for any worker count.
         for run in runs[sealed:]:
             if run.out.exists():
                 shutil.rmtree(run.out)

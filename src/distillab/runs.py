@@ -28,13 +28,6 @@ def path_dataset(spec: str) -> tuple[D.Dataset, dict]:
     return ds, {"kind": "path", "spec": spec, "digest": ds.digest()}
 
 
-def dataset_paths(desc: dict) -> list[Path]:
-    """The paths that a dataset descriptor reads: a path set's, or a split's parent's."""
-    while desc["kind"] == "split":
-        desc = desc["parent"]
-    return [Path(spec) for spec in desc["spec"].split(",", 1)] if desc["kind"] == "path" else []
-
-
 def dataset_from_desc(desc: dict) -> D.Dataset:
     """Rebuild a dataset from a manifest descriptor, verifying its digest."""
     if desc["kind"] == "synthetic":
@@ -74,20 +67,8 @@ class Run:
                 "n_bins": M.N_BINS}
 
 
-# The directories that a run's writers own.  A writer removes them before it writes, so
-# each holds only what this run wrote: the fit's, whose files `seal` lists from disk,
-# and the reports'.
+# the directories that a fit writes, whose files `seal` lists from disk
 FIT_DIRS = ("checkpoint", "teacher", "dump")
-RUN_DIRS = FIT_DIRS + ("reports",)
-
-
-def clear(out: Path, dirs) -> None:
-    """Remove the manifest of an earlier run in `out`, so the directory is complete
-    again only once a new one is written, then its directories `dirs`."""
-    (out / "manifest.json").unlink(missing_ok=True)
-    for name in dirs:
-        if (out / name).exists():
-            shutil.rmtree(out / name)
 
 
 def resolve_checkpoint(path: Path) -> Path:
@@ -99,16 +80,6 @@ def resolve_checkpoint(path: Path) -> Path:
     raise FormatError(f"{path}: neither a checkpoint directory nor a run directory")
 
 
-def refuse_to_clear(what: str, paths, out: Path, dirs=RUN_DIRS, writer: str = "run") -> None:
-    """Refuse a `writer` into `out` that reads `paths` (its `what`) and clears the
-    directories `dirs` of `out`, if one of the paths lies at or under one of them."""
-    for path in paths:
-        for name in dirs:
-            if path.resolve().is_relative_to((out / name).resolve()):
-                raise ValueError(f"{what} {path} lies under {out / name}, which the {writer} "
-                                 f"written to {out} clears")
-
-
 class Fitter:
     """Fits runs on one train set and writes what each fit determines.  Every run of
     every command is fitted here.  It loads each teacher checkpoint once and computes
@@ -118,36 +89,31 @@ class Fitter:
     def __init__(self, train: tuple[D.Dataset, dict], evalset: tuple[D.Dataset, dict]):
         self.train_ds, self.train_desc = train
         self.eval_ds, self.eval_desc = evalset
-        self.reads = dataset_paths(self.train_desc) + dataset_paths(self.eval_desc)
         self.teachers: dict[Path, tuple[TrainedModel, dict]] = {}  # checkpoint -> (model, tables)
 
     def __call__(self, run: Run, checkpointed=None) -> R.RunManifest:
         """Fit `run`, a teacher or a student of the teacher at `run.teacher`, and write
-        checkpoint/, a student's teacher/ copy and the eval set's dump/, once `clear`
-        has removed what an earlier run left in `run.out`.  A data set or teacher
-        checkpoint under one of the cleared directories, or a teacher checkpoint that
-        `run.out` lies in, is refused before the fit.  `checkpointed()` runs as soon as
-        the checkpoint and teacher copy are on disk, before evaluation.  Returns the
-        run's manifest for `seal`, without its parameters and files, which are on disk,
-        so a grid worker sends back about a kilobyte."""
+        checkpoint/, a student's teacher/ copy and the eval set's dump/ into `run.out`,
+        which is absent or empty: it deletes nothing.  A teacher checkpoint that
+        `run.out` lies in is refused before the fit, since the teacher/ copy would
+        recurse into itself.  `checkpointed()` runs as soon as the checkpoint and
+        teacher copy are on disk, before evaluation.  Returns the run's manifest for
+        `seal`, without its parameters and files, which are on disk, so a grid worker
+        sends back about a kilobyte."""
         out, cfg = run.out, run.cfg
-        refuse_to_clear("data set", self.reads, out)
         if run.teacher is None:
             model = train_teacher(cfg, self.train_ds, arch=run.arch)
         else:
             ckpt = resolve_checkpoint(run.teacher)
-            refuse_to_clear("teacher checkpoint", [ckpt], out)
             if out.resolve().is_relative_to(ckpt.resolve()):
                 raise ValueError(f"{out} lies in teacher checkpoint {ckpt}, which the "
                                  f"run copies into {out / 'teacher'}")
             if ckpt not in self.teachers:
-                teacher = TrainedModel(net=R.load_checkpoint(ckpt), role="teacher",
-                                       config=TrainConfig(), history=[])
+                teacher = TrainedModel(net=R.load_checkpoint(ckpt), role="teacher", history=[])
                 self.teachers[ckpt] = (teacher, {})
             teacher, tables = self.teachers[ckpt]
             model = train_student(cfg, teacher, self.train_ds, arch=run.arch, logit_tables=tables)
         out.mkdir(parents=True, exist_ok=True)
-        clear(out, RUN_DIRS)
         R.save_checkpoint(model.net, out / "checkpoint")
         if run.teacher is not None:
             shutil.copytree(ckpt, out / "teacher")
@@ -182,27 +148,27 @@ class _Absent:
         return "absent"
 
 
-def _first_difference(got, want, path: str) -> str | None:
+def first_difference(got, want, path: str) -> str | None:
     """`<path> is <got>, not <want>` for the first field, by dotted path in key order,
-    at which the record `got` differs from `want`; None where they are equal."""
+    at which the record `got` differs from `want`; None where they are equal.  NaN
+    equals NaN: a run without human labels records its `human_kld` as NaN."""
     if not (isinstance(got, dict) and isinstance(want, dict)):
-        return None if got == want else f"{path} is {got!r}, not {want!r}"
-    found = (_first_difference(got.get(key, _Absent()), want.get(key, _Absent()),
-                               f"{path}.{key}") for key in sorted(got.keys() | want.keys()))
+        same = got == want or (got != got and want != want)
+        return None if same else f"{path} is {got!r}, not {want!r}"
+    found = (first_difference(got.get(key, _Absent()), want.get(key, _Absent()),
+                              f"{path}.{key}") for key in sorted(got.keys() | want.keys()))
     return next(filter(None, found), None)
 
 
 def replay(manifest_path: Path, out: Path) -> tuple[R.RunManifest, R.RunManifest]:
-    """Re-run a recorded run into `out` with its own writer; returns the recorded
-    manifest and the one the re-run wrote, for the caller to compare file by file.
-    A manifest whose config is not its run's, field for field, is refused before
-    anything is written: every run fits and evaluates at one protocol."""
+    """Re-run a recorded run into `out`, absent or empty, with its own writer; returns
+    the recorded manifest and the one the re-run wrote, for the caller to compare file
+    by file and metric by metric.  A manifest whose config is not its run's, field for
+    field, is refused before anything is written: every run fits and evaluates at one
+    protocol."""
     m = R.read_manifest(manifest_path)
     if m.role not in ("teacher", "student"):
         raise FormatError(f"{manifest_path}: unknown role {m.role!r}")
-    if out.resolve() == manifest_path.parent.resolve():
-        raise FormatError(f"{out}: a replay cannot overwrite the run it replays")
-    refuse_to_clear("replayed run", [manifest_path.parent], out)
 
     def build(section: str, key: str, make):
         if key not in getattr(m, section):
@@ -218,7 +184,7 @@ def replay(manifest_path: Path, out: Path) -> tuple[R.RunManifest, R.RunManifest
     cfg = build("config", "train", lambda train: TrainConfig(**train))
     teacher = manifest_path.parent / "teacher" if m.role == "student" else None
     run = build("config", "arch", lambda arch: Run(out, teacher, cfg, arch, m.run_id))
-    difference = _first_difference(m.config, run.config(), "config")
+    difference = first_difference(m.config, run.config(), "config")
     if difference:
         raise FormatError(f"{manifest_path}: {difference}")
     train, evalset = (build("dataset", key, lambda desc: (dataset_from_desc(desc), desc))

@@ -1,8 +1,6 @@
 import argparse
 import csv
-import dataclasses
 import json
-import math
 import multiprocessing
 import os
 import pickle
@@ -180,6 +178,10 @@ def test_a_replay_refuses_a_manifest_whose_config_is_not_its_runs(work, tmp_path
     assert not (tmp_path / "rerun").exists()
 
 
+HUMAN_REPORT_FILES = {"kld_matrix.csv", "kld_matrix_scale.csv", "human_confidence_matrix.csv",
+                      "human_confidence_matrix_masked.csv"}
+
+
 def test_evaluate_checkpoint_writes_dump_and_reports(work, tmp_path, capsys):
     out = tmp_path / "eval"
     assert main(["evaluate", "--checkpoint", str(work["teacher"]),
@@ -204,6 +206,17 @@ def test_evaluate_from_manifest_reproduces_bitwise(work, tmp_path, capsys):
 
 def _tree(root):
     return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def _assert_refused(argv, out, root, capsys):
+    """`argv` exits 1 naming its --out `out`, which is not an empty directory, and
+    leaves every path and file under `root` as it was."""
+    before = sorted(root.rglob("*")), _tree(root)
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == \
+        f"error: FileExistsError: --out {out} is not an empty directory\n"
+    assert (sorted(root.rglob("*")), _tree(root)) == before
 
 
 @pytest.mark.parametrize("run", ["teacher", "student"])
@@ -352,11 +365,25 @@ def test_parser_is_built_once_and_keeps_no_flag_between_calls(monkeypatch):
 def test_replay_refuses_to_overwrite_its_own_run(work, tmp_path, capsys):
     run = tmp_path / "run"
     shutil.copytree(work["student"], run)
-    before = _tree(run)
+    _assert_refused(["evaluate", "--from-manifest", str(run / "manifest.json"),
+                     "--out", str(run)], run, run, capsys)
+
+
+@pytest.mark.parametrize("section, key", [("eval", "accuracy"), ("final_train", "loss")])
+def test_replay_checks_the_recorded_metrics(work, tmp_path, capsys, section, key):
+    # `final_train` is in no file, so only this check covers it
+    run = tmp_path / "run"
+    shutil.copytree(work["teacher"], run)
+    doc = json.loads((run / "manifest.json").read_text())
+    value = doc["metrics"][section][key]
+    doc["metrics"][section][key] = 0.123
+    (run / "manifest.json").write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
     assert main(["evaluate", "--from-manifest", str(run / "manifest.json"),
-                 "--out", str(run)]) == 1
-    assert "cannot overwrite the run it replays" in capsys.readouterr().err
-    assert _tree(run) == before
+                 "--out", str(tmp_path / "rerun")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == \
+        f"error: manifest records metrics.{section}.{key} is 0.123, not {value!r}\n"
+    assert "reproduced" not in captured.out
 
 
 def test_evaluate_from_manifest_checks_checkpoint_bytes(work, tmp_path, capsys):
@@ -791,48 +818,6 @@ def test_a_cell_failing_in_a_worker_fails_the_grid_as_in_process(grid_data, tmp_
             read_manifest(out.joinpath(*run, "manifest.json"), verify=True)
 
 
-def test_a_failed_grid_run_again_leaves_no_run_of_the_earlier_grid(grid_data, tmp_path,
-                                                                    monkeypatch, capsys):
-    old = tmp_path / "old"
-    assert _grid_on_cpus(monkeypatch, 1, grid_data, old, "--seed", "6")[0] == 0
-    capsys.readouterr()
-    out = tmp_path / "new"
-    plan = grid.plan(build_parser().parse_args(_mini_grid_argv(grid_data, out)))
-    failing = 10
-    seen = {}
-    for cpus in (1, 2):
-        shutil.copytree(old, out)
-        monkeypatch.setattr(runs, "train_student", _failing_cell(plan, failing))
-        rc, forked = _grid_on_cpus(monkeypatch, cpus, grid_data, out)
-        assert rc == 1 and len(forked) == cpus - 1
-        seen[cpus] = (capsys.readouterr().out, _tree(out))
-        shutil.move(out, tmp_path / str(cpus))
-    assert seen[1] == seen[2]
-    # only the runs this grid sealed; no table, and no run left from the earlier grid
-    tree = seen[1][1]
-    sealed_runs = [run.out.relative_to(out).parts for run in plan[:failing]]
-    assert sorted({path.parts[:2] for path in tree}) == sorted(sealed_runs)
-    for run in plan[:failing]:
-        m = read_manifest(tmp_path / "1" / run.out.relative_to(out) / "manifest.json", verify=True)
-        assert m.config["train"]["seed"] == run.cfg.seed
-
-
-def test_a_run_written_again_loses_its_old_manifest_first(work, tmp_path, monkeypatch):
-    out = tmp_path / "run"
-    shutil.copytree(work["student"], out)
-
-    def crash(*args, **kwargs):
-        raise OSError("crashed before the seal")
-
-    monkeypatch.setattr(runs, "seal", crash)
-    assert main(["distill", "--seed", "3", "--dataset", str(work["data"]),
-                 "--teacher", str(work["teacher"]), "--out", str(out),
-                 "--eval-dataset", str(work["data"]),
-                 "--arch", "student-mlp", "--epochs", "1", "--batch-size", "8"]) == 1
-    assert (out / "checkpoint" / "network.json").exists()
-    assert not (out / "manifest.json").exists()
-
-
 def test_manifest_paths_do_not_depend_on_how_out_is_spelled(work, tmp_path, monkeypatch):
     (tmp_path / "real").mkdir()
     (tmp_path / "link").symlink_to(tmp_path / "real")
@@ -846,55 +831,98 @@ def test_manifest_paths_do_not_depend_on_how_out_is_spelled(work, tmp_path, monk
             (work["student"] / "manifest.json").read_bytes()
 
 
+WRITERS = ("synth", "train-teacher", "distill", "evaluate --checkpoint",
+           "evaluate --from-manifest", "report", "matrix")
+
+
+def _writer_argv(command, work, out):
+    """`command`, reading the shared data set and teacher run, with --out `out`."""
+    data, teacher = str(work["data"]), work["teacher"]
+    fit = ["--seed", "3", "--dataset", data, "--eval-dataset", data, "--arch", "student-mlp",
+           "--epochs", "1", "--batch-size", "8"]
+    return {
+        "synth": ["synth", "--seed", "1", "--classes", "2", "--per-class", "3", "--side", "4"],
+        "train-teacher": ["train-teacher", *fit],
+        "distill": ["distill", "--teacher", str(teacher), *fit],
+        "evaluate --checkpoint": ["evaluate", "--checkpoint", str(teacher), "--dataset", data],
+        "evaluate --from-manifest": ["evaluate", "--from-manifest", str(teacher / "manifest.json")],
+        "report": ["report", "--dump", str(teacher / "dump")],
+        "matrix": ["matrix", "--seed", "5", "--dataset", data, *MINI_GRID],
+    }[command] + ["--out", str(out)]
+
+
+@pytest.mark.parametrize("used", ["run", "file"])
+@pytest.mark.parametrize("command", WRITERS)
+def test_every_command_refuses_an_out_that_is_not_empty(work, tmp_path, capsys, command, used):
+    # an --out holding an earlier run, or a file: a command writing into a used
+    # directory would leave the files it found beside its own
+    out = tmp_path / "out"
+    if used == "run":
+        shutil.copytree(work["teacher"], out)
+    else:
+        out.write_text("not a directory\n")
+    _assert_refused(_writer_argv(command, work, out), out, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("command", WRITERS)
+def test_every_command_writes_into_an_empty_out_directory(work, tmp_path, command):
+    absent, empty = tmp_path / "absent", tmp_path / "empty"
+    empty.mkdir()
+    assert main(_writer_argv(command, work, absent)) == 0
+    assert main(_writer_argv(command, work, empty)) == 0
+    assert _tree(empty) == _tree(absent) != {}
+
+
 @pytest.mark.parametrize("teacher", ["", "teacher"], ids=["run", "teacher-copy"])
 def test_a_student_cannot_be_written_over_its_teacher(work, tmp_path, capsys, teacher):
     # the run directory itself resolves to its checkpoint/; a student run's teacher/
-    # is a checkpoint too, and each lies under a directory the new run would clear
+    # is a checkpoint too
     run = tmp_path / "run"
     shutil.copytree(work["student"], run)
-    before = _tree(run)
-    assert main(["distill", "--seed", "3", "--dataset", str(work["data"]),
-                 "--teacher", str(run / teacher), "--out", str(run),
-                 "--eval-dataset", str(work["data"]),
-                 "--arch", "student-mlp", "--epochs", "1", "--batch-size", "8"]) == 1
-    err = capsys.readouterr().err
-    assert f"teacher checkpoint {run / (teacher or 'checkpoint')} lies under" in err
-    assert f"the run written to {run} clears" in err
-    assert _tree(run) == before
+    _assert_refused(["distill", "--seed", "3", "--dataset", str(work["data"]),
+                     "--teacher", str(run / teacher), "--out", str(run),
+                     "--eval-dataset", str(work["data"]),
+                     "--arch", "student-mlp", "--epochs", "1", "--batch-size", "8"],
+                    run, run, capsys)
 
 
-@pytest.mark.parametrize("teacher, out", [("ckpt", "ckpt"), ("run", "run/checkpoint")],
-                         ids=["bare-checkpoint", "run-checkpoint"])
+@pytest.mark.parametrize("teacher, out", [("ckpt", "ckpt"), ("run", "run/checkpoint"),
+                                          ("ckpt", "ckpt/student")],
+                         ids=["bare-checkpoint", "run-checkpoint", "under-bare-checkpoint"])
 def test_a_student_cannot_be_written_into_its_teacher_checkpoint(work, tmp_path, capsys,
                                                                  teacher, out):
-    # the writer would put the student's checkpoint/ into the teacher's, then copy both
+    # a checkpoint is never an empty --out; an absent one under a bare checkpoint is,
+    # but the run would copy the teacher checkpoint into its own teacher/, inside it
     shutil.copytree(work["teacher"] / "checkpoint", tmp_path / "ckpt")
     shutil.copytree(work["teacher"], tmp_path / "run")
+    argv = ["distill", "--seed", "3", "--dataset", str(work["data"]),
+            "--teacher", str(tmp_path / teacher), "--out", str(tmp_path / out),
+            "--eval-dataset", str(work["data"]),
+            "--arch", "student-mlp", "--epochs", "1", "--batch-size", "8"]
+    if (tmp_path / out).exists():
+        _assert_refused(argv, tmp_path / out, tmp_path, capsys)
+        return
     before = _tree(tmp_path)
-    assert main(["distill", "--seed", "3", "--dataset", str(work["data"]),
-                 "--teacher", str(tmp_path / teacher), "--out", str(tmp_path / out),
-                 "--eval-dataset", str(work["data"]),
-                 "--arch", "student-mlp", "--epochs", "1", "--batch-size", "8"]) == 1
-    ckpt = tmp_path / "ckpt" if teacher == "ckpt" else tmp_path / "run" / "checkpoint"
-    assert f"{tmp_path / out} lies in teacher checkpoint {ckpt}" in capsys.readouterr().err
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (f"error: ValueError: {tmp_path / out} lies in teacher "
+                                       f"checkpoint {tmp_path / 'ckpt'}, which the run copies "
+                                       f"into {tmp_path / out / 'teacher'}\n")
     assert _tree(tmp_path) == before
+    assert not (tmp_path / out).exists()
 
+
+# Each input below lies in the --out of the command that reads it, where a writer that
+# cleared its directories before writing would delete it.  No --out that holds anything
+# is written to, so each is refused before anything is read or written.
 
 @pytest.mark.parametrize("run, under", [("teacher", "teacher"), ("student", "teacher"),
                                         ("teacher", "reports/old")])
 def test_a_replay_cannot_clear_the_run_it_replays(work, tmp_path, capsys, run, under):
-    # the replayed run lies in a directory that the writer of the run in --out clears
     out = tmp_path / "runs"
     replayed = out / under
     shutil.copytree(work[run], replayed)
-    before = _tree(out)
-    assert main(["evaluate", "--from-manifest", str(replayed / "manifest.json"),
-                 "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert f"replayed run {replayed} lies under {out / under.split('/')[0]}" in err
-    assert f"the run written to {out} clears" in err
-    assert _tree(out) == before
-    assert sorted(out.iterdir()) == [out / under.split("/")[0]]
+    _assert_refused(["evaluate", "--from-manifest", str(replayed / "manifest.json"),
+                     "--out", str(out)], out, out, capsys)
 
 
 def test_a_run_refuses_a_data_set_that_its_writer_clears(work, tmp_path, capsys):
@@ -902,13 +930,10 @@ def test_a_run_refuses_a_data_set_that_its_writer_clears(work, tmp_path, capsys)
     shutil.copytree(work["teacher"], run)
     evalset = run / "reports" / "ev"
     shutil.copytree(work["data"], evalset)
-    before = _tree(tmp_path)
-    assert main(["train-teacher", "--seed", "1", "--dataset", str(work["data"]),
-                 "--eval-dataset", str(evalset), "--out", str(run), "--arch", "student-mlp",
-                 "--epochs", "1", "--batch-size", "8"]) == 1
-    assert (f"data set {evalset.resolve()} lies under {run / 'reports'}, which the run "
-            f"written to {run} clears") in capsys.readouterr().err
-    assert _tree(tmp_path) == before
+    _assert_refused(["train-teacher", "--seed", "1", "--dataset", str(work["data"]),
+                     "--eval-dataset", str(evalset), "--out", str(run),
+                     "--arch", "student-mlp", "--epochs", "1", "--batch-size", "8"],
+                    run, tmp_path, capsys)
 
 
 def test_a_replay_refuses_a_data_set_that_its_writer_clears(work, tmp_path, capsys):
@@ -919,13 +944,8 @@ def test_a_replay_refuses_a_data_set_that_its_writer_clears(work, tmp_path, caps
     assert main(["train-teacher", "--seed", "1", "--dataset", str(work["data"]),
                  "--eval-dataset", str(evalset), "--out", str(run), "--arch", "student-mlp",
                  "--epochs", "1", "--batch-size", "8"]) == 0
-    before = _tree(tmp_path)
-    capsys.readouterr()
-    assert main(["evaluate", "--from-manifest", str(run / "manifest.json"),
-                 "--out", str(rerun)]) == 1
-    assert (f"data set {evalset.resolve()} lies under {rerun / 'reports'}, which the run "
-            f"written to {rerun} clears") in capsys.readouterr().err
-    assert _tree(tmp_path) == before
+    _assert_refused(["evaluate", "--from-manifest", str(run / "manifest.json"),
+                     "--out", str(rerun)], rerun, tmp_path, capsys)
 
 
 @pytest.mark.parametrize("under", ["dump", "reports"])
@@ -935,12 +955,7 @@ def test_evaluate_refuses_a_data_set_that_it_clears(work, tmp_path, capsys, unde
     assert main([*argv, str(work["data"])]) == 0
     evalset = out / under / "x"
     shutil.copytree(work["data"], evalset)
-    before = _tree(tmp_path)
-    capsys.readouterr()
-    assert main([*argv, str(evalset)]) == 1
-    assert (f"data set {evalset} lies under {out / under}, which the evaluation written to "
-            f"{out} clears") in capsys.readouterr().err
-    assert _tree(tmp_path) == before
+    _assert_refused([*argv, str(evalset)], out, tmp_path, capsys)
 
 
 @pytest.mark.parametrize("under", ["dump", "reports"])
@@ -950,115 +965,14 @@ def test_evaluate_refuses_a_checkpoint_that_it_clears(work, tmp_path, capsys, un
     assert main([*argv, str(work["teacher"])]) == 0
     ckpt = out / under / "ck"
     shutil.copytree(work["teacher"] / "checkpoint", ckpt)
-    before = _tree(tmp_path)
-    capsys.readouterr()
-    assert main([*argv, str(ckpt)]) == 1
-    assert (f"checkpoint {ckpt} lies under {out / under}, which the evaluation written to "
-            f"{out} clears") in capsys.readouterr().err
-    assert _tree(tmp_path) == before
+    _assert_refused([*argv, str(ckpt)], out, tmp_path, capsys)
 
 
-# without the refusal, --lr 1e30 diverges the first teacher, and the failed grid removes
-# the runs it did not seal: teachers/none, with the data set in it
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning:distillab.nn")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning:distillab.nn")
 def test_a_grid_refuses_a_data_set_in_one_of_its_runs(grid_data, tmp_path, capsys):
     out = tmp_path / "grid"
     data = out / "teachers" / "none" / "data"
     shutil.copytree(grid_data, data)
-    before = _tree(tmp_path)
-    assert main(_mini_grid_argv(data, out, "--lr", "1e30")) == 1
-    # a split records its parent's path, which is the one the grid read
-    assert (f"data set {data.resolve()} lies under {out / 'teachers' / 'none'}, which the "
-            f"grid written to {out} clears") in capsys.readouterr().err
-    assert _tree(tmp_path) == before
-
-
-HUMAN_REPORT_FILES = {"kld_matrix.csv", "kld_matrix_scale.csv", "human_confidence_matrix.csv",
-                      "human_confidence_matrix_masked.csv"}
-
-
-def _drop_human_labels(data):
-    """Save the dataset at `data` again, without its human label distributions."""
-    ds = load_dataset(data)
-    save_dataset(dataclasses.replace(ds, human_probs=None), data)
-
-
-def _run_files(run):
-    """Every file under the four directories that a run's writers own."""
-    return sorted(p.relative_to(run).as_posix()
-                  for name in ("checkpoint", "teacher", "dump", "reports")
-                  if (run / name).is_dir() for p in (run / name).iterdir())
-
-
-def test_a_run_written_again_holds_only_the_new_run(work, tmp_path, capsys):
-    evalset = tmp_path / "eval"
-    shutil.copytree(work["data"], evalset)
-    argv = ["train-teacher", "--seed", "1", "--dataset", str(work["data"]),
-            "--eval-dataset", str(evalset), "--arch", "student-mlp", "--epochs", "1",
-            "--batch-size", "8"]
-    out, fresh = tmp_path / "run", tmp_path / "fresh"
-    assert main([*argv, "--out", str(out)]) == 0
-    assert (out / "dump" / "human_probs.arr").exists()
-    assert HUMAN_REPORT_FILES <= {p.name for p in (out / "reports").iterdir()}
-    _drop_human_labels(evalset)
-    assert main([*argv, "--out", str(out)]) == 0
-    assert main([*argv, "--out", str(fresh)]) == 0
-
-    m = read_manifest(out / "manifest.json", verify=True)
-    assert math.isnan(m.metrics["eval"]["human_kld"])
-    assert not (out / "dump" / "human_probs.arr").exists()
-    assert not HUMAN_REPORT_FILES & {p.name for p in (out / "reports").iterdir()}
-    assert not HUMAN_REPORT_FILES & {Path(ref["path"]).name for ref in m.files.values()}
-    assert _run_files(out) == sorted(ref["path"] for ref in m.files.values())
-    assert (out / "manifest.json").read_bytes() == (fresh / "manifest.json").read_bytes()
-    assert main(["evaluate", "--from-manifest", str(out / "manifest.json"),
-                 "--out", str(tmp_path / "rerun")]) == 0
-    assert "reproduced" in capsys.readouterr().out
-
-
-def test_evaluate_written_again_holds_only_the_new_dump(work, tmp_path):
-    evalset = tmp_path / "eval"
-    shutil.copytree(work["data"], evalset)
-    out = tmp_path / "eval-out"
-    argv = ["evaluate", "--checkpoint", str(work["teacher"]), "--dataset", str(evalset),
-            "--out", str(out)]
-    assert main(argv) == 0
-    assert (out / "reports" / "kld_matrix.csv").exists()
-    _drop_human_labels(evalset)
-    assert main(argv) == 0
-    assert not (out / "dump" / "human_probs.arr").exists()
-    assert not HUMAN_REPORT_FILES & {p.name for p in (out / "reports").iterdir()}
-    assert main(["report", "--dump", str(out / "dump"), "--out", str(tmp_path / "report")]) == 0
-    assert not HUMAN_REPORT_FILES & {p.name for p in (tmp_path / "report").iterdir()}
-
-
-def test_evaluate_into_a_sealed_run_deletes_its_manifest(work, tmp_path):
-    # the new dump and reports, of another eval set, would fail the old manifest's hashes
-    out = tmp_path / "run"
-    shutil.copytree(work["teacher"], out)
-    read_manifest(out / "manifest.json", verify=True)
-    other = tmp_path / "other-data"
-    assert main(["synth", "--seed", "12", "--out", str(other), "--classes", "2",
-                 "--per-class", "12", "--side", "6", "--difficulty", "0.2"]) == 0
-    assert main(["evaluate", "--checkpoint", str(out), "--dataset", str(other),
-                 "--out", str(out)]) == 0
-    assert not (out / "manifest.json").exists()
-    assert (out / "checkpoint" / "network.json").exists()
-    assert (out / "reports" / "metrics.csv").exists()
-
-
-def test_a_run_written_again_with_another_arch_keeps_no_old_parameter(work, tmp_path):
-    out = tmp_path / "run"
-    for arch in ("student-cnn", "student-mlp"):
-        assert main(["train-teacher", "--seed", "1", "--dataset", str(work["data"]),
-                     "--out", str(out), "--eval-dataset", str(work["data"]),
-                     "--arch", arch, "--epochs", "1", "--batch-size", "8"]) == 0
-    net = load_checkpoint(out / "checkpoint")
-    assert sorted(p.name for p in (out / "checkpoint").glob("param-*")) == \
-        sorted(f"param-{key}.arr" for key, _, _, _ in net.param_items())
-    m = read_manifest(out / "manifest.json", verify=True)
-    assert _run_files(out) == sorted(ref["path"] for ref in m.files.values())
+    _assert_refused(_mini_grid_argv(data, out), out, tmp_path, capsys)
 
 
 def test_a_cell_fit_hands_back_no_parameters(tmp_path, monkeypatch):
