@@ -49,16 +49,19 @@ class AugmentStrategy:
 def _standard(x, y, rng, pad):
     """Reflect-pad, random crop back to the original size, random horizontal flip.
 
-    Each image draws (row offset, column offset, flip coin) in that order, so
-    pad=0 still consumes the same draws.  Labels pass through.
+    Each image draws (row offset, column offset, flip coin) in that order, the
+    stream of `rng.integers(0, 2 * pad + 1)` twice and `rng.random() < 0.5`.
+    All draws come from one `integers` call with per-element bounds, which
+    draws each element as a scalar call with its bounds would: the offsets
+    from the same 32-bit path, and the coin as a full 64-bit word, the one
+    `random` reads, whose top bit is clear exactly when `random` is below
+    0.5.  Labels pass through.
     """
     b, _, h, w = x.shape
-    offsets = np.empty((b, 2), dtype=np.int64)
-    flip = np.empty(b, dtype=bool)
-    for i in range(b):
-        offsets[i, 0] = rng.integers(0, 2 * pad + 1)
-        offsets[i, 1] = rng.integers(0, 2 * pad + 1)
-        flip[i] = rng.random() < 0.5
+    bounds = np.array([2 * pad, 2 * pad, 2**64 - 1], dtype=np.uint64)
+    draws = rng.integers(0, bounds, size=(b, 3), dtype=np.uint64, endpoint=True)
+    offsets = draws[:, :2].astype(np.int64)
+    flip = draws[:, 2] < 2**63
     padded = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="reflect") if pad else x
     rows = offsets[:, :1] + np.arange(h)
     cols = offsets[:, 1:] + np.arange(w)
@@ -90,7 +93,9 @@ def _cutout(x, y, rng, n_holes, hole_size, fill):
     x0 = np.maximum(cx - side // 2, 0)
     in_rows = _span_mask(y0, y0 + side, h)  # [B, holes, H]
     in_cols = _span_mask(x0, x0 + side, w)  # [B, holes, W]
-    hole = (in_rows[..., :, None] & in_cols[..., None, :]).any(axis=1)
+    # a pixel is in a hole when some hole covers both its row and its column: a batched
+    # 0/1 product [B, H, holes] @ [B, holes, W] counts the holes covering each pixel
+    hole = np.matmul(in_rows.transpose(0, 2, 1).astype(np.float32), in_cols.astype(np.float32)) > 0
     return np.where(hole[:, None], fill_arr[:, None, None], x), y
 
 
@@ -124,7 +129,9 @@ def _cutmix(x, y, rng, beta_a, beta_b):
     the image's own pixels that survived, so the label algebra matches the
     pixel content no matter how much clipping happened.  Each image draws
     (lam0, row, column) in turn; `beta` consumes a varying number of words,
-    so the draws stay a scalar loop.
+    so the draws stay a scalar loop.  The row and column are int32 draws,
+    which take the 32-bit stream of the default int64 ones through numpy's
+    faster scalar path.
     """
     b, _, h, w = x.shape
     partners = rng.permutation(b)
@@ -133,8 +140,8 @@ def _cutmix(x, y, rng, beta_a, beta_b):
     cx = np.empty(b, dtype=np.int64)
     for i in range(b):
         lam0[i] = rng.beta(beta_a, beta_b)
-        cy[i] = rng.integers(0, h)
-        cx[i] = rng.integers(0, w)
+        cy[i] = rng.integers(0, h, dtype=np.int32)
+        cx[i] = rng.integers(0, w, dtype=np.int32)
     ratio = np.sqrt(1.0 - lam0)
     cut_h = (h * ratio).astype(np.int64)
     cut_w = (w * ratio).astype(np.int64)

@@ -21,7 +21,7 @@ from .augment import AugmentStrategy, apply_strategy, dataset_fill_value
 from .data import Dataset
 from .metrics import EvalDump
 from .nn import Network, build_network, sgd_step
-from .probs import PROB_EPS, cross_entropy_rows, kl_div_rows, softmax_t
+from .probs import PROB_EPS, cross_entropy_rows, softmax_in_place, softmax_t
 
 EVAL_BATCH = 256  # rows per forward in evaluate_model
 T_EVAL = 1.0  # the softmax temperature of every run's evaluation dump and manifest
@@ -76,29 +76,45 @@ def kd_loss(student_logits: np.ndarray, teacher_logits: np.ndarray, labels: np.n
     """Distillation loss and its analytic gradient w.r.t. the student logits.
 
     Returns (loss, grad [B, C]); the gradient already carries the 1/B batch
-    mean.  Computation runs in float64 regardless of input dtype.
+    mean.  Computation runs in float64 regardless of input dtype.  The three
+    softmaxes, of s at T = 1 and of s and t at tau, are one stacked pass, and
+    the clamped logs of all three are one call.
     """
-    if tau <= 0:
+    if not tau > 0:  # a NaN fails every comparison
         raise ValueError(f"temperature must be positive, got {tau}")
     if not 0.0 <= w <= 1.0:
         raise ValueError(f"distill weight must be in [0, 1], got {w}")
-    s = np.asarray(student_logits, dtype=np.float64)
-    t = np.asarray(teacher_logits, dtype=np.float64)
+    s = np.asarray(student_logits)
+    t = np.asarray(teacher_logits)
     y = np.asarray(labels, dtype=np.float64)
     if s.shape != t.shape or s.shape != y.shape:
         raise ValueError(f"shape mismatch: student {s.shape}, teacher {t.shape}, labels {y.shape}")
     if s.ndim != 2:
         raise ValueError(f"logits must be [B, C], got shape {s.shape}")
     b = s.shape[0]
-    p1 = softmax_t(s, 1.0)
-    pt = softmax_t(s, tau)
-    qt = softmax_t(t, tau)
-    ce = cross_entropy_rows(p1, y)
-    kl = kl_div_rows(pt, qt)
-    loss = (1.0 - w) * ce.mean() + w * tau * tau * kl.mean()
-    log_diff = np.log(np.maximum(pt, PROB_EPS)) - np.log(np.maximum(qt, PROB_EPS))
-    grad = ((1.0 - w) * (p1 - y) + (w * tau) * pt * (log_diff - kl[:, None])) / b
-    return float(loss), grad
+    z = np.concatenate((s, s, t), dtype=np.float64).reshape(3, *s.shape)
+    if not np.all(np.isfinite(z)):
+        raise ValueError("logits must be finite")
+    z[1:] /= tau
+    p1, pt, _ = softmax_in_place(z)
+    logs = np.maximum(z, PROB_EPS)
+    np.log(logs, out=logs)
+    log_diff = logs[1] - logs[2]
+    # the row sums of y * log p1 (CE, negated) and of the KL terms, 0 where pt is 0
+    terms = np.zeros((2, *s.shape))
+    np.multiply(y, logs[0], out=terms[0])
+    np.multiply(pt, log_diff, out=terms[1], where=pt > 0)
+    rows = np.add.reduce(terms, axis=-1)
+    neg_ce_sum, kl_sum = np.add.reduce(rows, axis=-1).tolist()
+    loss = (1.0 - w) * (-neg_ce_sum / b) + w * tau * tau * (kl_sum / b)
+    log_diff -= rows[1][:, None]
+    soft = (w * tau) * pt
+    soft *= log_diff
+    grad = p1 - y
+    grad *= 1.0 - w
+    grad += soft
+    grad /= b
+    return loss, grad
 
 
 def _ce_loss_grad(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:

@@ -154,7 +154,10 @@ class Conv2d(Layer):
         xp = np.zeros((b, hp, wp, c), dtype=x.dtype)
         xp[:, lo:lo + h, lo:lo + w] = x.transpose(0, 2, 3, 1)
         if b:
-            cols = np.take(xp.reshape(b, hp * wp * c), _im2col_index(hp, wp, c, k), axis=1)
+            # the index is in range by construction: mode "wrap" gathers the same
+            # elements ~1.5x faster than the default "raise"
+            cols = np.take(xp.reshape(b, hp * wp * c), _im2col_index(hp, wp, c, k), axis=1,
+                           mode="wrap")
         else:
             cols = np.empty((0, oh * ow * c * k * k), dtype=x.dtype)
         cols = cols.reshape(b, oh, ow, c, k, k)
@@ -167,43 +170,64 @@ class Conv2d(Layer):
         if b:
             # the bias tiled over one image's rows: broadcast over [B*oh*ow, O]
             # alone, numpy adds it in inner loops of only O elements
-            prod.reshape(b, oh * ow * o)[...] += np.tile(self.bias, oh * ow)
+            prod.reshape(b, oh * ow * o)[...] += self.bias[None].repeat(oh * ow, axis=0).ravel()
         return prod.reshape(b, oh, ow, o).transpose(0, 3, 1, 2)
 
     def backward(self, grad_out, input_grad=True):
         cols = self._cols
         b, c, h, w = self._in_shape
-        k = self.kernel_size
-        lo, hi = self._pads()
+        k, o = self.kernel_size, self.out_channels
+        lo, _ = self._pads()
         oh, ow = grad_out.shape[2], grad_out.shape[3]
-        # the reductions read a C-contiguous NCHW gradient whatever memory order it
-        # arrives in: numpy's summation order and the operands BLAS is handed
-        # follow the layout, and either can move the last ulp
-        grad_out = np.ascontiguousarray(grad_out)
-        self.grad_bias = grad_out.sum(axis=(0, 2, 3))
-        self.grad_weight = np.tensordot(grad_out, cols, axes=([0, 2, 3], [0, 1, 2]))
+        n = b * oh * ow
+        # The weight and bias reductions read the gradient as numpy would a C-contiguous
+        # NCHW copy (numpy's summation order and the operands BLAS is handed follow the
+        # layout, and either can move the last ulp), from one copy in [O, B, oh, ow]
+        # order: the weight product's operand itself, and for the bias each
+        # (image, channel) run summed pairwise, then the images in order.
+        g = np.ascontiguousarray(grad_out.transpose(1, 0, 2, 3))
+        runs = np.add.reduce(g.reshape(o, b, oh * ow), axis=2)
+        self.grad_bias = np.add.reduce(np.ascontiguousarray(runs.T), axis=0)
+        self.grad_weight = np.dot(g.reshape(o, n), cols.reshape(n, -1)).reshape(self.weight.shape)
         if not input_grad:
             return None
-        # grad wrt columns [B, oh, ow, C, k, k], scatter-added back into the
-        # channels-last padded input one kernel offset at a time
-        gcols = np.tensordot(grad_out, self.weight, axes=([1], [0]))
-        gxp = np.zeros((b, h + lo + hi, w + lo + hi, c), dtype=grad_out.dtype)
+        # grad wrt columns [B, oh, ow, C, k, k], from the gradient's rows in channels-last
+        # order (the memory a convolution's output arrives in), scatter-added into the
+        # channels-last input one kernel offset at a time, in (i, j) order; each offset
+        # adds only the rows and columns that land inside the unpadded input
+        rows = grad_out.transpose(0, 2, 3, 1).reshape(n, o)
+        gcols = np.dot(rows, self.weight.reshape(o, -1)).reshape(b, oh, ow, c, k, k)
+        gx = np.zeros((b, h, w, c), dtype=grad_out.dtype)
         for i in range(k):
+            y0, y1 = max(lo - i, 0), min(lo - i + h, oh)
             for j in range(k):
-                gxp[:, i:i + oh, j:j + ow] += gcols[..., i, j]
-        return gxp[:, lo:lo + h, lo:lo + w].transpose(0, 3, 1, 2)
+                x0, x1 = max(lo - j, 0), min(lo - j + w, ow)
+                gx[:, y0 + i - lo:y1 + i - lo, x0 + j - lo:x1 + j - lo] += gcols[:, y0:y1, x0:x1, :, i, j]
+        return gx.transpose(0, 3, 1, 2)
+
+
+def _max_fold(arrays: list[np.ndarray]) -> np.ndarray:
+    """The elementwise maximum of same-shape arrays as a new array, folded from the last
+    back with each earlier array as np.maximum's second operand, which it returns on
+    equal inputs (+0 vs -0): a tie keeps the earliest array's element."""
+    out = np.maximum(arrays[-1], arrays[-2]) if len(arrays) > 1 else arrays[0].copy(order="K")
+    for a in reversed(arrays[:-2]):
+        np.maximum(out, a, out=out)
+    return out
 
 
 class MaxPool2d(Layer):
     """Non-overlapping max pooling; spatial dims must divide by the window size.
 
-    The window maximum is the elementwise maximum of the s*s phase slices
-    x[:, :, i::s, j::s].  A recorded forward also keeps one mask per phase
-    marking the windows whose maximum it routes the gradient to: the first
-    phase in row-major window order that holds the maximum, so ties (common
-    after ReLU, where whole windows are zero) go to the first occurrence.
-    Backward writes grad_out * mask into each phase slice, so a position that
-    takes no gradient holds a zero signed like the gradient, as in ReLU.
+    The window maximum is the maximum over the window's rows of each row's
+    maximum over its columns, both folds over the phase slices
+    x[:, :, i::s, j::s], so a tie keeps the first element in row-major window
+    order.  A recorded forward also keeps one mask per phase marking the
+    windows whose maximum it routes the gradient to: that same first element,
+    so ties (common after ReLU, where whole windows are zero) go to the first
+    occurrence, and a window holding a NaN routes nothing.  Backward writes
+    grad_out * mask into each phase slice, so a position that takes no
+    gradient holds a zero signed like the gradient, as in ReLU.
     """
 
     kind = "maxpool2d"
@@ -222,19 +246,28 @@ class MaxPool2d(Layer):
         s = self.size
         if x.ndim != 4 or x.shape[2] % s or x.shape[3] % s:
             raise ShapeError(f"layer {self.name}: spatial dims of {x.shape} not divisible by {s}")
-        phases = self._phases(x)
-        # folded from the last phase back: where np.maximum returns its second
-        # operand on equal inputs (+0 vs -0), the earlier phase's value is kept
-        out = phases[-1].copy(order="K")
-        for p in reversed(phases[:-1]):
-            np.maximum(out, p, out=out)
+        # row i of every window as one view; its column phases are its views [..., j::s]
+        rows = [x[:, :, i::s] for i in range(s)]
+        row_max = [_max_fold([row[..., j::s] for j in range(s)]) for row in rows]
+        # the row maxima folded into the last row's array, which becomes the output
+        out = row_max[-1]
+        for m in reversed(row_max[:-1]):
+            np.maximum(out, m, out=out)
         if record:
-            free = np.ones_like(out, dtype=bool)
+            # the first row whose maximum is the window's, then its first column that
+            # holds it; a NaN equals nothing, so its window takes no row.  The last row
+            # takes every window that no earlier row took, but one whose maximum is NaN:
+            # its maximum is now the output itself
+            taken = np.zeros_like(out, dtype=bool)
             self._masks = []
-            for p in phases:
-                m = (p == out) & free
-                free ^= m
-                self._masks.append(m)
+            for row, m in zip(rows, row_max):
+                free = (m == out) > taken
+                taken |= free
+                for j in range(s - 1):
+                    hit = (row[..., j::s] == m) & free
+                    free = free > hit
+                    self._masks.append(hit)
+                self._masks.append(free)
             self._in_shape = x.shape
         return out
 
@@ -387,23 +420,29 @@ class Network:
 def sgd_step(net: Network, lr: float, momentum: float = 0.0, weight_decay: float = 0.0) -> None:
     """Momentum SGD with decoupled L2: p -= lr * (v + wd * p), v = m * v + g.
 
-    Velocity buffers live on the network and persist across calls.  lr == 0 is
-    a valid no-op for the parameters (velocities still update).
+    Velocity buffers live on the network, persist across calls and are updated
+    in place.  lr == 0 is a valid no-op for the parameters (velocities still
+    update).
     """
-    if lr < 0:
+    if not lr >= 0:  # a NaN fails every comparison
         raise ValueError(f"learning rate must be >= 0, got {lr}")
     if not 0 <= momentum < 1:
         raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-    if weight_decay < 0:
+    if not weight_decay >= 0:
         raise ValueError(f"weight decay must be >= 0, got {weight_decay}")
-    for key, layer, pname, p in net.param_items():
-        g = layer.grads()[pname]
-        v = net.velocity.get(key)
-        if v is None:
-            v = np.zeros_like(p)
-        v = momentum * v + g
-        net.velocity[key] = v
-        p -= (lr * v + (lr * weight_decay) * p).astype(p.dtype, copy=False)
+    decay = lr * weight_decay
+    for i, layer in enumerate(net.layers):
+        for pname in layer.param_names:
+            p = getattr(layer, pname)
+            key = f"{i}.{pname}"
+            v = net.velocity.get(key)
+            if v is None:
+                v = net.velocity[key] = np.zeros_like(p)
+            v *= momentum
+            v += getattr(layer, "grad_" + pname)
+            step = lr * v
+            step += decay * p
+            p -= step
 
 
 # name -> (conv widths, hidden dense width).  Each conv is a 3x3 "same" conv,

@@ -194,6 +194,50 @@ def kd_loss_scalar(student, teacher, labels, tau, w) -> float:
     return total / b
 
 
+def softmax_reference(z: np.ndarray, t: float) -> np.ndarray:
+    """Max-shifted softmax along the last axis from numpy's row max and row sum: the
+    byte reference for probs.softmax_t."""
+    z = z / t
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def kd_loss_reference(student, teacher, labels, tau, w):
+    """The blended objective and its gradient from three separate softmaxes, with the
+    clamped log difference taken once for the KL and again for the gradient: the byte
+    reference for distill.kd_loss.  Returns (loss, grad)."""
+    s = np.asarray(student, dtype=np.float64)
+    t = np.asarray(teacher, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.float64)
+    p1 = softmax_reference(s, 1.0)
+    pt = softmax_reference(s, tau)
+    qt = softmax_reference(t, tau)
+    ce = -np.sum(y * np.log(np.maximum(p1, EPS)), axis=-1)
+    diff = np.log(np.maximum(pt, EPS)) - np.log(np.maximum(qt, EPS))
+    kl = np.sum(np.where(pt > 0, pt * diff, 0.0), axis=-1)
+    loss = (1.0 - w) * ce.mean() + w * tau * tau * kl.mean()
+    log_diff = np.log(np.maximum(pt, EPS)) - np.log(np.maximum(qt, EPS))
+    grad = ((1.0 - w) * (p1 - y) + (w * tau) * pt * (log_diff - kl[:, None])) / s.shape[0]
+    return float(loss), grad
+
+
+def sgd_step_reference(net, lr: float, momentum: float = 0.0, weight_decay: float = 0.0) -> None:
+    """Momentum SGD with decoupled L2 that builds a fresh velocity and update array per
+    parameter: the byte reference for nn.sgd_step.  Keeps its velocities in
+    `net.velocity`, as sgd_step does."""
+    for i, layer in enumerate(net.layers):
+        for pname in layer.param_names:
+            key = f"{i}.{pname}"
+            p = getattr(layer, pname)
+            v = net.velocity.get(key)
+            if v is None:
+                v = np.zeros_like(p)
+            v = momentum * v + getattr(layer, "grad_" + pname)
+            net.velocity[key] = v
+            p -= (lr * v + (lr * weight_decay) * p).astype(p.dtype, copy=False)
+
+
 def conv2d_valid_loops(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Hand-unrolled stride-1 valid convolution for one batch."""
     bs, cin, h, wd = x.shape

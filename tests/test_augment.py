@@ -23,11 +23,15 @@ class ForcedRng:
     def _one_integer(self, lo):
         return self._integers.pop(0) if self._integers else lo
 
-    def integers(self, lo, hi=None, size=None):
+    def integers(self, lo, hi=None, size=None, dtype=np.int64, endpoint=False):
         if size is None:
             return self._one_integer(lo)
-        low = np.broadcast_to(lo, size)
-        return np.array([self._one_integer(v) for v in low.ravel()]).reshape(size)
+        # an element bounded by the full 64-bit range is the word rng.random() reads,
+        # which is below 2**63 exactly when random() is below 0.5
+        word = min(int(self._random * 2**64), 2**64 - 1)
+        values = [word if h == 2**64 - 1 else self._one_integer(v)
+                  for v, h in zip(np.broadcast_to(lo, size).ravel(), np.broadcast_to(hi, size).ravel())]
+        return np.array(values, dtype=dtype).reshape(size)
 
     def random(self):
         return self._random

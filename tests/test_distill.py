@@ -12,7 +12,7 @@ from distillab.distill import (TrainConfig, _epoch_indices, _logit_table, evalua
 from distillab.metrics import confusion_metrics
 from distillab.nn import build_network, sgd_step
 
-from oracles import kd_loss_scalar, with_human_labels
+from oracles import kd_loss_reference, kd_loss_scalar, with_human_labels
 
 
 def _tiny_data(seed=0, n_classes=3, per_class=30, difficulty=0.1):
@@ -99,6 +99,40 @@ def test_kd_loss_matches_scalar_oracle():
         w = float(rng.choice([0.0, 1.0, rng.uniform()]))
         loss, _ = kd_loss(s, t, y, tau, w)
         assert loss == pytest.approx(kd_loss_scalar(s, t, y, tau, w), rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("labels", ["one-hot", "mixup"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_kd_loss_matches_reference_bitwise(dtype, labels):
+    # the loss and every gradient byte equal three separate softmaxes; the last row's
+    # teacher sits so far below at one class that its softmax there underflows to 0, and
+    # in the last case student and teacher put all mass on one class at T = 1, so the KL
+    # is 0 and, with one-hot labels, every CE row is -0.0
+    rng = np.random.default_rng(25)
+    for b, c in ((64, 4), (16, 4), (1, 3), (37, 10), (8, 4)):
+        s = (rng.standard_normal((b, c)) * 3).astype(dtype)
+        t = (rng.standard_normal((b, c)) * 3).astype(dtype)
+        s[-1, 0] = t[-1, 0] = -800.0
+        one_hot = np.eye(c)[rng.integers(0, c, size=b)]
+        if b == 8:
+            s = t = (one_hot * 1000.0).astype(dtype)
+        if labels == "mixup":
+            lam = rng.beta(1.0, 1.0, size=b)[:, None]
+            one_hot = lam * one_hot + (1.0 - lam) * one_hot[rng.permutation(b)]
+        for tau in (1.0, 4.0, 20.0):
+            for w in (0.0, 0.5, 1.0):
+                loss, grad = kd_loss(s, t, one_hot, tau, w)
+                want_loss, want_grad = kd_loss_reference(s, t, one_hot, tau, w)
+                assert isinstance(loss, float)
+                assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes(), (b, tau, w)
+                assert grad.dtype == want_grad.dtype == np.float64
+                assert grad.tobytes() == want_grad.tobytes(), (b, tau, w)
+
+
+def test_kd_loss_rejects_a_nan_temperature():
+    s = np.zeros((2, 3))
+    with pytest.raises(ValueError, match="^temperature must be positive, got nan$"):
+        kd_loss(s, s, np.eye(3)[[0, 1]], tau=float("nan"), w=0.5)
 
 
 def test_kd_loss_w_zero_ignores_teacher():

@@ -10,7 +10,7 @@ from distillab.nn import (ARCHITECTURES, LAYER_KINDS, Conv2d, Dense, Flatten, Ma
                           ReLU, ShapeError, build_network, sgd_step)
 from distillab.runstore import load_checkpoint, save_checkpoint
 from oracles import (conv2d_im2col_backward_reference, conv2d_im2col_reference,
-                     conv2d_valid_loops, maxpool_backward_loops, maxpool_loops)
+                     conv2d_valid_loops, maxpool_backward_loops, maxpool_loops, sgd_step_reference)
 
 
 def _single_layer_net(layer, input_shape):
@@ -128,20 +128,33 @@ def test_maxpool_backward_routes_to_first_max_on_ties():
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_maxpool_matches_per_window_oracle(size, dtype):
     rng = np.random.default_rng(40 + size)
-    for _ in range(5):
-        # post-ReLU input: most windows are all zero, so first-occurrence ties dominate
-        x = np.maximum(rng.standard_normal((3, 2, 4 * size, 2 * size)) - 1.0, 0).astype(dtype)
+    for trial in range(10):
+        x = rng.standard_normal((3, 2, 4 * size, 2 * size)) - 1.0
+        if trial % 2 == 0:
+            # post-ReLU input: most windows are all zero, so first-occurrence ties dominate
+            x = np.maximum(x, 0)
+            assert np.mean(x == 0) > 0.5
+        x = x.astype(dtype)
         x[0, 0, :size, :size] = 0.5  # a window tied at a non-zero maximum
-        assert np.mean(x == 0) > 0.5
-        layer = MaxPool2d(size)
-        layer.name = "0:maxpool2d"
+        # -0.0 ties +0.0: the output keeps the sign of the first zero in the window, also
+        # where a negative element comes first
+        x[rng.random(x.shape) < 0.3] = -0.0
+        x[1, 1, :size, :size] = -1.0
+        x[1, 1, 0, 1], x[1, 1, 1, 0] = -0.0, 0.0
         want, arg = maxpool_loops(x, size)
-        got = layer.forward(x, record=True)
-        assert got.dtype == x.dtype and np.array_equal(got, want)
-        g = rng.standard_normal(want.shape).astype(dtype)
-        gx = layer.backward(g)
-        assert gx.dtype == g.dtype
-        assert np.array_equal(gx, maxpool_backward_loops(g, arg, size))
+        for layout in (x, np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)):
+            layer = MaxPool2d(size)
+            layer.name = "0:maxpool2d"
+            unrecorded = layer.forward(layout, record=False)
+            got = layer.forward(layout, record=True)
+            for out in (got, unrecorded):
+                assert out.dtype == x.dtype and out.tobytes() == want.tobytes()
+            # backward by value: a position that takes no gradient holds a zero signed like
+            # the gradient, where the oracle writes +0
+            g = rng.standard_normal(want.shape).astype(dtype)
+            gx = layer.backward(g)
+            assert gx.dtype == g.dtype
+            assert np.array_equal(gx, maxpool_backward_loops(g, arg, size))
 
 
 def test_maxpool_record_false_keeps_recorded_state():
@@ -256,6 +269,44 @@ def test_sgd_rejects_negative_hyperparameters():
         sgd_step(net, lr=0.1, momentum=1.0)
     with pytest.raises(ValueError):
         sgd_step(net, lr=0.1, weight_decay=-1e-3)
+
+
+@pytest.mark.parametrize("field", ["lr", "weight_decay"])
+def test_sgd_rejects_a_nan_hyperparameter_before_any_step(field):
+    net = Network([Dense(2, 2, rng=np.random.default_rng(0))], 0, (2,))
+    net.forward(np.ones((1, 2), dtype=np.float32))
+    net.backward(np.ones((1, 2), dtype=np.float32))
+    before = net.params_digest()
+    with pytest.raises(ValueError, match=", got nan$"):
+        sgd_step(net, **dict({"lr": 0.1}, **{field: float("nan")}))
+    assert net.params_digest() == before and net.velocity == {}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_sgd_step_matches_reference_bitwise(arch, dtype):
+    # in-place velocities and updates: every parameter and velocity byte over four steps
+    # equals a fresh array per step, with momentum and decay on and off
+    spec = build_network(arch, (1, 12, 12), 4, np.random.default_rng(0)).spec_dict()
+    spec["dtype"] = np.dtype(dtype).name
+    got, want = Network.from_spec(spec), Network.from_spec(spec)
+    rng = np.random.default_rng(1)
+    for (_, layer, pname, p), (_, twin, _, _) in zip(got.param_items(), want.param_items()):
+        p[...] = rng.uniform(-0.5, 0.5, p.shape)
+        getattr(twin, pname)[...] = p
+    for lr, momentum, decay in ((0.08, 0.9, 1e-4), (0.08, 0.9, 1e-4), (0.5, 0.0, 0.0),
+                                (0.08, 0.9, 1e-4)):
+        for (_, layer, pname, p), (_, twin, _, _) in zip(got.param_items(), want.param_items()):
+            g = rng.standard_normal(p.shape).astype(dtype)
+            g[rng.random(p.shape) < 0.2] = -0.0
+            setattr(layer, "grad_" + pname, g)
+            setattr(twin, "grad_" + pname, g.copy())
+        sgd_step(got, lr, momentum, decay)
+        sgd_step_reference(want, lr, momentum, decay)
+        for (key, _, _, p), (_, _, _, q) in zip(got.param_items(), want.param_items()):
+            assert p.dtype == q.dtype == dtype and p.tobytes() == q.tobytes(), key
+            v, u = got.velocity[key], want.velocity[key]
+            assert v.dtype == u.dtype and v.tobytes() == u.tobytes(), key
 
 
 def test_sgd_plain_step_is_param_minus_lr_grad():
@@ -439,13 +490,22 @@ def _oracle_param_grads(net, tape, g):
     return grads
 
 
+def _clipped_batch(rng, batch):
+    """Images in [0, 1] with exact 0.0 and 1.0 pixels, as make_synthetic clips them."""
+    x = rng.random((batch, 1, 12, 12)).astype(np.float32)
+    u = rng.random(x.shape)
+    x[u < 0.15] = 0.0
+    x[u > 0.85] = 1.0
+    return x
+
+
 @pytest.mark.parametrize("arch", ARCHITECTURES)
 def test_training_step_matches_nchw_oracle_chain_bitwise(arch):
     # the conv returns NCHW views of channels-last memory and ReLU and max-pool
     # keep that order; the parameter gradients must not move by one bit
     rng = np.random.default_rng(31)
     net = build_network(arch, (1, 12, 12), 4, rng)
-    x = rng.random((64, 1, 12, 12)).astype(np.float32)
+    x = _clipped_batch(rng, 64)
     g = rng.standard_normal((64, 4)).astype(np.float32)
     logits, _ = net.forward(x, record=True)
     assert net.backward(g) is None
@@ -464,7 +524,7 @@ def test_training_step_matches_nchw_oracle_chain_bitwise(arch):
 def test_no_record_forward_matches_nchw_oracle_chain_bitwise(batch):
     rng = np.random.default_rng(batch)
     net = build_network("teacher-cnn", (1, 12, 12), 4, rng)
-    x = rng.random((batch, 1, 12, 12)).astype(np.float32)
+    x = _clipped_batch(rng, batch)
     logits, emb = net.forward(x, record=False)
     want, tape = _oracle_forward(net, x)
     assert logits.dtype == want.dtype and logits.tobytes() == want.tobytes()

@@ -5,7 +5,7 @@ import pytest
 
 from distillab.probs import (PROB_EPS, check_prob_rows, check_prob_vector, cross_entropy_rows,
                              kl_div, softmax_t)
-from oracles import entropy_scalar
+from oracles import entropy_scalar, softmax_reference
 
 
 def test_softmax_uniform_for_equal_logits():
@@ -33,6 +33,26 @@ def test_softmax_rejects_bad_temperature_and_nonfinite():
         softmax_t(np.array([1.0, 2.0]), -3.0)
     with pytest.raises(ValueError):
         softmax_t(np.array([1.0, np.inf]), 1.0)
+
+
+
+def test_softmax_rejects_a_nan_temperature():
+    with pytest.raises(ValueError, match="^temperature must be positive, got nan$"):
+        softmax_t(np.array([1.0, 2.0]), float("nan"))
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_softmax_matches_reference_bitwise(dtype):
+    # the row maxima come from a class-major copy; rows of 1 to 19 classes, 1-D to 3-D,
+    # with signed zeros and ties at the maximum
+    rng = np.random.default_rng(6)
+    for shape in [(4,), (19,), (64, 4), (256, 4), (37, 10), (3, 64, 4), (2, 5, 19), (1, 1)]:
+        z = (rng.standard_normal(shape) * 5).astype(dtype)
+        z[rng.random(shape) < 0.2] = 0.0
+        z[rng.random(shape) < 0.2] = -0.0
+        for t in (1.0, 0.5, 4.0, 20.0):
+            got, want = softmax_t(z, t), softmax_reference(z, t)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (shape, t)
 
 
 def test_softmax_rows_sum_to_one_and_shift_invariant():
