@@ -64,15 +64,7 @@ def _cmd_evaluate(args, parser: argparse.ArgumentParser) -> int:
         if args.dataset is not None:
             parser.error("--dataset cannot be combined with --from-manifest; "
                          "the replay uses the manifest's values")
-        recorded, rerun = runs.replay(Path(args.from_manifest), Path(args.out))
-        for name, ref in rerun.files.items():
-            if recorded.files.get(name, {}).get("sha256") != ref["sha256"]:
-                print(f"error: {name} differs from manifest", file=sys.stderr)
-                return 1
-        difference = runs.first_difference(recorded.metrics, rerun.metrics, "metrics")
-        if difference:
-            print(f"error: manifest records {difference}", file=sys.stderr)
-            return 1
+        rerun = runs.replay(Path(args.from_manifest), Path(args.out))
         print(f"rerun reproduced all {len(rerun.files)} files bitwise")
         return 0
     if not args.dataset:

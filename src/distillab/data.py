@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -154,10 +155,14 @@ def make_synthetic(seed: int, n_classes: int = 4, per_class: int = 500,
     symmetrized left-right (so a horizontal flip is label-preserving); a
     sample is its class template plus Gaussian noise scaled by `difficulty`,
     clipped to [0,1]; difficulty=0 makes classes exactly template-separable.
-    It carries no human label distributions (`human_probs` is None).
+    It carries no human label distributions (`human_probs` is None).  A side of 2
+    or less would blur every template flat.
     """
-    if n_classes < 2:
-        raise ValueError(f"need at least 2 classes, got {n_classes}")
+    for name, value, least in (("n_classes", n_classes, 2), ("per_class", per_class, 1),
+                               ("img_side", img_side, 3), ("channels", channels, 1),
+                               ("difficulty", difficulty, 0)):
+        if not least <= value < math.inf:  # a NaN fails every comparison
+            raise ValueError(f"{name} must be finite and >= {least}, got {value!r}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     templates = rng.uniform(0.0, 1.0, size=(n_classes, channels, img_side, img_side))
     for _ in range(3):  # separable [1,2,1]/4 blur, reflect edges

@@ -2,13 +2,13 @@
 
 Every run lands in a self-contained directory: manifest.json (hash-referenced
 file inventory + config + metrics), checkpoint/, dump/ and reports/.  A student
-run also carries a copy of its teacher checkpoint, so `replay` can re-run any run
-from its directory alone and check every byte it writes against the manifest.
+run also carries its teacher/, the teacher network it was distilled from in checkpoint
+format, so `replay` can re-run any run from its directory alone and check every byte it
+writes against the manifest.
 """
 
 from __future__ import annotations
 
-import shutil
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -93,21 +93,17 @@ class Fitter:
 
     def __call__(self, run: Run, checkpointed=None) -> R.RunManifest:
         """Fit `run`, a teacher or a student of the teacher at `run.teacher`, and write
-        checkpoint/, a student's teacher/ copy and the eval set's dump/ into `run.out`,
-        which is absent or empty: it deletes nothing.  A teacher checkpoint that
-        `run.out` lies in is refused before the fit, since the teacher/ copy would
-        recurse into itself.  `checkpointed()` runs as soon as the checkpoint and
-        teacher copy are on disk, before evaluation.  Returns the run's manifest for
-        `seal`, without its parameters and files, which are on disk, so a grid worker
-        sends back about a kilobyte."""
+        checkpoint/, a student's teacher/ (the loaded teacher network, saved again) and
+        the eval set's dump/ into `run.out`, which is absent or empty: it deletes
+        nothing.  `checkpointed()` runs as soon as the checkpoint and teacher/ are on
+        disk, before evaluation.  Returns the run's manifest for `seal`, without its
+        parameters and files, which are on disk, so a grid worker sends back about a
+        kilobyte."""
         out, cfg = run.out, run.cfg
         if run.teacher is None:
             model = train_teacher(cfg, self.train_ds, arch=run.arch)
         else:
             ckpt = resolve_checkpoint(run.teacher)
-            if out.resolve().is_relative_to(ckpt.resolve()):
-                raise ValueError(f"{out} lies in teacher checkpoint {ckpt}, which the "
-                                 f"run copies into {out / 'teacher'}")
             if ckpt not in self.teachers:
                 teacher = TrainedModel(net=R.load_checkpoint(ckpt), role="teacher", history=[])
                 self.teachers[ckpt] = (teacher, {})
@@ -116,7 +112,7 @@ class Fitter:
         out.mkdir(parents=True, exist_ok=True)
         R.save_checkpoint(model.net, out / "checkpoint")
         if run.teacher is not None:
-            shutil.copytree(ckpt, out / "teacher")
+            R.save_checkpoint(teacher.net, out / "teacher")
         if checkpointed is not None:
             checkpointed()
         R.save_eval_dump(evaluate_model(model.net, self.eval_ds), out / "dump")
@@ -160,12 +156,13 @@ def first_difference(got, want, path: str) -> str | None:
     return next(filter(None, found), None)
 
 
-def replay(manifest_path: Path, out: Path) -> tuple[R.RunManifest, R.RunManifest]:
-    """Re-run a recorded run into `out`, absent or empty, with its own writer; returns
-    the recorded manifest and the one the re-run wrote, for the caller to compare file
-    by file and metric by metric.  A manifest whose config is not its run's, field for
-    field, is refused before anything is written: every run fits and evaluates at one
-    protocol."""
+def replay(manifest_path: Path, out: Path) -> R.RunManifest:
+    """Re-run a recorded run into `out`, absent or empty, with its own writer, and check
+    it against its record; returns the manifest the re-run wrote.  A manifest whose
+    config is not its run's, field for field, is refused before anything is written:
+    every run fits and evaluates at one protocol.  The re-run's `files` and `metrics`
+    records must then equal the recorded ones, each key of either side checked in
+    sorted order, so a replay that passes wrote the run's directory byte for byte."""
     m = R.read_manifest(manifest_path)
     if m.role not in ("teacher", "student"):
         raise FormatError(f"{manifest_path}: unknown role {m.role!r}")
@@ -189,4 +186,9 @@ def replay(manifest_path: Path, out: Path) -> tuple[R.RunManifest, R.RunManifest
         raise FormatError(f"{manifest_path}: {difference}")
     train, evalset = (build("dataset", key, lambda desc: (dataset_from_desc(desc), desc))
                       for key in ("train", "eval"))
-    return m, seal(out, Fitter(train, evalset)(run))
+    rerun = seal(out, Fitter(train, evalset)(run))
+    difference = (first_difference(rerun.files, m.files, "files")
+                  or first_difference(rerun.metrics, m.metrics, "metrics"))
+    if difference:
+        raise IntegrityError(f"{manifest_path}: the rerun's {difference}")
+    return rerun

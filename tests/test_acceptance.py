@@ -14,8 +14,9 @@ import time
 import numpy as np
 import pytest
 
+from distillab import grid
 from distillab.augment import AugmentStrategy, apply_strategy
-from distillab.cli import main as cli_main
+from distillab.cli import build_parser, main as cli_main
 from distillab.data import load_cifar10_bin, load_mnist_idx, save_dataset
 from distillab.distill import kd_loss
 from distillab.errors import FormatError
@@ -288,6 +289,22 @@ def test_5_desk_scale_pipeline(matrix_run, announce, tmp_path):
              "verify and reparse exactly "
              f"({len(problems)} problems)", ok)
     assert not problems, problems[:8]
+
+
+def test_5_every_cell_carries_its_teachers_checkpoint_bytes(matrix_run, announce):
+    # a cell's teacher/ is the loaded teacher network saved again: at the grid's
+    # shapes that round trip writes the bytes of the teacher run's checkpoint/
+    def tree(root):
+        return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+    out = matrix_run["out"]
+    cells = [run for run in grid.plan(build_parser().parse_args(
+        ["matrix", "--seed", "0", "--out", str(out)])) if run.teacher is not None]
+    differing = [run.out.name for run in cells
+                 if tree(run.out / "teacher") != tree(run.teacher / "checkpoint")]
+    announce("5 teacher-copies", "every cell's teacher/ holds its teacher run's checkpoint "
+             f"bytes ({len(cells)} cells, {len(differing)} differ)", not differing)
+    assert len(cells) == 15 and not differing, differing
 
 
 # --- 6: trend comparison ----------------------------------------------------

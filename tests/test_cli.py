@@ -242,37 +242,62 @@ def _tamper(src, dst, name):
 
 
 def test_replay_checks_every_report_byte(work, tmp_path, capsys):
+    manifest = tmp_path / "run" / "manifest.json"
     _tamper(work["teacher"], tmp_path / "run", "reports/reliability")
-    assert main(["evaluate", "--from-manifest", str(tmp_path / "run" / "manifest.json"),
+    assert main(["evaluate", "--from-manifest", str(manifest),
                  "--out", str(tmp_path / "rerun")]) == 1
-    assert capsys.readouterr().err == "error: reports/reliability differs from manifest\n"
+    rerun = sha256_file(work["teacher"] / "reports" / "reliability.csv")
+    recorded = read_manifest(manifest).files["reports/reliability"]["sha256"]
+    assert capsys.readouterr().err == (
+        f"error: IntegrityError: {manifest}: the rerun's files.reports/reliability.sha256 "
+        f"is {rerun!r}, not {recorded!r}\n")
 
 
 def test_replay_catches_a_changed_teacher_copy(work, tmp_path, capsys):
-    # the copy itself is carried into the replay as recorded, so the first file to
-    # differ is the student checkpoint retrained against it; the output bias moves
-    # every soft target (a weight of a dead hidden unit would move none)
+    # the replay trains against the teacher/ it reads and writes it back as recorded,
+    # so the first field to differ is a file of the student checkpoint retrained
+    # against it; the output bias moves every soft target (a weight of a dead hidden
+    # unit would move none)
+    manifest = tmp_path / "run" / "manifest.json"
     param = sorted((work["student"] / "teacher").glob("param-*.bias.arr"))[-1]
     _tamper(work["student"], tmp_path / "run", f"teacher/{param.name}")
-    assert main(["evaluate", "--from-manifest", str(tmp_path / "run" / "manifest.json"),
+    assert main(["evaluate", "--from-manifest", str(manifest),
                  "--out", str(tmp_path / "rerun")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: checkpoint/param-") and err.endswith(" differs from manifest\n")
+    assert err.startswith(f"error: IntegrityError: {manifest}: the rerun's "
+                          "files.checkpoint/param-")
+    assert ".sha256 is '" in err
+    assert _tree(tmp_path / "rerun" / "teacher") == _tree(tmp_path / "run" / "teacher")
 
 
-def test_replay_accepts_an_aged_manifest(work, tmp_path, capsys):
-    # older manifests carried a wall-clock `created` key and a reports/ copy of the embeddings
+def test_replay_accepts_a_manifest_with_a_created_key(work, tmp_path, capsys):
+    # older manifests carried a wall-clock `created` key, which a reader ignores
     run = tmp_path / "run"
     shutil.copytree(work["student"], run)
-    shutil.copyfile(run / "dump" / "embeddings.arr", run / "reports" / "embeddings.arr")
     doc = json.loads((run / "manifest.json").read_text())
     doc["created"] = "2024-01-01T00:00:00"
-    doc["files"]["reports/embeddings"] = {"path": "reports/embeddings.arr",
-                                          "sha256": sha256_file(run / "reports" / "embeddings.arr")}
     (run / "manifest.json").write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
     assert main(["evaluate", "--from-manifest", str(run / "manifest.json"),
                  "--out", str(tmp_path / "rerun")]) == 0
     assert "reproduced" in capsys.readouterr().out
+
+
+def test_replay_names_a_recorded_file_that_the_rerun_does_not_write(work, tmp_path, capsys):
+    # the file is present and its hash verifies, but the replay writes no such file,
+    # so the rerun is not the recorded run directory
+    run = tmp_path / "run"
+    shutil.copytree(work["teacher"], run)
+    (run / "reports" / "extra.csv").write_text("a,b\n")
+    doc = json.loads((run / "manifest.json").read_text())
+    extra = {"path": "reports/extra.csv", "sha256": sha256_file(run / "reports" / "extra.csv")}
+    doc["files"]["reports/extra"] = extra
+    (run / "manifest.json").write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    assert main(["evaluate", "--from-manifest", str(run / "manifest.json"),
+                 "--out", str(tmp_path / "rerun")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: IntegrityError: {run / 'manifest.json'}: the rerun's "
+                            f"files.reports/extra is absent, not {extra!r}\n")
+    assert "reproduced" not in captured.out
 
 
 @pytest.mark.parametrize("doc", [[], {"run_id": "r", "role": "teacher", "config": {},
@@ -381,8 +406,8 @@ def test_replay_checks_the_recorded_metrics(work, tmp_path, capsys, section, key
     assert main(["evaluate", "--from-manifest", str(run / "manifest.json"),
                  "--out", str(tmp_path / "rerun")]) == 1
     captured = capsys.readouterr()
-    assert captured.err == \
-        f"error: manifest records metrics.{section}.{key} is 0.123, not {value!r}\n"
+    assert captured.err == (f"error: IntegrityError: {run / 'manifest.json'}: the rerun's "
+                            f"metrics.{section}.{key} is {value!r}, not 0.123\n")
     assert "reproduced" not in captured.out
 
 
@@ -402,7 +427,8 @@ def test_evaluate_from_manifest_checks_checkpoint_bytes(work, tmp_path, capsys):
     assert main(["evaluate", "--from-manifest", str(run / "manifest.json"),
                  "--out", str(tmp_path / "rerun")]) == 1
     captured = capsys.readouterr()
-    assert f"checkpoint/{param.name} differs" in captured.err
+    assert captured.err.startswith(f"error: IntegrityError: {run / 'manifest.json'}: "
+                                   f"the rerun's files.checkpoint/{param.name}.sha256 is ")
     assert "reproduced" not in captured.out
 
 
@@ -886,29 +912,36 @@ def test_a_student_cannot_be_written_over_its_teacher(work, tmp_path, capsys, te
                     run, run, capsys)
 
 
-@pytest.mark.parametrize("teacher, out", [("ckpt", "ckpt"), ("run", "run/checkpoint"),
-                                          ("ckpt", "ckpt/student")],
-                         ids=["bare-checkpoint", "run-checkpoint", "under-bare-checkpoint"])
+@pytest.mark.parametrize("teacher, out", [("ckpt", "ckpt"), ("run", "run/checkpoint")],
+                         ids=["bare-checkpoint", "run-checkpoint"])
 def test_a_student_cannot_be_written_into_its_teacher_checkpoint(work, tmp_path, capsys,
                                                                  teacher, out):
-    # a checkpoint is never an empty --out; an absent one under a bare checkpoint is,
-    # but the run would copy the teacher checkpoint into its own teacher/, inside it
+    # a checkpoint is never an empty --out
     shutil.copytree(work["teacher"] / "checkpoint", tmp_path / "ckpt")
     shutil.copytree(work["teacher"], tmp_path / "run")
-    argv = ["distill", "--seed", "3", "--dataset", str(work["data"]),
-            "--teacher", str(tmp_path / teacher), "--out", str(tmp_path / out),
-            "--eval-dataset", str(work["data"]),
-            "--arch", "student-mlp", "--epochs", "1", "--batch-size", "8"]
-    if (tmp_path / out).exists():
-        _assert_refused(argv, tmp_path / out, tmp_path, capsys)
-        return
-    before = _tree(tmp_path)
-    assert main(argv) == 1
-    assert capsys.readouterr().err == (f"error: ValueError: {tmp_path / out} lies in teacher "
-                                       f"checkpoint {tmp_path / 'ckpt'}, which the run copies "
-                                       f"into {tmp_path / out / 'teacher'}\n")
-    assert _tree(tmp_path) == before
-    assert not (tmp_path / out).exists()
+    _assert_refused(["distill", "--seed", "3", "--dataset", str(work["data"]),
+                     "--teacher", str(tmp_path / teacher), "--out", str(tmp_path / out),
+                     "--eval-dataset", str(work["data"]),
+                     "--arch", "student-mlp", "--epochs", "1", "--batch-size", "8"],
+                    tmp_path / out, tmp_path, capsys)
+
+
+def test_a_student_written_under_its_bare_teacher_checkpoint_replays(work, tmp_path):
+    # the run's teacher/ is written from the loaded teacher network, not copied from
+    # the checkpoint directory, so an --out inside that directory holds no copy of itself
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(work["teacher"] / "checkpoint", ckpt)
+    before = _tree(ckpt)
+    assert main(["distill", "--seed", "3", "--dataset", str(work["data"]),
+                 "--teacher", str(ckpt), "--out", str(ckpt / "student"),
+                 "--eval-dataset", str(work["data"]),
+                 "--arch", "student-mlp", "--epochs", "1", "--batch-size", "8"]) == 0
+    assert _tree(ckpt / "student" / "teacher") == _tree(work["teacher"] / "checkpoint")
+    assert {path: data for path, data in _tree(ckpt).items()
+            if path.parts[0] != "student"} == before
+    assert main(["evaluate", "--from-manifest", str(ckpt / "student" / "manifest.json"),
+                 "--out", str(tmp_path / "rerun")]) == 0
+    assert _tree(tmp_path / "rerun") == _tree(ckpt / "student")
 
 
 # Each input below lies in the --out of the command that reads it, where a writer that

@@ -195,6 +195,16 @@ def test_synthetic_rejects_single_class():
         make_synthetic(seed=0, n_classes=1)
 
 
+@pytest.mark.parametrize("name, value", [("per_class", 0), ("per_class", -1),
+                                         ("img_side", 2), ("img_side", 1), ("channels", 0),
+                                         ("difficulty", -1.0), ("difficulty", float("nan")),
+                                         ("difficulty", float("inf"))])
+def test_synthetic_refuses_a_degenerate_parameter(name, value):
+    # a NaN difficulty, or a side that the blur makes flat, would give all-NaN images
+    with pytest.raises(ValueError, match=f"^{name} must be finite and >= "):
+        make_synthetic(seed=0, **{name: value})
+
+
 # every pixel and label of these sets, and its digest format, is pinned: C = 2, 4 and
 # 10, one and three channels, difficulty 0 and 2.5, d above 128, and d above one
 # synthesis block (one row per block)
