@@ -83,7 +83,7 @@ def kd_loss(student_logits: np.ndarray, teacher_logits: np.ndarray, labels: np.n
     if not tau > 0:  # a NaN fails every comparison
         raise ValueError(f"temperature must be positive, got {tau}")
     if not 0.0 <= w <= 1.0:
-        raise ValueError(f"distill weight must be in [0, 1], got {w}")
+        raise ValueError(f"distill_weight must be in [0, 1], got {w}")
     s = np.asarray(student_logits)
     t = np.asarray(teacher_logits)
     y = np.asarray(labels, dtype=np.float64)
@@ -126,10 +126,6 @@ def _ce_loss_grad(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.nda
     return float(loss), (p - y) / z.shape[0]
 
 
-def _spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
-
-
 def _epoch_indices(n: int, batch_size: int, rng: np.random.Generator):
     perm = rng.permutation(n)
     for start in range(0, n, batch_size):
@@ -138,12 +134,7 @@ def _epoch_indices(n: int, batch_size: int, rng: np.random.Generator):
 
 def train_teacher(cfg: TrainConfig, data: Dataset, arch: str = "teacher-cnn") -> TrainedModel:
     """Cross-entropy training under cfg.strategy; deterministic for a fixed seed."""
-    if data.n_samples == 0:
-        raise ValueError("dataset is empty")
-    init_rng, shuffle_rng, aug_rng = _spawn_rngs(cfg.seed, 3)
-    net = build_network(arch, data.images.shape[1:], data.n_classes, init_rng)
-    history = _fit(net, cfg, data, teacher=None, shuffle_rng=shuffle_rng, aug_rng=aug_rng)
-    return TrainedModel(net=net, role="teacher", history=history)
+    return _fit(cfg, data, arch, teacher=None)
 
 
 def train_student(cfg: TrainConfig, teacher: TrainedModel, data: Dataset,
@@ -156,24 +147,19 @@ def train_student(cfg: TrainConfig, teacher: TrainedModel, data: Dataset,
     training set once, in order at the fit's batch size, and each batch reads
     its rows of that logit table (the tests check it equals a forward of the
     batch, bitwise, at the grid's shapes); an augmented student forwards the
-    teacher once per batch.  The teacher's convolutions build their im2col
-    columns directly in GEMM layout.  `logit_tables`, a dict the caller keeps
-    for one (teacher, data) pair, holds those tables by batch size, so the
-    clean fits against one teacher compute each table once.
+    teacher once per batch.  `logit_tables`, a dict the caller keeps for one
+    (teacher, data) pair, holds those tables by batch size, so the clean fits
+    against one teacher compute each table once.
     """
     if teacher.net.n_outputs != data.n_classes:
         raise ValueError(f"teacher has {teacher.net.n_outputs} outputs, "
                          f"dataset has {data.n_classes} classes")
-    if data.n_samples == 0:
-        raise ValueError("dataset is empty")
     before = teacher.net.params_digest()
-    init_rng, shuffle_rng, aug_rng = _spawn_rngs(cfg.seed, 3)
-    net = build_network(arch, data.images.shape[1:], data.n_classes, init_rng)
-    history = _fit(net, cfg, data, teacher=teacher.net, shuffle_rng=shuffle_rng, aug_rng=aug_rng,
+    student = _fit(cfg, data, arch, teacher=teacher.net,
                    logit_tables={} if logit_tables is None else logit_tables)
     if teacher.net.params_digest() != before:
         raise RuntimeError("teacher parameters changed during distillation")
-    return TrainedModel(net=net, role="student", history=history)
+    return student
 
 
 def _logit_table(net: Network, images: np.ndarray, batch_size: int) -> np.ndarray:
@@ -182,8 +168,15 @@ def _logit_table(net: Network, images: np.ndarray, batch_size: int) -> np.ndarra
                            for start in range(0, len(images), batch_size)])
 
 
-def _fit(net: Network, cfg: TrainConfig, data: Dataset, teacher: Network | None,
-         shuffle_rng, aug_rng, logit_tables: dict | None = None) -> list[dict]:
+def _fit(cfg: TrainConfig, data: Dataset, arch: str, teacher: Network | None,
+         logit_tables: dict | None = None) -> TrainedModel:
+    """A fresh `arch` network fitted to `data`, by `kd_loss` against `teacher` if one is
+    given; the seed spawns the streams of its initial weights, shuffles and augmentation."""
+    if data.n_samples == 0:
+        raise ValueError("dataset is empty")
+    init_rng, shuffle_rng, aug_rng = (np.random.default_rng(s)
+                                      for s in np.random.SeedSequence(cfg.seed).spawn(3))
+    net = build_network(arch, data.images.shape[1:], data.n_classes, init_rng)
     one_hot = data.one_hot()
     fill = dataset_fill_value(data.images)
     # a clean-batch student's teacher logits are a fixed function of the sample
@@ -219,7 +212,7 @@ def _fit(net: Network, cfg: TrainConfig, data: Dataset, teacher: Network | None,
             hits += int((logits.argmax(axis=1) == y.argmax(axis=1)).sum())
         history.append({"epoch": epoch, "loss": float(np.mean(losses)) if losses else 0.0,
                         "accuracy": hits / data.n_samples})
-    return history
+    return TrainedModel(net=net, role="teacher" if teacher is None else "student", history=history)
 
 
 def evaluate_model(net: Network, data: Dataset) -> EvalDump:

@@ -13,20 +13,12 @@ PROB_ATOL = 1e-5
 
 
 def check_prob_vector(v: np.ndarray, name: str = "distribution") -> None:
-    """Raise ValueError unless `v` is a 1-D probability vector: entries in [0, 1] and
-    sum 1, each within PROB_ATOL."""
+    """Raise ValueError unless `v` is a non-empty 1-D probability vector, checked as the
+    one row of `check_prob_rows`."""
     v = np.asarray(v)
-    if v.ndim != 1:
-        raise ValueError(f"{name} must be 1-D, got shape {v.shape}")
-    if v.size == 0:
-        raise ValueError(f"{name} is empty")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} contains non-finite entries")
-    if v.min() < -PROB_ATOL or v.max() > 1.0 + PROB_ATOL:
-        raise ValueError(f"{name} has entries outside [0, 1]")
-    s = float(v.sum())
-    if abs(s - 1.0) > PROB_ATOL:
-        raise ValueError(f"{name} sums to {s}, expected 1 within {PROB_ATOL}")
+    if v.ndim != 1 or v.size == 0:
+        raise ValueError(f"{name} must be a non-empty 1-D vector, got shape {v.shape}")
+    check_prob_rows(v[None], name)
 
 
 def softmax_t(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
@@ -62,13 +54,7 @@ def kl_div(p: np.ndarray, q: np.ndarray) -> float:
         raise ValueError(f"length mismatch: p {p.shape} vs q {q.shape}")
     check_prob_vector(p, "p")
     check_prob_vector(q, "q")
-    return float(_kl_terms(p, q).sum())
-
-
-def _kl_terms(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Elementwise p * (log p - log q) with clamping and 0 * log 0 == 0."""
-    diff = np.log(np.maximum(p, PROB_EPS)) - np.log(np.maximum(q, PROB_EPS))
-    return np.where(p > 0, p * diff, 0.0)
+    return float(kl_div_rows(p, q))
 
 
 def cross_entropy_rows(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -78,8 +64,10 @@ def cross_entropy_rows(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 
 def kl_div_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Row-wise KL divergence for [N, C] arrays; no per-row validation."""
-    return np.sum(_kl_terms(p, q), axis=-1)
+    """Row-wise KL divergence for [N, C] arrays, p * (log p - log q) summed with
+    0 * log 0 == 0; no per-row validation."""
+    diff = np.log(np.maximum(p, PROB_EPS)) - np.log(np.maximum(q, PROB_EPS))
+    return np.sum(np.where(p > 0, p * diff, 0.0), axis=-1)
 
 
 def check_prob_rows(arr: np.ndarray, name: str = "distributions") -> None:

@@ -32,12 +32,11 @@ _CODES_BY_KIND = {np.dtype(v): k for k, v in _DTYPE_CODES.items()}
 def save_array(arr: np.ndarray, path: str | Path) -> None:
     """Serialize an array to the container format (f32/f64/u8/i64 only)."""
     arr = np.asarray(arr)
-    canon = {"f": {4: "<f4", 8: "<f8"}, "u": {1: "u1"}, "i": {8: "<i8"}}
-    try:
-        dt = np.dtype(canon[arr.dtype.kind][arr.dtype.itemsize])
-    except KeyError:
+    try:  # either byte order; a dtype with no byte order to swap raises TypeError
+        dt = arr.dtype.newbyteorder("<")
+        code = _CODES_BY_KIND[dt]
+    except (KeyError, TypeError):
         raise ValueError(f"unsupported dtype {arr.dtype} for array container") from None
-    code = _CODES_BY_KIND[dt]
     with open(path, "wb") as fh:
         fh.write(ARRAY_MAGIC)
         fh.write(struct.pack("<III", ARRAY_VERSION, code, arr.ndim))

@@ -76,6 +76,19 @@ def test_config_rejects_the_optimizer_values_that_sgd_step_rejects(field, value)
     _tiny_cfg(lr=0.0, momentum=0.0, weight_decay=0.0)  # each range's closed end
 
 
+@pytest.mark.parametrize("field, arg, value", [
+    *[("temperature", "tau", v) for v in (0.0, -1.0, float("nan"))],
+    *[("distill_weight", "w", v) for v in (-0.1, 1.5, float("nan"))]])
+def test_config_rejects_the_kd_values_that_kd_loss_rejects(field, arg, value):
+    # kd_loss refuses a value in the config's words, by the field name a manifest records
+    z = np.zeros((1, 2))
+    with pytest.raises(ValueError) as from_loss:
+        kd_loss(z, z, np.array([[1.0, 0.0]]), **dict({"tau": 4.0, "w": 0.5}, **{arg: value}))
+    with pytest.raises(ValueError) as from_config:
+        _tiny_cfg(**{field: value})
+    assert str(from_config.value) == str(from_loss.value)
+
+
 # --- kd loss ----------------------------------------------------------------
 
 def test_kd_loss_hand_case_uniform_logits():

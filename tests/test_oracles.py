@@ -1,5 +1,6 @@
-"""Import hygiene: the brute-force references in oracles.py stay independent of the
-code they check, and no module of the package or its tests imports a name it never uses."""
+"""Source hygiene: the brute-force references in oracles.py stay independent of the
+code they check, no module of the package or its tests imports a name it never uses or
+ends without exactly one newline, and the README's layout table names every module."""
 
 import ast
 from pathlib import Path
@@ -47,10 +48,14 @@ def test_import_scan_sees_package_imports():
     assert _imported_modules("from . import nn") == {"."}
 
 
-def test_every_imported_name_is_used():
+def _modules() -> list[Path]:
     modules = sorted((ROOT / "src" / "distillab").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
     assert len(modules) > 20  # the globs found the package and its tests
-    unused = {str(p.relative_to(ROOT)): names for p in modules
+    return modules
+
+
+def test_every_imported_name_is_used():
+    unused = {str(p.relative_to(ROOT)): names for p in _modules()
               if (names := _unused_imports(p.read_text(encoding="utf-8")))}
     assert unused == {}
 
@@ -59,3 +64,19 @@ def test_unused_import_scan():
     source = ("from __future__ import annotations\nimport os.path\nimport numpy as np\n"
               "from a import (b,  # noqa: F401\n    c)\nfrom d import e, f\nprint(np.pi, f)\n")
     assert _unused_imports(source) == ["e", "os"]
+
+
+def test_every_module_ends_with_one_newline():
+    # `wc -l` then counts every module's last line, as `splitlines` does
+    texts = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in _modules()}
+    ragged = [name for name, text in texts.items()
+              if not text.endswith("\n") or text.endswith("\n\n")]
+    assert ragged == []
+
+
+def test_readme_layout_table_names_every_module():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    layout = readme.split("\n## Package layout\n", 1)[1].split("\n## ", 1)[0]
+    rows = {line.split("`")[1] for line in layout.splitlines() if line.startswith("| `distillab.")}
+    modules = {f"distillab.{p.stem}" for p in (ROOT / "src" / "distillab").glob("*.py")}
+    assert rows == modules - {"distillab.__init__"}

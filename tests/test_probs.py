@@ -155,6 +155,8 @@ def test_check_prob_vector_contracts():
         check_prob_vector(np.array([1.5, -0.5]))
     with pytest.raises(ValueError):
         check_prob_vector(np.array([np.nan, 1.0]))
+    with pytest.raises(ValueError):
+        check_prob_vector(np.array([]))
 
 
 def test_check_prob_rows_reports_offending_row():
